@@ -27,12 +27,12 @@ import hashlib
 import json
 import math
 import os
-import sys
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
 import click
+from click.core import ParameterSource
 import numpy as np
 
 from . import __version__
@@ -40,8 +40,8 @@ from .dynamics import (
     BlowUpError,
     SimConfig,
     coming_down_experiment,
+    running_weighted_norm,
     simulate_u,
-    weighted_norm,
 )
 from .noise import NoiseStream
 from .observables import birkhoff_sample, fourth_cumulant
@@ -116,18 +116,14 @@ def _load_config_file(path: str | None) -> dict:
 
 def _resolve(ctx_params: dict, file_cfg: dict, keys: list[str]) -> dict:
     """Explicit flags beat the config file; config file beats defaults."""
+    ctx = click.get_current_context()
     resolved = {}
     for key in keys:
-        if key in file_cfg and not _flag_given(key):
+        if key in file_cfg and ctx.get_parameter_source(key) is ParameterSource.DEFAULT:
             resolved[key] = file_cfg[key]
         else:
             resolved[key] = ctx_params[key]
     return resolved
-
-
-def _flag_given(key: str) -> bool:
-    flag = "--" + key.replace("_", "-")
-    return any(arg == flag or arg.startswith(flag + "=") for arg in sys.argv)
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
@@ -237,15 +233,7 @@ def simulate(config_file, output_dir, **params):
     except BlowUpError as exc:
         raise Refused(f"trajectory blew up: {exc}")
     csv_path = outdir / "diagnostics.csv"
-    wnorms = []
-    for i in range(len(traj.times)):
-        upto = slice(0, i + 1)
-        try:
-            wn = weighted_norm(traj.times[upto], traj.snapshots[upto], 0.5, 0.25) \
-                if traj.times[i] > 0 else float("nan")
-        except ValueError:
-            wn = float("nan")
-        wnorms.append(wn)
+    wnorms = running_weighted_norm(traj.times, traj.snapshots, 0.5, 0.25)
     _write_csv(
         csv_path,
         ["t", "L2", "L8", "besov_proxy", "weighted_norm"],

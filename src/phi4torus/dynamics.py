@@ -72,6 +72,7 @@ __all__ = [
     "comparison_test",
     "ComparisonResult",
     "weighted_norm",
+    "running_weighted_norm",
     "rough_initial_field",
 ]
 
@@ -559,20 +560,35 @@ def weighted_norm(times, fields, alpha: float, beta: float) -> float:
         max( sup_t t^alpha ||v(t)||_{C^beta},
              sup_{s != t} || t^alpha v(t) - s^alpha v(s) ||_{Loo} / |t-s|^{beta/2} ).
 
-    Diagnostic only; both sups run over the sampled grid.
+    Diagnostic only; both sups run over the sampled grid, and the first
+    over the positive sample times, of which there must be at least one.
     """
     times = list(times)
     fields = list(fields)
     if len(times) != len(fields) or not times:
         raise ValueError("times and fields must be non-empty and matching")
-    sup_besov = max(
-        (t**alpha) * besov_norm(f, beta) for t, f in zip(times, fields) if t > 0
-    )
-    weighted = [t**alpha * f.values for t, f in zip(times, fields)]
+    if not any(t > 0 for t in times):
+        raise ValueError("the weighted norm needs a positive sample time")
+    return running_weighted_norm(times, fields, alpha, beta)[-1]
+
+
+def running_weighted_norm(times, fields, alpha: float, beta: float) -> list[float]:
+    """weighted_norm of every prefix (times[:i+1], fields[:i+1]), in one pass:
+    one Besov norm per sample and the Holder quotients of each new sample
+    against the earlier ones.  A prefix without a positive time gives NaN."""
+    sup_besov = None
     sup_holder = 0.0
-    for i in range(len(times)):
-        for j in range(i + 1, len(times)):
-            gap = abs(times[j] - times[i]) ** (beta / 2.0)
-            diff = float(np.abs(weighted[j] - weighted[i]).max())
+    weighted = []
+    out = []
+    for t, f in zip(times, fields):
+        if t > 0:
+            term = (t**alpha) * besov_norm(f, beta)
+            sup_besov = term if sup_besov is None else max(sup_besov, term)
+        w = t**alpha * f.values
+        for s, ws in zip(times, weighted):
+            gap = abs(t - s) ** (beta / 2.0)
+            diff = float(np.abs(w - ws).max())
             sup_holder = max(sup_holder, diff / gap)
-    return max(sup_besov, sup_holder)
+        weighted.append(w)
+        out.append(float("nan") if sup_besov is None else max(sup_besov, sup_holder))
+    return out

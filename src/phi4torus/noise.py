@@ -27,13 +27,14 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import fft as sfft
 
-from .spectral import Field, Grid, grid_eigenvalues
+from .spectral import Field, Grid, half_cube
 
 __all__ = [
     "NoiseStream",
     "ou_exact_step",
     "ou_increment_coefficients",
     "ou_noise_field",
+    "ou_transition",
     "sample_stationary",
 ]
 
@@ -66,23 +67,27 @@ class NoiseStream:
 
 def _colored_gaussian(grid: Grid, mode_variance: np.ndarray, g: np.ndarray) -> Field:
     """Real Gaussian field whose spectral coefficients c_k have variance
-    mode_variance[k], built by filtering physical white noise.
+    mode_variance[k] (over the half-cube), built by filtering physical white
+    noise.
 
-    fftn of iid N(0,1) physical noise gives independent complex Gaussians
+    rfftn of iid N(0,1) physical noise gives independent complex Gaussians
     (up to the Hermitian pairing) with E|.|^2 = N^d, so scaling by
     sqrt(variance / N^d) yields the target spectrum with exact symmetry.
     """
-    ghat = sfft.fftn(g, workers=-1)
-    coeffs = ghat * np.sqrt(mode_variance / grid.cell_count)
-    return Field.from_spectral(grid, coeffs)
+    ghat = sfft.rfftn(g, workers=-1)
+    return Field.from_half(grid, ghat * np.sqrt(mode_variance / grid.cell_count))
+
+
+def _ou_coefficients(lam: np.ndarray, volume: float, dt: float, r: float):
+    decay = np.exp(-dt * lam)
+    var = np.exp(-2.0 * r * lam) * (1.0 - decay**2) / (lam * volume)
+    return decay, var
 
 
 def ou_increment_coefficients(grid: Grid, dt: float, r: float):
-    """(decay, noise mode variance) of the exact OU transition over dt."""
-    lam = grid_eigenvalues(grid)
-    decay = np.exp(-dt * lam)
-    var = np.exp(-2.0 * r * lam) * (1.0 - decay**2) / (lam * grid.volume)
-    return decay, var
+    """(decay, noise mode variance) of the exact OU transition over dt, over
+    the full FFT-ordered frequency cube."""
+    return _ou_coefficients(grid.eigenvalues(), grid.volume, dt, r)
 
 
 def ou_noise_field(grid: Grid, dt: float, r: float, g: np.ndarray) -> Field:
@@ -92,8 +97,15 @@ def ou_noise_field(grid: Grid, dt: float, r: float, g: np.ndarray) -> Field:
     Sharing g between the OU update of X and a Duhamel step of u drives both
     with the identical noise realization.
     """
-    _, var = ou_increment_coefficients(grid, dt, r)
+    _, var = _ou_coefficients(half_cube(grid).eigenvalues, grid.volume, dt, r)
     return _colored_gaussian(grid, var, g)
+
+
+def ou_transition(X: Field, noise: Field, dt: float) -> Field:
+    """e^{-dt P} X + noise: the exact OU update of X given the increment
+    field over the step (see ou_noise_field)."""
+    decay = np.exp(-dt * half_cube(X.grid).eigenvalues)
+    return Field.from_half(X.grid, decay * X.half + noise.half)
 
 
 def ou_exact_step(X: Field, dt: float, r: float, stream: NoiseStream) -> Field:
@@ -103,9 +115,8 @@ def ou_exact_step(X: Field, dt: float, r: float, stream: NoiseStream) -> Field:
     if r < 0:
         raise ValueError(f"r must be non-negative, got {r}")
     grid = X.grid
-    decay, _ = ou_increment_coefficients(grid, dt, r)
     noise = ou_noise_field(grid, dt, r, stream.normals(grid.shape))
-    return Field.from_spectral(grid, decay * X.spectral + noise.spectral)
+    return ou_transition(X, noise, dt)
 
 
 def sample_stationary(grid: Grid, r: float, stream: NoiseStream) -> Field:
@@ -113,6 +124,6 @@ def sample_stationary(grid: Grid, r: float, stream: NoiseStream) -> Field:
     e^{-2 r lam_k} / (lam_k L^d)."""
     if r < 0:
         raise ValueError(f"r must be non-negative, got {r}")
-    lam = grid_eigenvalues(grid)
+    lam = half_cube(grid).eigenvalues
     var = np.exp(-2.0 * r * lam) / (lam * grid.volume)
     return _colored_gaussian(grid, var, stream.normals(grid.shape))

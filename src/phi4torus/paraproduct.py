@@ -19,12 +19,13 @@ dealiased by 2x zero padding, consistently with the plain product.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import Field, Grid, dealiased_product
+from .spectral import Field, Grid, dealiased_sum, half_cube
 
 __all__ = [
     "BlockDecomposition",
@@ -65,40 +66,37 @@ class BlockDecomposition:
         2^{j-1} < |k| <= 2^j (clipped below at 1 so the levels partition the
         frequency set exactly).
         """
-        kmag = self.grid.k_magnitude()
-        out = [kmag <= 1.0]
-        for j in range(self.j_max + 1):
-            lo = max(2.0 ** (j - 1), 1.0)
-            out.append((kmag > lo) & (kmag <= 2.0**j))
-        return out
+        return _annuli(self.grid.k_magnitude(), self.j_max)
 
 
-_MASK_CACHE: dict[Grid, list[np.ndarray]] = {}
+def _annuli(kmag: np.ndarray, j_max: int) -> list[np.ndarray]:
+    out = [kmag <= 1.0]
+    for j in range(j_max + 1):
+        lo = max(2.0 ** (j - 1), 1.0)
+        out.append((kmag > lo) & (kmag <= 2.0**j))
+    return out
 
 
-def _masks(grid: Grid) -> list[np.ndarray]:
-    masks = _MASK_CACHE.get(grid)
-    if masks is None:
-        masks = BlockDecomposition(grid).masks()
-        _MASK_CACHE[grid] = masks
-    return masks
+@functools.cache
+def _half_masks(grid: Grid) -> list[np.ndarray]:
+    """The annulus masks over the grid's half-cube."""
+    kmag = np.sqrt(half_cube(grid).k_squared)
+    return _annuli(kmag, BlockDecomposition(grid).j_max)
 
 
 def lp_block(f: Field, j: int) -> Field:
     """Littlewood-Paley block Delta_j f (sharp annulus restriction)."""
     if j < -1:
         raise ValueError(f"block level must be >= -1, got {j}")
-    masks = _masks(f.grid)
+    masks = _half_masks(f.grid)
     if j + 1 >= len(masks):
         return Field.zeros(f.grid)
-    return Field.from_spectral(f.grid, f.spectral * masks[j + 1])
+    return Field.from_half(f.grid, f.half * masks[j + 1])
 
 
 def block_fields(f: Field) -> list[Field]:
     """All blocks [Delta_{-1} f, Delta_0 f, ...] covering the grid."""
-    return [
-        Field.from_spectral(f.grid, f.spectral * mask) for mask in _masks(f.grid)
-    ]
+    return [Field.from_half(f.grid, f.half * mask) for mask in _half_masks(f.grid)]
 
 
 def product_decomposition(a: Field, b: Field) -> tuple[Field, Field, Field]:
@@ -125,20 +123,26 @@ def product_decomposition(a: Field, b: Field) -> tuple[Field, Field, Field]:
         los_b.append(lo)
         lo = lo + bb
 
-    para_ab = Field.zeros(grid)  # a < b
-    para_ba = Field.zeros(grid)  # a > b
-    reso = Field.zeros(grid)
+    if nlev > 2:
+        para_ab = dealiased_sum(*((los_a[k - 1], blocks_b[k]) for k in range(2, nlev)))
+        para_ba = dealiased_sum(*((blocks_a[k], los_b[k - 1]) for k in range(2, nlev)))
+    else:
+        para_ab = para_ba = Field.zeros(grid)
+    return para_ab, _resonant_sum(blocks_a, blocks_b), para_ba
+
+
+def _resonant_sum(blocks_a: list[Field], blocks_b: list[Field]) -> Field:
+    """sum_k Delta_k a (Delta_{k-1} b + Delta_k b + Delta_{k+1} b)."""
+    nlev = len(blocks_a)
+    pairs = []
     for k in range(nlev):
-        if k >= 2:
-            para_ab = para_ab + dealiased_product(los_a[k - 1], blocks_b[k])
-            para_ba = para_ba + dealiased_product(blocks_a[k], los_b[k - 1])
         near = blocks_b[k]
         if k > 0:
             near = near + blocks_b[k - 1]
         if k + 1 < nlev:
             near = near + blocks_b[k + 1]
-        reso = reso + dealiased_product(blocks_a[k], near)
-    return para_ab, reso, para_ba
+        pairs.append((blocks_a[k], near))
+    return dealiased_sum(*pairs)
 
 
 def paraproduct(a: Field, b: Field) -> Field:
@@ -148,7 +152,9 @@ def paraproduct(a: Field, b: Field) -> Field:
 
 def resonant(a: Field, b: Field) -> Field:
     """Resonant product a o b."""
-    return product_decomposition(a, b)[1]
+    if a.grid != b.grid:
+        raise ValueError("fields live on different grids")
+    return _resonant_sum(block_fields(a), block_fields(b))
 
 
 def _lp_quadrature(f: Field, p: float) -> float:

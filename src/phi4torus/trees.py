@@ -29,12 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .noise import (
-    NoiseStream,
-    ou_increment_coefficients,
-    ou_noise_field,
-    sample_stationary,
-)
+from .noise import NoiseStream, ou_noise_field, ou_transition, sample_stationary
 from .paraproduct import besov_norm, resonant
 from .renorm import a_closed, b_closed
 from .spectral import Field, Grid, cubic, dealiased_product, duhamel_step, grad_dot
@@ -112,13 +107,20 @@ class TreeEvolver:
         self.I2 = Field.zeros(grid)
         self.I3 = Field.zeros(grid)
         self.v_ref = Field.zeros(grid) if track_vref else None
+        # (X, W) pairs: each Wick power is built once per X, so that a
+        # snapshot and the step after it share them
+        self._w2 = self._w3 = (None, None)
 
     # -- Wick powers of the current X --------------------------------------
     def wick_square(self) -> Field:
-        return dealiased_product(self.X, self.X) - self.a
+        if self._w2[0] is not self.X:
+            self._w2 = (self.X, dealiased_product(self.X, self.X) - self.a)
+        return self._w2[1]
 
     def wick_cube(self) -> Field:
-        return cubic(self.X) - 3.0 * self.a * self.X
+        if self._w3[0] is not self.X:
+            self._w3 = (self.X, cubic(self.X) - 3.0 * self.a * self.X)
+        return self._w3[1]
 
     def _vref_drift(self, W2: Field) -> Field:
         e3 = Field(self.grid, np.exp(3.0 * self.I2.values))
@@ -149,8 +151,7 @@ class TreeEvolver:
             if g is None:
                 g = self.stream.normals(self.grid.shape)
             noise = ou_noise_field(self.grid, dt, self.r, g)
-        decay, _ = ou_increment_coefficients(self.grid, dt, self.r)
-        self.X = Field.from_spectral(self.grid, decay * self.X.spectral + noise.spectral)
+        self.X = ou_transition(self.X, noise, dt)
         self.time += dt
 
     def clone(self) -> "TreeEvolver":

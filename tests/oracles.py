@@ -173,3 +173,159 @@ def gaussian_field_1d(rng: np.random.Generator, n: int, variance_per_mode):
         kn = n // 2
         coeffs[index[-kn]] = rng.normal() * math.sqrt(variance_per_mode(kn))
     return np.real(np.fft.ifft(coeffs * n))
+
+
+# ---------------------------------------------------------------------------
+# Full-cube spectral references
+# ---------------------------------------------------------------------------
+#
+# The package stores rfftn half-cubes and handles the Nyquist planes by an
+# explicit split-and-average rule.  These references use the plain
+# definitions instead: complex numpy FFTs over the full cube, c = fftn(u)/N^d,
+# u = Re ifftn(c N^d), and padding by placing each coefficient at its signed
+# index (Nyquist at -N/2) in the 2N cube.  Taking the real part is what fixes
+# the Nyquist convention here.
+
+
+def full_coefficients(u: np.ndarray) -> np.ndarray:
+    return np.fft.fftn(u) / u.size
+
+
+def full_values(c: np.ndarray) -> np.ndarray:
+    return np.fft.ifftn(c * c.size).real
+
+
+def full_wavenumbers(n: int, dim: int, period: float) -> list[np.ndarray]:
+    k = np.fft.fftfreq(n, d=1.0 / n) * (2.0 * math.pi / period)
+    return list(np.meshgrid(*([k] * dim), indexing="ij"))
+
+
+def full_eigenvalues(n: int, dim: int, period: float) -> np.ndarray:
+    return 1.0 + sum(km**2 for km in full_wavenumbers(n, dim, period))
+
+
+def _signed_index(n: int, m: int, dim: int):
+    idx = np.fft.fftfreq(n, d=1.0 / n).astype(int) % m
+    return np.ix_(*([idx] * dim))
+
+
+def full_dealiased_product(*us: np.ndarray) -> np.ndarray:
+    """Product with 2x zero padding, every factor padded on its own."""
+    n, dim = us[0].shape[0], us[0].ndim
+    m = 2 * n
+    index = _signed_index(n, m, dim)
+    prod = None
+    for u in us:
+        big = np.zeros((m,) * dim, dtype=complex)
+        big[index] = full_coefficients(u)
+        vals = full_values(big)
+        prod = vals if prod is None else prod * vals
+    return full_values(full_coefficients(prod)[index])
+
+
+def full_gradient(u: np.ndarray, period: float) -> list[np.ndarray]:
+    c = full_coefficients(u)
+    return [full_values(1j * km * c) for km in full_wavenumbers(u.shape[0], u.ndim, period)]
+
+
+def full_grad_dot(a: np.ndarray, b: np.ndarray, period: float) -> np.ndarray:
+    return sum(
+        full_dealiased_product(ga, gb)
+        for ga, gb in zip(full_gradient(a, period), full_gradient(b, period))
+    )
+
+
+def full_multiplier(u: np.ndarray, symbol, period: float) -> np.ndarray:
+    lam = full_eigenvalues(u.shape[0], u.ndim, period)
+    return full_values(full_coefficients(u) * symbol(lam))
+
+
+def full_duhamel(u: np.ndarray, drift: np.ndarray, dt: float, period: float) -> np.ndarray:
+    lam = full_eigenvalues(u.shape[0], u.ndim, period)
+    decay = np.exp(-dt * lam)
+    return full_values(
+        decay * full_coefficients(u) + (1.0 - decay) / lam * full_coefficients(drift)
+    )
+
+
+def full_blocks(u: np.ndarray, period: float) -> list[np.ndarray]:
+    """Sharp Littlewood-Paley blocks: |k| <= 1, then
+    max(2^{j-1}, 1) < |k| <= 2^j for j = 0 .. ceil(log2 max|k|)."""
+    kmag = np.sqrt(full_eigenvalues(u.shape[0], u.ndim, period) - 1.0)
+    j_max = max(0, math.ceil(math.log2(kmag.max()))) if kmag.max() > 1 else 0
+    masks = [kmag <= 1.0] + [
+        (kmag > max(2.0 ** (j - 1), 1.0)) & (kmag <= 2.0**j) for j in range(j_max + 1)
+    ]
+    c = full_coefficients(u)
+    return [full_values(c * mask) for mask in masks]
+
+
+def full_resonant(a: np.ndarray, b: np.ndarray, period: float) -> np.ndarray:
+    """sum over levels k of Delta_k a (Delta_{k-1} b + Delta_k b + Delta_{k+1} b)."""
+    ba, bb = full_blocks(a, period), full_blocks(b, period)
+    out = np.zeros_like(a)
+    for k, blk in enumerate(ba):
+        near = sum(bb[max(k - 1, 0) : k + 2])
+        out = out + full_dealiased_product(blk, near)
+    return out
+
+
+def philox_normals(seed: int, stream: int, step: int, shape) -> np.ndarray:
+    """The standard normals of the counter-based noise contract for
+    (seed, stream, step)."""
+    bitgen = np.random.Philox(key=np.uint64(seed), counter=[0, 0, np.uint64(stream), np.uint64(step)])
+    return np.random.Generator(bitgen).standard_normal(shape)
+
+
+def full_colored_gaussian(g: np.ndarray, variance: np.ndarray) -> np.ndarray:
+    """Filter white noise g to the spectral variance `variance`."""
+    return full_values(np.fft.fftn(g) * np.sqrt(variance / g.size))
+
+
+def full_ou_variance(n, dim, period, r, dt=None) -> np.ndarray:
+    """Mode variance of the stationary law (dt None) or of the OU increment."""
+    lam = full_eigenvalues(n, dim, period)
+    var = np.exp(-2.0 * r * lam) / (lam * period**dim)
+    if dt is not None:
+        var = var * (1.0 - np.exp(-2.0 * dt * lam))
+    return var
+
+
+def full_step_u(u, ct, dt, r, g, period):
+    """One exponential-Euler step of (d/dt + P) u = sqrt(2) xi_r - u^3 + ct u
+    driven by the standard normals g."""
+    drift = -full_dealiased_product(u, u, u) + ct * u
+    noise = full_colored_gaussian(g, full_ou_variance(u.shape[0], u.ndim, period, r, dt))
+    return full_duhamel(u, drift, dt, period) + noise
+
+
+def full_tree_run(n, dim, period, r, a, b, dt, steps, seed, stream):
+    """The enhanced-noise evolution from a stationary X and zero integrated
+    trees, `steps` steps of dt, then every component of the final slice."""
+    shape = (n,) * dim
+    lam = full_eigenvalues(n, dim, period)
+    X = full_colored_gaussian(philox_normals(seed, stream, 0, shape),
+                              full_ou_variance(n, dim, period, r))
+    I2 = np.zeros(shape)
+    I3 = np.zeros(shape)
+    vref = np.zeros(shape)
+    for step in range(1, steps + 1):
+        W2 = full_dealiased_product(X, X) - a
+        W3 = full_dealiased_product(X, X, X) - 3.0 * a * X
+        I2 = full_duhamel(I2, W2, dt, period)
+        I3 = full_duhamel(I3, W3, dt, period)
+        inner = full_dealiased_product(I3, W2) - b * (X + I3)
+        drift = 3.0 * full_dealiased_product(np.exp(3.0 * I2), inner)
+        vref = full_duhamel(vref, drift, dt, period)
+        noise = full_colored_gaussian(philox_normals(seed, stream, step, shape),
+                                      full_ou_variance(n, dim, period, r, dt))
+        X = full_values(np.exp(-dt * lam) * full_coefficients(X)) + noise
+    W2 = full_dealiased_product(X, X) - a
+    return {
+        "X": X, "W2": W2, "W3": full_dealiased_product(X, X, X) - 3.0 * a * X,
+        "I2": I2, "I3": I3, "v_ref": vref,
+        "R1": full_resonant(I3, X, period),
+        "R2": full_resonant(I2, W2, period) - b / 3.0,
+        "R3": full_grad_dot(I2, I2, period) - b / 3.0,
+        "R4": full_resonant(I3, W2, period) - b * X,
+    }

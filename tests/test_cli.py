@@ -1,7 +1,6 @@
 import csv
 import hashlib
 import json
-import sys
 from pathlib import Path
 
 import pytest
@@ -86,38 +85,44 @@ class TestConfigPrecedence:
         cfg.write_text("r = 0.07\nn = 8\ndt = 0.05\nhorizon = 0.25\n")
         return cfg
 
-    def test_config_file_overrides_defaults(self, runner, tmp_path, monkeypatch):
+    def test_config_file_overrides_defaults(self, runner, tmp_path):
         cfg = self.write_cfg(tmp_path)
-        argv = ["phi4", "simulate", "--config", str(cfg),
-                "--output-dir", str(tmp_path), "--no-checkpoints"]
-        monkeypatch.setattr(sys, "argv", argv)
-        res = invoke(runner, argv[1:])
+        res = invoke(runner, ["simulate", "--config", str(cfg),
+                              "--output-dir", str(tmp_path), "--no-checkpoints"])
         assert res.exit_code == 0
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert float(manifest["config"]["r"]) == 0.07
         assert int(manifest["config"]["n"]) == 8
 
-    def test_explicit_flag_beats_config_file(self, runner, tmp_path, monkeypatch):
+    def test_explicit_flag_beats_config_file(self, runner, tmp_path):
         cfg = self.write_cfg(tmp_path)
-        argv = ["phi4", "simulate", "--config", str(cfg), "--r", "0.02",
-                "--output-dir", str(tmp_path), "--no-checkpoints"]
-        monkeypatch.setattr(sys, "argv", argv)
-        res = invoke(runner, argv[1:])
+        res = invoke(runner, ["simulate", "--config", str(cfg), "--r", "0.02",
+                              "--output-dir", str(tmp_path), "--no-checkpoints"])
         assert res.exit_code == 0
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert float(manifest["config"]["r"]) == 0.02
 
-    def test_json_config_accepted(self, runner, tmp_path, monkeypatch):
+    def test_json_config_accepted(self, runner, tmp_path):
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({"n": 8, "r": 0.07, "dt": 0.05,
                                    "horizon": 0.25}))
-        argv = ["phi4", "simulate", "--config", str(cfg),
-                "--output-dir", str(tmp_path), "--no-checkpoints"]
-        monkeypatch.setattr(sys, "argv", argv)
-        res = invoke(runner, argv[1:])
+        res = invoke(runner, ["simulate", "--config", str(cfg),
+                              "--output-dir", str(tmp_path), "--no-checkpoints"])
         assert res.exit_code == 0
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert float(manifest["config"]["r"]) == 0.07
+
+    def test_flag_beats_config_file_when_invoked_in_process(self, runner, tmp_path):
+        """Precedence follows the arguments click parsed, not the command
+        line of the process that calls the CLI."""
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("r = 0.05\nn = 8\ndt = 0.05\nhorizon = 0.25\n")
+        res = invoke(runner, ["simulate", "--config", str(cfg), "--r", "0.02",
+                              "--output-dir", str(tmp_path), "--no-checkpoints"])
+        assert res.exit_code == 0
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert float(manifest["config"]["r"]) == 0.02
+        assert int(manifest["config"]["n"]) == 8
 
 
 class TestSimulate:

@@ -13,6 +13,7 @@ from phi4torus.dynamics import (
     comparison_test,
     counterterm_field,
     rough_initial_field,
+    running_weighted_norm,
     simulate_u,
     step_u,
     step_v,
@@ -317,3 +318,30 @@ class TestWeightedNorm:
         got = weighted_norm(times, [a, b], alpha=0.0, beta=0.5)
         # pair quotient 4 / (1e-4)^{0.25} = 40 dominates both sups (= 5)
         assert got == pytest.approx(40.0, rel=1e-9)
+
+    def test_running_norm_equals_every_prefix(self):
+        """The one-pass prefix values equal the all-pairs definition applied
+        to each prefix, bit for bit."""
+        grid = Grid(dim=2, n=8)
+        rng = np.random.default_rng(9)
+        times = [0.0, 0.1, 0.25, 0.3, 0.7]
+        fields = [Field(grid, rng.normal(size=grid.shape)) for _ in times]
+        alpha, beta = 0.5, 0.25
+
+        def all_pairs(ts, fs):
+            sup_besov = max(t**alpha * besov_norm(f, beta) for t, f in zip(ts, fs) if t > 0)
+            sup_holder = 0.0
+            for i in range(len(ts)):
+                for j in range(i + 1, len(ts)):
+                    diff = float(np.abs(ts[j]**alpha * fs[j].values
+                                        - ts[i]**alpha * fs[i].values).max())
+                    sup_holder = max(sup_holder, diff / abs(ts[j] - ts[i]) ** (beta / 2.0))
+            return max(sup_besov, sup_holder)
+
+        got = running_weighted_norm(times, fields, alpha, beta)
+        assert np.isnan(got[0])
+        assert got[1:] == [all_pairs(times[: i + 1], fields[: i + 1])
+                           for i in range(1, len(times))]
+        assert weighted_norm(times, fields, alpha, beta) == got[-1]
+        with pytest.raises(ValueError):
+            weighted_norm([0.0], fields[:1], alpha, beta)
