@@ -1,9 +1,11 @@
 """The `phi4` command-line front-end.
 
 Every subcommand writes its outputs plus a run manifest (manifest.json)
-holding the fully resolved configuration, the seed, the package version and
-a sha256 checksum per output file, so a run can be reproduced and verified
-bit-for-bit.
+holding the fully resolved configuration, the seed, the package version, the
+run's status and a sha256 checksum per output file, so a run can be
+reproduced and verified bit-for-bit.  A refused run still writes its
+manifest, with status "refused", the reason, and the files written before
+the refusal.
 
 Exit codes
     0  success
@@ -22,13 +24,13 @@ and both layers are recorded in the manifest.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
 import json
 import math
 import os
 from dataclasses import asdict, dataclass, field
-from fractions import Fraction
 from pathlib import Path
 
 import click
@@ -48,7 +50,7 @@ from .observables import birkhoff_sample, fourth_cumulant
 from .paraproduct import estimate_regularity
 from .powercount import GraphError, gamma_range, parse_graph
 from .renorm import a_closed, a_numeric, b_closed, b_numeric, minimal_n_for
-from .spectral import Field, Grid, save_field
+from .spectral import Grid, save_field
 from .trees import build_enhanced_noise, tree_divergence_report
 
 EXIT_INVALID_CONFIG = 3
@@ -74,6 +76,8 @@ class RunManifest:
     config: dict
     seed: int | None
     version: str
+    status: str = "ok"  # or "refused"
+    message: str | None = None  # the reason for a refusal
     outputs: dict[str, str] = field(default_factory=dict)  # file -> sha256
 
     def add(self, path: Path) -> None:
@@ -84,6 +88,20 @@ class RunManifest:
         path = directory / "manifest.json"
         path.write_text(json.dumps(asdict(self), indent=2, default=str) + "\n")
         return path
+
+
+@contextlib.contextmanager
+def _run_manifest(outdir: Path, subcommand: str, config: dict, seed: int | None):
+    """Yield the run's manifest and write it to outdir when the block exits,
+    also when the run is refused."""
+    manifest = RunManifest(subcommand, config, seed, __version__)
+    try:
+        yield manifest
+    except Refused as exc:
+        manifest.status, manifest.message = "refused", exc.message
+        manifest.write(outdir)
+        raise
+    manifest.write(outdir)
 
 
 def _output_dir(explicit: str | None) -> Path:
@@ -226,30 +244,29 @@ def simulate(config_file, output_dir, **params):
     resolved = _resolve(params, _load_config_file(config_file), _SIM_KEYS)
     cfg = _sim_config(resolved)
     outdir = _output_dir(output_dir)
-    manifest = RunManifest("simulate", {**resolved, "config_file": config_file},
-                           cfg.seed, __version__)
-    try:
-        traj = simulate_u(cfg)
-    except BlowUpError as exc:
-        raise Refused(f"trajectory blew up: {exc}")
-    csv_path = outdir / "diagnostics.csv"
-    wnorms = running_weighted_norm(traj.times, traj.snapshots, 0.5, 0.25)
-    _write_csv(
-        csv_path,
-        ["t", "L2", "L8", "besov_proxy", "weighted_norm"],
-        [
-            (t, traj.diagnostics["L2"][i], traj.diagnostics["L8"][i],
-             traj.diagnostics["besov_proxy"][i], wnorms[i])
-            for i, t in enumerate(traj.times)
-        ],
-    )
-    manifest.add(csv_path)
-    if params["checkpoints"]:
-        for t, snap in zip(traj.times, traj.snapshots):
-            p = outdir / f"u_t{t:.6f}.field"
-            save_field(snap, p)
-            manifest.add(p)
-    manifest.write(outdir)
+    with _run_manifest(outdir, "simulate", {**resolved, "config_file": config_file},
+                       cfg.seed) as manifest:
+        try:
+            traj = simulate_u(cfg)
+        except BlowUpError as exc:
+            raise Refused(f"trajectory blew up: {exc}")
+        csv_path = outdir / "diagnostics.csv"
+        wnorms = running_weighted_norm(traj.times, traj.snapshots, 0.5, 0.25)
+        _write_csv(
+            csv_path,
+            ["t", "L2", "L8", "besov_proxy", "weighted_norm"],
+            [
+                (t, traj.diagnostics["L2"][i], traj.diagnostics["L8"][i],
+                 traj.diagnostics["besov_proxy"][i], wnorms[i])
+                for i, t in enumerate(traj.times)
+            ],
+        )
+        manifest.add(csv_path)
+        if params["checkpoints"]:
+            for t, snap in zip(traj.times, traj.snapshots):
+                p = outdir / f"u_t{t:.6f}.field"
+                save_field(snap, p)
+                manifest.add(p)
     click.echo(f"wrote {csv_path} ({len(traj.times)} rows)")
 
 
@@ -269,35 +286,34 @@ def trees(config_file, output_dir, burn_in, snapshots, sweep, **params):
     resolved = _resolve(params, _load_config_file(config_file), _SIM_KEYS)
     cfg = _sim_config(resolved)
     outdir = _output_dir(output_dir)
-    manifest = RunManifest("trees", {**resolved, "burn_in": burn_in, "sweep": sweep},
-                           cfg.seed, __version__)
     grid = cfg.grid
-    if sweep:
-        try:
-            rows = tree_divergence_report(grid, _parse_sweep(sweep), seed=cfg.seed,
-                                          dt=cfg.dt, burn_in=burn_in)
-        except ValueError as exc:
-            raise Refused(str(exc))
-        path = outdir / "tree_divergence.csv"
-        header = list(rows[0].keys())
-        _write_csv(path, header, [[row[k] for k in header] for row in rows])
-        manifest.add(path)
-        click.echo(f"wrote {path} ({len(rows)} rows)")
-    else:
-        try:
-            traj = build_enhanced_noise(
-                NoiseStream(cfg.seed, cfg.stream), grid, cfg.r,
-                burn_in=burn_in, dt=cfg.dt, n_snapshots=snapshots,
-            )
-        except ValueError as exc:
-            raise Refused(str(exc))
-        for i, snap in enumerate(traj.snapshots):
-            for name, f in snap.components().items():
-                p = outdir / f"tree_{name}_{i}.field"
-                save_field(f, p)
-                manifest.add(p)
-        click.echo(f"wrote {len(manifest.outputs)} component fields")
-    manifest.write(outdir)
+    with _run_manifest(outdir, "trees", {**resolved, "burn_in": burn_in, "sweep": sweep},
+                       cfg.seed) as manifest:
+        if sweep:
+            try:
+                rows = tree_divergence_report(grid, _parse_sweep(sweep), seed=cfg.seed,
+                                              dt=cfg.dt, burn_in=burn_in)
+            except ValueError as exc:
+                raise Refused(str(exc))
+            path = outdir / "tree_divergence.csv"
+            header = list(rows[0].keys())
+            _write_csv(path, header, [[row[k] for k in header] for row in rows])
+            manifest.add(path)
+            click.echo(f"wrote {path} ({len(rows)} rows)")
+        else:
+            try:
+                traj = build_enhanced_noise(
+                    NoiseStream(cfg.seed, cfg.stream), grid, cfg.r,
+                    burn_in=burn_in, dt=cfg.dt, n_snapshots=snapshots,
+                )
+            except ValueError as exc:
+                raise Refused(str(exc))
+            for i, snap in enumerate(traj.snapshots):
+                for name, f in snap.components().items():
+                    p = outdir / f"tree_{name}_{i}.field"
+                    save_field(f, p)
+                    manifest.add(p)
+            click.echo(f"wrote {len(manifest.outputs)} component fields")
 
 
 # ---------------------------------------------------------------------------
@@ -319,22 +335,20 @@ def renorm_constants(sweep, n, with_b_numeric, output_dir):
     except Exception as exc:
         raise InvalidConfig(f"bad sweep {sweep!r}: {exc}")
     outdir = _output_dir(output_dir)
-    manifest = RunManifest("renorm-constants",
-                           {"r": sweep, "n": n, "b_numeric": with_b_numeric},
-                           None, __version__)
-    rows = []
-    for r in r_values:
-        grid = Grid(dim=3, n=n) if n else Grid(dim=3, n=minimal_n_for(r, Grid(dim=3, n=2)))
-        try:
-            a_num = a_numeric(grid, r)
-        except ValueError as exc:
-            raise Refused(str(exc))
-        b_num = b_numeric(r) if with_b_numeric else float("nan")
-        rows.append((r, a_closed(r), a_num, b_closed(r), b_num))
-    path = outdir / "renorm_constants.csv"
-    _write_csv(path, ["r", "a_closed", "a_numeric", "b_closed", "b_numeric"], rows)
-    manifest.add(path)
-    manifest.write(outdir)
+    with _run_manifest(outdir, "renorm-constants",
+                       {"r": sweep, "n": n, "b_numeric": with_b_numeric}, None) as manifest:
+        rows = []
+        for r in r_values:
+            grid = Grid(dim=3, n=n) if n else Grid(dim=3, n=minimal_n_for(r, Grid(dim=3, n=2)))
+            try:
+                a_num = a_numeric(grid, r)
+            except ValueError as exc:
+                raise Refused(str(exc))
+            b_num = b_numeric(r) if with_b_numeric else float("nan")
+            rows.append((r, a_closed(r), a_num, b_closed(r), b_num))
+        path = outdir / "renorm_constants.csv"
+        _write_csv(path, ["r", "a_closed", "a_numeric", "b_closed", "b_numeric"], rows)
+        manifest.add(path)
     click.echo(f"wrote {path} ({len(rows)} rows)")
 
 
@@ -379,10 +393,9 @@ def powercount(path, as_json, output_dir):
         }
         outdir = _output_dir(output_dir)
         out = outdir / (Path(path).stem + "_verdicts.json")
-        out.write_text(json.dumps(payload, indent=2) + "\n")
-        manifest = RunManifest("powercount", {"file": str(path)}, None, __version__)
-        manifest.add(out)
-        manifest.write(outdir)
+        with _run_manifest(outdir, "powercount", {"file": str(path)}, None) as manifest:
+            out.write_text(json.dumps(payload, indent=2) + "\n")
+            manifest.add(out)
         click.echo(json.dumps(payload, indent=2))
     else:
         for v in report.verdicts:
@@ -414,29 +427,28 @@ def regularity(config_file, output_dir, component, samples, burn_in, j_min, **pa
     resolved = _resolve(params, _load_config_file(config_file), _SIM_KEYS)
     cfg = _sim_config(resolved)
     outdir = _output_dir(output_dir)
-    try:
-        traj = build_enhanced_noise(
-            NoiseStream(cfg.seed, cfg.stream), cfg.grid, cfg.r,
-            burn_in=burn_in, dt=cfg.dt, n_snapshots=samples,
-            snapshot_stride=0.5, with_resonants=False,
-        )
-        fields = [getattr(s, component) for s in traj.snapshots]
-        fit = estimate_regularity(fields, j_min=j_min)
-    except (ValueError, AttributeError) as exc:
-        raise Refused(str(exc))
-    payload = {
-        "component": component,
-        "gamma_hat": fit.gamma_hat,
-        "stderr": fit.stderr,
-        "levels": fit.levels,
-        "log2_energy": fit.log2_energy,
-    }
-    out = outdir / f"regularity_{component}.json"
-    out.write_text(json.dumps(payload, indent=2) + "\n")
-    manifest = RunManifest("regularity", {**resolved, "component": component,
-                                          "samples": samples}, cfg.seed, __version__)
-    manifest.add(out)
-    manifest.write(outdir)
+    with _run_manifest(outdir, "regularity", {**resolved, "component": component,
+                                              "samples": samples}, cfg.seed) as manifest:
+        try:
+            traj = build_enhanced_noise(
+                NoiseStream(cfg.seed, cfg.stream), cfg.grid, cfg.r,
+                burn_in=burn_in, dt=cfg.dt, n_snapshots=samples,
+                snapshot_stride=0.5, with_resonants=False,
+            )
+            fields = [getattr(s, component) for s in traj.snapshots]
+            fit = estimate_regularity(fields, j_min=j_min)
+        except (ValueError, AttributeError) as exc:
+            raise Refused(str(exc))
+        payload = {
+            "component": component,
+            "gamma_hat": fit.gamma_hat,
+            "stderr": fit.stderr,
+            "levels": fit.levels,
+            "log2_energy": fit.log2_energy,
+        }
+        out = outdir / f"regularity_{component}.json"
+        out.write_text(json.dumps(payload, indent=2) + "\n")
+        manifest.add(out)
     click.echo(f"{component}: {fit}")
 
 
@@ -455,26 +467,25 @@ def comedown(config_file, output_dir, sizes, p, **params):
     resolved = _resolve(params, _load_config_file(config_file), _SIM_KEYS)
     cfg = _sim_config(resolved)
     outdir = _output_dir(output_dir)
-    try:
-        initial = [float(s) for s in sizes.split(",")]
-        report = coming_down_experiment(cfg, initial, p=p)
-    except ValueError as exc:
-        raise Refused(str(exc))
-    path = outdir / "comedown.csv"
-    header = ["t"] + [f"Lp_size_{s:g}" for s in initial]
-    rows = [
-        [t] + [report["norms"][j][i] for j in range(len(initial))]
-        for i, t in enumerate(report["times"])
-    ]
-    _write_csv(path, header, rows)
-    summary = {k: v for k, v in report.items() if k not in ("times", "norms")}
-    out = outdir / "comedown.json"
-    out.write_text(json.dumps(summary, indent=2) + "\n")
-    manifest = RunManifest("comedown", {**resolved, "sizes": sizes, "p": p},
-                           cfg.seed, __version__)
-    manifest.add(path)
-    manifest.add(out)
-    manifest.write(outdir)
+    with _run_manifest(outdir, "comedown", {**resolved, "sizes": sizes, "p": p},
+                       cfg.seed) as manifest:
+        try:
+            initial = [float(s) for s in sizes.split(",")]
+            report = coming_down_experiment(cfg, initial, p=p)
+        except ValueError as exc:
+            raise Refused(str(exc))
+        path = outdir / "comedown.csv"
+        header = ["t"] + [f"Lp_size_{s:g}" for s in initial]
+        rows = [
+            [t] + [report["norms"][j][i] for j in range(len(initial))]
+            for i, t in enumerate(report["times"])
+        ]
+        _write_csv(path, header, rows)
+        summary = {k: v for k, v in report.items() if k not in ("times", "norms")}
+        out = outdir / "comedown.json"
+        out.write_text(json.dumps(summary, indent=2) + "\n")
+        manifest.add(path)
+        manifest.add(out)
     click.echo(json.dumps(summary, indent=2))
 
 
@@ -497,29 +508,28 @@ def cumulant(config_file, output_dir, burn_in, stride, count, probes, streams, *
     resolved = _resolve(params, _load_config_file(config_file), _SIM_KEYS)
     cfg = _sim_config(resolved)
     outdir = _output_dir(output_dir)
-    per_stream = count // streams
-    fields = []
-    for s in range(streams):
-        scfg = _sim_config({**resolved, "stream": cfg.stream + s})
-        sset = birkhoff_sample(scfg, burn_in, stride, per_stream)
-        if sset.blew_up:
-            raise Refused(f"stream {s} blew up: {sset.blew_up}")
-        fields.extend(sset.fields)
-    rows = []
-    try:
-        for rp in _parse_sweep(probes):
-            est = fourth_cumulant(fields, rp)
-            rows.append((rp, est.c4, est.stderr, est.significance, est.n_samples))
-            click.echo(str(est))
-    except ValueError as exc:
-        raise Refused(str(exc))
-    path = outdir / "cumulant.csv"
-    _write_csv(path, ["r_probe", "c4", "stderr", "significance", "n_samples"], rows)
-    manifest = RunManifest("cumulant", {**resolved, "burn_in": burn_in,
-                                        "stride": stride, "count": count,
-                                        "probes": probes}, cfg.seed, __version__)
-    manifest.add(path)
-    manifest.write(outdir)
+    with _run_manifest(outdir, "cumulant", {**resolved, "burn_in": burn_in,
+                                            "stride": stride, "count": count,
+                                            "probes": probes}, cfg.seed) as manifest:
+        per_stream = count // streams
+        fields = []
+        for s in range(streams):
+            scfg = _sim_config({**resolved, "stream": cfg.stream + s})
+            sset = birkhoff_sample(scfg, burn_in, stride, per_stream)
+            if sset.blew_up:
+                raise Refused(f"stream {s} blew up: {sset.blew_up}")
+            fields.extend(sset.fields)
+        rows = []
+        try:
+            for rp in _parse_sweep(probes):
+                est = fourth_cumulant(fields, rp)
+                rows.append((rp, est.c4, est.stderr, est.significance, est.n_samples))
+                click.echo(str(est))
+        except ValueError as exc:
+            raise Refused(str(exc))
+        path = outdir / "cumulant.csv"
+        _write_csv(path, ["r_probe", "c4", "stderr", "significance", "n_samples"], rows)
+        manifest.add(path)
     click.echo(f"wrote {path}")
 
 
@@ -534,35 +544,34 @@ def sample(config_file, output_dir, burn_in, stride, count, save_fields, **param
     resolved = _resolve(params, _load_config_file(config_file), _SIM_KEYS)
     cfg = _sim_config(resolved)
     outdir = _output_dir(output_dir)
-    try:
-        sset = birkhoff_sample(cfg, burn_in, stride, count)
-    except ValueError as exc:
-        raise Refused(str(exc))
-    manifest = RunManifest("sample", {**resolved, "burn_in": burn_in,
-                                      "stride": stride, "count": count},
-                           cfg.seed, __version__)
-    path = outdir / "samples.csv"
-    rows = [
-        (t, f.mean(), float((f.values**2).mean()), float((f.values**4).mean()))
-        for t, f in zip(sset.times, sset.fields)
-    ]
-    _write_csv(path, ["t", "mean", "m2", "m4"], rows)
-    manifest.add(path)
-    if save_fields:
-        for i, f in enumerate(sset.fields):
-            p = outdir / f"sample_{i:04d}.field"
-            save_field(f, p)
-            manifest.add(p)
-    summary = {
-        "count": len(sset),
-        "autocorrelation_time": sset.autocorrelation_time,
-        "stride": stride,
-        "stride_adequate": sset.stride_adequate,
-        "blew_up": sset.blew_up,
-    }
-    (outdir / "sample_report.json").write_text(json.dumps(summary, indent=2) + "\n")
-    manifest.add(outdir / "sample_report.json")
-    manifest.write(outdir)
+    with _run_manifest(outdir, "sample", {**resolved, "burn_in": burn_in,
+                                          "stride": stride, "count": count},
+                       cfg.seed) as manifest:
+        try:
+            sset = birkhoff_sample(cfg, burn_in, stride, count)
+        except ValueError as exc:
+            raise Refused(str(exc))
+        path = outdir / "samples.csv"
+        rows = [
+            (t, f.mean(), float((f.values**2).mean()), float((f.values**4).mean()))
+            for t, f in zip(sset.times, sset.fields)
+        ]
+        _write_csv(path, ["t", "mean", "m2", "m4"], rows)
+        manifest.add(path)
+        if save_fields:
+            for i, f in enumerate(sset.fields):
+                p = outdir / f"sample_{i:04d}.field"
+                save_field(f, p)
+                manifest.add(p)
+        summary = {
+            "count": len(sset),
+            "autocorrelation_time": sset.autocorrelation_time,
+            "stride": stride,
+            "stride_adequate": sset.stride_adequate,
+            "blew_up": sset.blew_up,
+        }
+        (outdir / "sample_report.json").write_text(json.dumps(summary, indent=2) + "\n")
+        manifest.add(outdir / "sample_report.json")
     click.echo(json.dumps(summary, indent=2))
 
 

@@ -39,7 +39,7 @@ u-equation on frozen noise (the terminal gap halves when dt halves).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -50,10 +50,10 @@ from .spectral import (
     Field,
     Grid,
     cubic,
-    dealiased_product,
     duhamel_step,
     grad_dot,
     gradient,
+    lp_norm,
 )
 from .trees import EnhancedNoise, TreeEvolver
 
@@ -143,8 +143,8 @@ class Trajectory:
         self.times.append(t)
         self.snapshots.append(u)
         rows = {
-            "L2": float(np.sqrt((u.values**2).mean() * u.grid.volume)),
-            "L8": float(((np.abs(u.values) ** 8).mean() * u.grid.volume) ** 0.125),
+            "L2": lp_norm(u, 2),
+            "L8": lp_norm(u, 8),
             "besov_proxy": besov_norm(u, -0.55),
         }
         if extra:
@@ -373,12 +373,6 @@ def _stiff_substep(v: Field, z: ZCoefficients, cfg: SimConfig, time: float) -> F
 # ---------------------------------------------------------------------------
 
 
-def lp_norm_field(u: Field, p: float) -> float:
-    if p == np.inf:
-        return float(np.abs(u.values).max())
-    return float(((np.abs(u.values) ** p).mean() * u.grid.volume) ** (1.0 / p))
-
-
 def coming_down_experiment(
     cfg: SimConfig,
     initial_norms: list[float],
@@ -406,7 +400,7 @@ def coming_down_experiment(
 
     n_steps = int(round(cfg.horizon / cfg.dt))
     times = [0.0]
-    norms = [[lp_norm_field(v, p)] for v in vs]
+    norms = [[lp_norm(v, p)] for v in vs]
     blew_up = [None] * len(vs)
     for i in range(n_steps):
         z = assemble_z(ev.snapshot(with_resonants=False))
@@ -422,7 +416,7 @@ def coming_down_experiment(
         times.append(t)
         for j, v in enumerate(vs):
             norms[j].append(
-                lp_norm_field(v, p) if blew_up[j] is None else float("nan")
+                lp_norm(v, p) if blew_up[j] is None else float("nan")
             )
 
     times_arr = np.array(times)

@@ -25,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import fft as sfft
 
 from .spectral import Field, Grid, half_cube
 
@@ -70,24 +69,21 @@ def _colored_gaussian(grid: Grid, mode_variance: np.ndarray, g: np.ndarray) -> F
     mode_variance[k] (over the half-cube), built by filtering physical white
     noise.
 
-    rfftn of iid N(0,1) physical noise gives independent complex Gaussians
-    (up to the Hermitian pairing) with E|.|^2 = N^d, so scaling by
-    sqrt(variance / N^d) yields the target spectrum with exact symmetry.
+    The coefficients of iid N(0,1) physical noise are independent complex
+    Gaussians (up to the Hermitian pairing) with E|.|^2 = 1/N^d, so scaling
+    by sqrt(variance N^d) yields the target spectrum with exact symmetry.
     """
-    ghat = sfft.rfftn(g, workers=-1)
-    return Field.from_half(grid, ghat * np.sqrt(mode_variance / grid.cell_count))
-
-
-def _ou_coefficients(lam: np.ndarray, volume: float, dt: float, r: float):
-    decay = np.exp(-dt * lam)
-    var = np.exp(-2.0 * r * lam) * (1.0 - decay**2) / (lam * volume)
-    return decay, var
+    ghat = Field(grid, g.copy()).half
+    return Field.from_half(grid, ghat * np.sqrt(mode_variance * grid.cell_count))
 
 
 def ou_increment_coefficients(grid: Grid, dt: float, r: float):
     """(decay, noise mode variance) of the exact OU transition over dt, over
-    the full FFT-ordered frequency cube."""
-    return _ou_coefficients(grid.eigenvalues(), grid.volume, dt, r)
+    the grid's half-cube."""
+    lam = half_cube(grid).eigenvalues
+    decay = np.exp(-dt * lam)
+    var = np.exp(-2.0 * r * lam) * (1.0 - decay**2) / (lam * grid.volume)
+    return decay, var
 
 
 def ou_noise_field(grid: Grid, dt: float, r: float, g: np.ndarray) -> Field:
@@ -97,7 +93,7 @@ def ou_noise_field(grid: Grid, dt: float, r: float, g: np.ndarray) -> Field:
     Sharing g between the OU update of X and a Duhamel step of u drives both
     with the identical noise realization.
     """
-    _, var = _ou_coefficients(half_cube(grid).eigenvalues, grid.volume, dt, r)
+    _, var = ou_increment_coefficients(grid, dt, r)
     return _colored_gaussian(grid, var, g)
 
 

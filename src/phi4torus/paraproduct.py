@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import Field, Grid, dealiased_sum, half_cube
+from .spectral import Field, Grid, dealiased_sum, half_cube, lp_norm
 
 __all__ = [
     "BlockDecomposition",
@@ -49,7 +49,7 @@ class BlockDecomposition:
     @property
     def j_max(self) -> int:
         """Largest level with a non-empty annulus on this grid."""
-        kmax = self.grid.k_magnitude().max()
+        kmax = math.sqrt(half_cube(self.grid).k_squared.max())
         return max(0, math.ceil(math.log2(kmax))) if kmax > 1 else 0
 
     @property
@@ -59,17 +59,14 @@ class BlockDecomposition:
         k_nyquist = (self.grid.n / 2) * 2.0 * np.pi / self.grid.period
         return int(math.floor(math.log2(k_nyquist)))
 
-    def masks(self) -> list[np.ndarray]:
-        """Boolean annulus masks indexed [j+1] for j = -1 .. j_max.
-
-        The base block collects |k| <= 1 and each annulus A_j the shell
-        2^{j-1} < |k| <= 2^j (clipped below at 1 so the levels partition the
-        frequency set exactly).
-        """
-        return _annuli(self.grid.k_magnitude(), self.j_max)
-
 
 def _annuli(kmag: np.ndarray, j_max: int) -> list[np.ndarray]:
+    """Boolean annulus masks indexed [j+1] for j = -1 .. j_max.
+
+    The base block collects |k| <= 1 and each annulus A_j the shell
+    2^{j-1} < |k| <= 2^j (clipped below at 1 so the levels partition the
+    frequency set exactly).
+    """
     out = [kmag <= 1.0]
     for j in range(j_max + 1):
         lo = max(2.0 ** (j - 1), 1.0)
@@ -157,20 +154,12 @@ def resonant(a: Field, b: Field) -> Field:
     return _resonant_sum(block_fields(a), block_fields(b))
 
 
-def _lp_quadrature(f: Field, p: float) -> float:
-    if p == np.inf:
-        return float(np.abs(f.values).max())
-    return float(
-        (np.abs(f.values) ** p).sum() * f.grid.cell_volume
-    ) ** (1.0 / p)
-
-
 def besov_norm(f: Field, gamma: float, p: float = np.inf, q: float = np.inf) -> float:
     """Besov norm B^gamma_{p,q}: l^q over j of 2^{j gamma} ||Delta_j f||_{L^p}."""
     if not (1 <= p <= np.inf and 1 <= q <= np.inf):
         raise ValueError("p, q must lie in [1, inf]")
     terms = [
-        2.0 ** (j * gamma) * _lp_quadrature(bj, p)
+        2.0 ** (j * gamma) * lp_norm(bj, p)
         for j, bj in enumerate(block_fields(f), start=-1)
     ]
     arr = np.array(terms)

@@ -36,7 +36,7 @@ admissible range gamma < gamma_max is solved exactly, never fitted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 

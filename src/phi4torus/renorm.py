@@ -24,16 +24,13 @@ Their numerical counterparts are
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
-from scipy import fft as sfft
 from scipy import integrate
 
 from .spectral import Grid
 
 __all__ = [
-    "RenormConstants",
     "a_closed",
     "b_closed",
     "a_numeric",
@@ -47,20 +44,6 @@ __all__ = [
 
 SUNSET_EXACT = 2.0 * math.pi / 3.0
 B_LOG_SLOPE = 1.0 / (96.0 * math.pi**2)
-
-
-@dataclass(frozen=True)
-class RenormConstants:
-    """Counterterm pair at a regularization scale r."""
-
-    r: float
-    a: float
-    b: float
-    provenance: str = "closed-form"  # or "numeric"
-
-    @classmethod
-    def closed(cls, r: float) -> "RenormConstants":
-        return cls(r=r, a=a_closed(r), b=b_closed(r), provenance="closed-form")
 
 
 def a_closed(r: float) -> float:
@@ -77,11 +60,6 @@ def b_closed(r: float) -> float:
     return abs(math.log(r)) / (32.0 * math.pi**2)
 
 
-def _axis_ksq(grid: Grid) -> np.ndarray:
-    k = sfft.fftfreq(grid.n, d=1.0 / grid.n) * (2.0 * np.pi / grid.period)
-    return k**2
-
-
 def mode_sum(grid: Grid, r: float) -> float:
     """(1/L^d) sum_k e^{-2 r lam_k} / lam_k over the grid's frequency cube.
 
@@ -93,7 +71,7 @@ def mode_sum(grid: Grid, r: float) -> float:
     """
     if r < 0:
         raise ValueError(f"r must be non-negative, got {r}")
-    ksq = _axis_ksq(grid)
+    ksq = grid.axis_frequencies() ** 2
 
     def integrand(t):
         theta = np.exp(-t * ksq).sum()

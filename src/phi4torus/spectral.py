@@ -1,4 +1,5 @@
-"""Torus grids, real scalar fields and Fourier multipliers for P = 1 - Delta.
+"""Torus grids, real scalar fields, Fourier multipliers of P = 1 - Delta and
+L^p norms.  This is the only module that calls an FFT.
 
 The flat torus T^d_L = (R / L Z)^d is discretized with N points per axis.
 Frequencies are the centered integer cube scaled by 2*pi/L, so that with the
@@ -18,8 +19,6 @@ shape (N, ..., N, N/2 + 1); the other half follows from c_{-k} = conj(c_k).
 All transforms are real-to-complex (rfftn) or complex-to-real (irfftn), and
 linear operations (+, -, scalar *) carry the half-cube along with the
 values, so a field built from others is not transformed again.
-`Field.spectral` expands the half-cube into the full FFT-ordered cube for
-callers that want it; no library code needs it.
 
 Nyquist convention.  Index N/2 of an axis is the frequency -N/2, which is
 also +N/2.  A coefficient whose index has a Nyquist component is treated as
@@ -56,7 +55,6 @@ from scipy import fft as sfft
 __all__ = [
     "Grid",
     "Field",
-    "Multiplier",
     "apply_multiplier",
     "duhamel_step",
     "cubic",
@@ -64,6 +62,7 @@ __all__ = [
     "dealiased_sum",
     "gradient",
     "grad_dot",
+    "lp_norm",
     "save_field",
     "load_field",
 ]
@@ -123,36 +122,6 @@ class Grid:
         """Physical frequencies 2*pi*k/L along one axis, FFT-ordered."""
         return sfft.fftfreq(self.n, d=1.0 / self.n) * (2.0 * np.pi / self.period)
 
-    def frequency_mesh(self) -> list[np.ndarray]:
-        k = self.axis_frequencies()
-        return list(np.meshgrid(*([k] * self.dim), indexing="ij"))
-
-    def k_squared(self) -> np.ndarray:
-        """|k|^2 over the full FFT-ordered frequency cube."""
-        mesh = self.frequency_mesh()
-        out = np.zeros(self.shape)
-        for km in mesh:
-            out += km**2
-        return out
-
-    def eigenvalues(self) -> np.ndarray:
-        """Eigenvalues lambda_k = 1 + |k|^2 of P = 1 - Delta."""
-        return 1.0 + self.k_squared()
-
-    def k_magnitude(self) -> np.ndarray:
-        return np.sqrt(self.k_squared())
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Grid)
-            and self.dim == other.dim
-            and self.n == other.n
-            and self.period == other.period
-        )
-
-    def __hash__(self):
-        return hash((self.dim, self.n, self.period))
-
 
 @dataclass(frozen=True)
 class HalfCube:
@@ -175,9 +144,8 @@ class HalfCube:
 @functools.cache
 def half_cube(grid: Grid) -> HalfCube:
     n, dim = grid.n, grid.dim
-    scale = 2.0 * np.pi / grid.period
-    axes = [sfft.fftfreq(n, d=1.0 / n) * scale] * (dim - 1)
-    axes.append(sfft.rfftfreq(n, d=1.0 / n) * scale)
+    axes = [grid.axis_frequencies()] * (dim - 1)
+    axes.append(sfft.rfftfreq(n, d=1.0 / n) * (2.0 * np.pi / grid.period))
     shape = (n,) * (dim - 1) + (n // 2 + 1,)
     ksq = np.zeros(shape)
     ik = []
@@ -233,18 +201,6 @@ class Field:
         return cls(grid, values, coeffs)
 
     @classmethod
-    def from_spectral(cls, grid: Grid, coeffs: np.ndarray) -> "Field":
-        """Build a field from full-cube spectral coefficients c_k (FFT-ordered).
-
-        The imaginary part left over by a non-Hermitian input is discarded,
-        i.e. the coefficients are replaced by their Hermitian part;
-        callers are expected to pass Hermitian-symmetric coefficients.
-        """
-        coeffs = np.asarray(coeffs)
-        herm = 0.5 * (coeffs + np.conj(_mirror(coeffs, range(grid.dim))))
-        return cls.from_half(grid, np.ascontiguousarray(herm[..., : grid.n // 2 + 1]))
-
-    @classmethod
     def zeros(cls, grid: Grid) -> "Field":
         return cls(grid, np.zeros(grid.shape), np.zeros(half_cube(grid).shape, complex))
 
@@ -262,15 +218,6 @@ class Field:
             half.setflags(write=False)
             self._half = half
         return self._half
-
-    @property
-    def spectral(self) -> np.ndarray:
-        """Full-cube coefficients c_k = fftn(values) / N^d, expanded from the
-        half-cube by Hermitian symmetry."""
-        n, dim = self.grid.n, self.grid.dim
-        half = self.half
-        upper = np.conj(_mirror(half[..., 1 : n // 2], range(dim - 1)))[..., ::-1]
-        return np.concatenate([half, upper], axis=-1)
 
     # -- arithmetic (pure, returns new fields) -----------------------------
     def _check(self, other: "Field"):
@@ -329,57 +276,13 @@ def _combine(a, b, op):
     return None if a is None or b is None else op(a, b)
 
 
-@dataclass(frozen=True)
-class Multiplier:
-    """Fourier multiplier m(lambda_k) acting diagonally in frequency.
-
-    The symbol maps the eigenvalue lambda_k = 1 + |k|^2 of P to a real
-    weight.  Multipliers compose pointwise.
-    """
-
-    symbol: object  # callable lambda -> weight, vectorized over arrays
-    name: str = "multiplier"
-
-    def weights(self, grid: Grid) -> np.ndarray:
-        """Weights over the grid's half-cube."""
-        return np.asarray(self.symbol(half_cube(grid).eigenvalues), dtype=np.float64)
-
-    def __matmul__(self, other: "Multiplier") -> "Multiplier":
-        """Pointwise composition of symbols."""
-        return Multiplier(
-            lambda lam, a=self.symbol, b=other.symbol: a(lam) * b(lam),
-            name=f"{self.name}*{other.name}",
-        )
-
-    # -- standard symbols ---------------------------------------------------
-    @staticmethod
-    def identity() -> "Multiplier":
-        return Multiplier(lambda lam: np.ones_like(lam), name="id")
-
-    @staticmethod
-    def P() -> "Multiplier":
-        return Multiplier(lambda lam: lam, name="P")
-
-    @staticmethod
-    def P_inverse() -> "Multiplier":
-        return Multiplier(lambda lam: 1.0 / lam, name="P^-1")
-
-    @staticmethod
-    def heat(t: float) -> "Multiplier":
-        """e^{-tP}."""
-        return Multiplier(lambda lam: np.exp(-t * lam), name=f"e^-{t}P")
-
-    @staticmethod
-    def laplacian() -> "Multiplier":
-        """Delta = 1 - P."""
-        return Multiplier(lambda lam: 1.0 - lam, name="Delta")
-
-
-def apply_multiplier(f: Field, m: Multiplier) -> Field:
-    """Apply a Fourier multiplier; the result is real-valued on the same grid."""
-    w = m.weights(f.grid)
+def apply_multiplier(f: Field, symbol) -> Field:
+    """Apply the Fourier multiplier with weights symbol(lambda_k), where the
+    callable maps the eigenvalues lambda_k = 1 + |k|^2 of P (an array) to
+    real weights; the result is real-valued on the same grid."""
+    w = np.asarray(symbol(half_cube(f.grid).eigenvalues), dtype=np.float64)
     if not np.all(np.isfinite(w)):
-        raise ValueError(f"multiplier {m.name} takes a non-finite value on the grid")
+        raise ValueError("multiplier takes a non-finite value on the grid")
     return Field.from_half(f.grid, f.half * w)
 
 
@@ -516,16 +419,22 @@ def gradient(f: Field) -> list[Field]:
     return [Field.from_half(f.grid, ik * half) for ik in half_cube(f.grid).ik]
 
 
-def grad_dot(a: Field, b: Field, dealias: bool = True) -> Field:
-    """grad a . grad b, with the products dealiased by default."""
+def grad_dot(a: Field, b: Field) -> Field:
+    """grad a . grad b, with the products dealiased."""
     ga = gradient(a)
     gb = ga if b is a else gradient(b)
-    if dealias:
-        return dealiased_sum(*zip(ga, gb))
-    out = Field.zeros(a.grid)
-    for fa, fb in zip(ga, gb):
-        out = out + fa * fb
-    return out
+    return dealiased_sum(*zip(ga, gb))
+
+
+def lp_norm(f: Field, p: float) -> float:
+    """Grid quadrature of the L^p(T^d) norm with cell weight (L/N)^d;
+    p = inf gives the max norm."""
+    if not 1 <= p <= np.inf:
+        raise ValueError(f"p must lie in [1, inf], got {p}")
+    if p == np.inf:
+        return float(np.abs(f.values).max())
+    weight = f.grid.cell_volume
+    return float(((np.abs(f.values) ** p).sum() * weight) ** (1.0 / p))
 
 
 # -- serialization ----------------------------------------------------------

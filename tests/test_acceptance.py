@@ -50,7 +50,7 @@ from phi4torus.renorm import (
     minimal_n_for,
     sunset_constant,
 )
-from phi4torus.spectral import Field, Grid, dealiased_product
+from phi4torus.spectral import Field, Grid, dealiased_product, half_cube
 from phi4torus.trees import TreeEvolver, build_enhanced_noise
 
 GRAPHS = Path(__file__).resolve().parent.parent / "examples" / "graphs"
@@ -255,7 +255,7 @@ class TestColeHopfCrossValidation:
         dt_f = T / n_f
         stream = NoiseStream(3, stream=55)
         fine = [
-            ou_noise_field(grid, dt_f, r, stream.normals(grid.shape)).spectral
+            ou_noise_field(grid, dt_f, r, stream.normals(grid.shape)).half
             for _ in range(n_f)
         ]
         decay_f, _ = ou_increment_coefficients(grid, dt_f, r)
@@ -266,7 +266,7 @@ class TestColeHopfCrossValidation:
                 acc = np.zeros_like(fine[0])
                 for j in range(m):
                     acc = decay_f * acc + fine[i + j]
-                yield Field.from_spectral(grid, acc)
+                yield Field.from_half(grid, acc)
 
         u0 = rough_initial_field(grid, 0.5, NoiseStream(99))
         gaps = []
@@ -395,10 +395,9 @@ class TestParaproduct:
 
         def synth(grid, rng):
             # white noise shaped to Besov regularity ~ 3/4 in d = 3
-            white = rng.normal(size=grid.shape)
-            spec = np.fft.fftn(white) / grid.cell_count
-            spec = spec * (1.0 + grid.k_squared()) ** (-(g1 + 1.5) / 2.0)
-            return Field.from_spectral(grid, spec)
+            white = Field(grid, rng.normal(size=grid.shape))
+            spec = white.half * half_cube(grid).eigenvalues ** (-(g1 + 1.5) / 2.0)
+            return Field.from_half(grid, spec)
 
         constants = {}
         for n in (32, 64):

@@ -68,6 +68,15 @@ class TestPlumbing:
         )
         assert res.exit_code == 4
 
+    def test_refused_run_writes_manifest(self, runner, tmp_path):
+        res = runner.invoke(main, ["trees", "--n", "8", "--burn-in", "1",
+                                   "--output-dir", str(tmp_path)])
+        assert res.exit_code == 4
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["status"] == "refused"
+        assert "burn_in must cover" in manifest["message"]
+        assert manifest["outputs"] == {}
+
     def test_output_dir_env_var(self, runner, tmp_path):
         out = tmp_path / "via_env"
         res = invoke(
@@ -135,6 +144,7 @@ class TestSimulate:
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["subcommand"] == "simulate"
         assert manifest["seed"] == 0
+        assert manifest["status"] == "ok"
         # checkpoints default on: at least one .field output is recorded
         assert any(name.endswith(".field") for name in manifest["outputs"])
         # every recorded checksum matches the file on disk

@@ -10,7 +10,9 @@ from phi4torus.noise import (
     ou_noise_field,
     sample_stationary,
 )
-from phi4torus.spectral import Field, Grid
+from phi4torus.spectral import Field, Grid, half_cube
+
+from oracles import full_eigenvalues
 
 
 class TestNoiseStream:
@@ -51,12 +53,12 @@ class TestStationaryLaw:
         grid = Grid(dim=2, n=8)
         r = 0.05
         n_samples = 400
-        acc = np.zeros(grid.shape)
+        lam = half_cube(grid).eigenvalues
+        acc = np.zeros(lam.shape)
         for i in range(n_samples):
             f = sample_stationary(grid, r, NoiseStream(100 + i))
-            acc += np.abs(f.spectral) ** 2
+            acc += np.abs(f.half) ** 2
         acc /= n_samples
-        lam = grid.eigenvalues()
         want = np.exp(-2.0 * r * lam) / (lam * grid.volume)
         # complex modes: Var(|c|^2)/n ~ want^2/n; real modes twice that
         tol = 4.0 * want * math.sqrt(2.0 / n_samples)
@@ -71,7 +73,7 @@ class TestStationaryLaw:
             f = sample_stationary(grid, r, NoiseStream(i))
             acc += (f.values**2).mean()
         acc /= n_samples
-        lam = grid.eigenvalues()
+        lam = full_eigenvalues(grid.n, grid.dim, grid.period)
         want = (np.exp(-2.0 * r * lam) / lam).sum() / grid.volume
         assert acc == pytest.approx(want, rel=0.05)
 
@@ -87,7 +89,7 @@ class TestOUStep:
         grid = Grid(dim=1, n=8)
         dt, r = 0.3, 0.02
         decay, var = ou_increment_coefficients(grid, dt, r)
-        lam = grid.eigenvalues()
+        lam = half_cube(grid).eigenvalues
         np.testing.assert_allclose(decay, np.exp(-dt * lam))
         want = np.exp(-2.0 * r * lam) * (1.0 - np.exp(-2.0 * dt * lam)) / (
             lam * grid.volume
@@ -116,11 +118,11 @@ class TestOUStep:
         X = sample_stationary(grid, r, NoiseStream(3))
         zero = ou_noise_field(grid, dt, r, np.zeros(grid.shape))
         np.testing.assert_allclose(zero.values, 0.0, atol=1e-15)
-        lam = grid.eigenvalues()
-        decayed = Field.from_spectral(grid, X.spectral * np.exp(-dt * lam))
-        stepped_spec = X.spectral * np.exp(-dt * lam) + zero.spectral
+        lam = half_cube(grid).eigenvalues
+        decayed = Field.from_half(grid, X.half * np.exp(-dt * lam))
+        stepped_half = X.half * np.exp(-dt * lam) + zero.half
         np.testing.assert_allclose(
-            Field.from_spectral(grid, stepped_spec).values, decayed.values, atol=1e-14
+            Field.from_half(grid, stepped_half).values, decayed.values, atol=1e-14
         )
 
     def test_composition_matches_single_step(self):

@@ -10,9 +10,8 @@ from phi4torus.observables import (
     SampleSet,
     birkhoff_sample,
     fourth_cumulant,
-    lp_norm,
 )
-from phi4torus.spectral import Field, Grid
+from phi4torus.spectral import Field, Grid, apply_multiplier, lp_norm
 
 
 class TestLpNorm:
@@ -115,6 +114,25 @@ class TestFourthCumulant:
         est = fourth_cumulant(fields, 1e-4)  # probe barely smooths
         assert est.significance > 5.0
         assert est.c4 < 0.0
+
+    def test_jackknife_matches_explicit_leave_one_out(self):
+        grid = Grid(dim=1, n=8)
+        rng = np.random.default_rng(12)
+        fields = [Field(grid, rng.normal(size=grid.shape)) for _ in range(200)]
+        r_probe = 0.1
+        est = fourth_cumulant(fields, r_probe)
+        ws = [apply_multiplier(f, lambda lam: np.exp(-r_probe * lam)).values
+              for f in fields]
+        m2 = np.array([(w**2).mean() for w in ws])
+        m4 = np.array([(w**4).mean() for w in ws])
+        n = len(fields)
+        loo = np.array([
+            np.delete(m4, i).mean() - 3.0 * np.delete(m2, i).mean() ** 2
+            for i in range(n)
+        ])
+        stderr = math.sqrt((n - 1) / n * ((loo - loo.mean()) ** 2).sum())
+        assert est.c4 == pytest.approx(m4.mean() - 3.0 * m2.mean() ** 2, rel=1e-12)
+        assert est.stderr == pytest.approx(stderr, rel=1e-12)
 
     def test_estimate_string(self):
         est = CumulantEstimate(0.01, -1e-3, 2e-4, 0.5, 250)

@@ -12,7 +12,9 @@ from phi4torus.paraproduct import (
     product_decomposition,
     resonant,
 )
-from phi4torus.spectral import Field, Grid, dealiased_product
+from phi4torus.spectral import Field, Grid, dealiased_product, half_cube
+
+from oracles import full_eigenvalues, full_values
 
 
 def random_field(grid, seed):
@@ -33,9 +35,9 @@ class TestBlocks:
     def test_block_supports_are_annuli(self):
         grid = Grid(dim=1, n=32)
         f = random_field(grid, 1)
-        kmag = grid.k_magnitude()
+        kmag = np.sqrt(half_cube(grid).k_squared)
         for j, b in enumerate(block_fields(f), start=-1):
-            spec = np.abs(b.spectral)
+            spec = np.abs(b.half)
             live = kmag[spec > 1e-12]
             if live.size == 0:
                 continue
@@ -46,9 +48,11 @@ class TestBlocks:
                 assert live.max() <= 2.0 ** (j + 1)
 
     def test_blocks_are_disjoint(self):
+        """Every mode of a random field is nonzero, so each must be live in
+        exactly one block."""
         grid = Grid(dim=1, n=64)
-        decomp = BlockDecomposition(grid)
-        total = sum(m.astype(int) for m in decomp.masks())
+        f = random_field(grid, 2)
+        total = sum((np.abs(b.half) > 1e-12).astype(int) for b in block_fields(f))
         assert np.all(total == 1)
 
     def test_j_complete(self):
@@ -137,12 +141,13 @@ class TestRegularityEstimate:
         """Gaussian fields with variance lam^{-2} per mode in d = 2 have
         E|Delta_j|^2 ~ 2^{jd} 2^{-4j}, i.e. gamma_hat = (4 - d)/2 = 1."""
         grid = Grid(dim=2, n=64)
-        kmag = np.maximum(grid.k_magnitude(), 1.0)
+        lam = full_eigenvalues(grid.n, grid.dim, grid.period)
+        kmag = np.maximum(np.sqrt(lam - 1.0), 1.0)
         rng = np.random.default_rng(10)
         samples = []
         for _ in range(32):
             g = rng.normal(size=grid.shape) + 1j * rng.normal(size=grid.shape)
-            samples.append(Field.from_spectral(grid, g / kmag**2))
+            samples.append(Field(grid, full_values(g / kmag**2)))
         fit = estimate_regularity(samples, j_min=1)
         assert fit.gamma_hat == pytest.approx(1.0, abs=0.15)
 

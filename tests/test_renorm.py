@@ -6,7 +6,6 @@ import pytest
 from phi4torus.renorm import (
     B_LOG_SLOPE,
     SUNSET_EXACT,
-    RenormConstants,
     a_closed,
     a_numeric,
     b_closed,
@@ -42,11 +41,6 @@ class TestClosedForms:
                 fn(0.0)
             with pytest.raises(ValueError):
                 fn(-1.0)
-
-    def test_constants_bundle(self):
-        c = RenormConstants.closed(1e-2)
-        assert c.a == a_closed(1e-2)
-        assert c.b == b_closed(1e-2)
 
 
 class TestModeSum:
