@@ -2,10 +2,10 @@
 
 Every subcommand writes its outputs plus a run manifest (manifest.json)
 holding the fully resolved configuration, the seed, the package version, the
-run's status and a sha256 checksum per output file, so a run can be
-reproduced and verified bit-for-bit.  A refused run still writes its
-manifest, with status "refused", the reason, and the files written before
-the refusal.
+numpy and scipy versions, the FFT worker count, the run's status and a
+sha256 checksum per output file, so a run can be reproduced and verified
+bit-for-bit.  A refused run still writes its manifest, with status
+"refused", the reason, and the files written before the refusal.
 
 Exit codes
     0  success
@@ -36,6 +36,7 @@ from pathlib import Path
 import click
 from click.core import ParameterSource
 import numpy as np
+import scipy
 
 from . import __version__
 from .dynamics import (
@@ -50,7 +51,7 @@ from .observables import birkhoff_sample, fourth_cumulant
 from .paraproduct import estimate_regularity
 from .powercount import GraphError, gamma_range, parse_graph
 from .renorm import a_closed, a_numeric, b_closed, b_numeric, minimal_n_for
-from .spectral import Grid, save_field
+from .spectral import Grid, fft_workers, save_field
 from .trees import build_enhanced_noise, tree_divergence_report
 
 EXIT_INVALID_CONFIG = 3
@@ -79,6 +80,9 @@ class RunManifest:
     status: str = "ok"  # or "refused"
     message: str | None = None  # the reason for a refusal
     outputs: dict[str, str] = field(default_factory=dict)  # file -> sha256
+    numpy: str = np.__version__
+    scipy: str = scipy.__version__
+    fft_workers: int = field(default_factory=fft_workers)
 
     def add(self, path: Path) -> None:
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
@@ -251,7 +255,8 @@ def simulate(config_file, output_dir, **params):
         except BlowUpError as exc:
             raise Refused(f"trajectory blew up: {exc}")
         csv_path = outdir / "diagnostics.csv"
-        wnorms = running_weighted_norm(traj.times, traj.snapshots, 0.5, 0.25)
+        wnorms = running_weighted_norm(traj.times, traj.snapshots, 0.5, 0.25,
+                                       traj.block_sups)
         _write_csv(
             csv_path,
             ["t", "L2", "L8", "besov_proxy", "weighted_norm"],

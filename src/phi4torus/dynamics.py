@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .noise import NoiseStream, ou_noise_field
-from .paraproduct import besov_norm
+from .paraproduct import besov_norm, block_norms, weigh_blocks
 from .renorm import a_closed, b_closed
 from .spectral import (
     Field,
@@ -136,16 +136,21 @@ class Trajectory:
     times: list[float] = field(default_factory=list)
     snapshots: list[Field] = field(default_factory=list)
     diagnostics: dict[str, list[float]] = field(default_factory=dict)
+    # the sup norms of each snapshot's Littlewood-Paley blocks, from which
+    # every C^gamma = B^gamma_{inf,inf} norm of it follows
+    block_sups: list[list[float]] = field(default_factory=list)
 
     def record(self, t: float, u: Field, extra: dict | None = None) -> None:
         if self.times and t <= self.times[-1]:
             raise ValueError("snapshot times must be strictly increasing")
         self.times.append(t)
         self.snapshots.append(u)
+        sups = block_norms(u)
+        self.block_sups.append(sups)
         rows = {
             "L2": lp_norm(u, 2),
             "L8": lp_norm(u, 8),
-            "besov_proxy": besov_norm(u, -0.55),
+            "besov_proxy": weigh_blocks(sups, -0.55),
         }
         if extra:
             rows.update(extra)
@@ -566,17 +571,24 @@ def weighted_norm(times, fields, alpha: float, beta: float) -> float:
     return running_weighted_norm(times, fields, alpha, beta)[-1]
 
 
-def running_weighted_norm(times, fields, alpha: float, beta: float) -> list[float]:
+def running_weighted_norm(
+    times, fields, alpha: float, beta: float, block_sups=None
+) -> list[float]:
     """weighted_norm of every prefix (times[:i+1], fields[:i+1]), in one pass:
     one Besov norm per sample and the Holder quotients of each new sample
-    against the earlier ones.  A prefix without a positive time gives NaN."""
+    against the earlier ones.  A prefix without a positive time gives NaN.
+
+    block_sups, if given, holds the block sup norms of each field (as
+    Trajectory.block_sups does), and the Besov norms are weighed from them
+    instead of splitting the fields again."""
     sup_besov = None
     sup_holder = 0.0
     weighted = []
     out = []
-    for t, f in zip(times, fields):
+    for i, (t, f) in enumerate(zip(times, fields)):
         if t > 0:
-            term = (t**alpha) * besov_norm(f, beta)
+            sups = block_norms(f) if block_sups is None else block_sups[i]
+            term = (t**alpha) * weigh_blocks(sups, beta)
             sup_besov = term if sup_besov is None else max(sup_besov, term)
         w = t**alpha * f.values
         for s, ws in zip(times, weighted):

@@ -35,6 +35,8 @@ __all__ = [
     "resonant",
     "product_decomposition",
     "besov_norm",
+    "block_norms",
+    "weigh_blocks",
     "estimate_regularity",
     "RegularityFit",
 ]
@@ -154,18 +156,28 @@ def resonant(a: Field, b: Field) -> Field:
     return _resonant_sum(block_fields(a), block_fields(b))
 
 
+def block_norms(f: Field, p: float = np.inf) -> list[float]:
+    """[||Delta_j f||_{L^p} for j = -1, 0, 1, ...]: the block norms every
+    Besov norm of f with this p weighs."""
+    return [lp_norm(bj, p) for bj in block_fields(f)]
+
+
+def weigh_blocks(norms, gamma: float, q: float = np.inf) -> float:
+    """l^q over j of 2^{j gamma} norms[j + 1], the Besov norm B^gamma_{p,q}
+    from the block norms of block_norms(f, p)."""
+    if not 1 <= q <= np.inf:
+        raise ValueError("q must lie in [1, inf]")
+    arr = np.array([2.0 ** (j * gamma) * nj for j, nj in enumerate(norms, start=-1)])
+    if q == np.inf:
+        return float(arr.max())
+    return float((arr**q).sum() ** (1.0 / q))
+
+
 def besov_norm(f: Field, gamma: float, p: float = np.inf, q: float = np.inf) -> float:
     """Besov norm B^gamma_{p,q}: l^q over j of 2^{j gamma} ||Delta_j f||_{L^p}."""
     if not (1 <= p <= np.inf and 1 <= q <= np.inf):
         raise ValueError("p, q must lie in [1, inf]")
-    terms = [
-        2.0 ** (j * gamma) * lp_norm(bj, p)
-        for j, bj in enumerate(block_fields(f), start=-1)
-    ]
-    arr = np.array(terms)
-    if q == np.inf:
-        return float(arr.max())
-    return float((arr**q).sum() ** (1.0 / q))
+    return weigh_blocks(block_norms(f, p), gamma, q)
 
 
 @dataclass(frozen=True)

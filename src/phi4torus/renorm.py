@@ -26,7 +26,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import integrate
 
 from .spectral import Grid
 
@@ -60,6 +59,15 @@ def b_closed(r: float) -> float:
     return abs(math.log(r)) / (32.0 * math.pi**2)
 
 
+def _quad(*args, **kwargs):
+    """scipy.integrate.quad, imported on first use: scipy.integrate loads
+    scipy.optimize, scipy.linalg and scipy.sparse, which the rest of the
+    package does not need."""
+    from scipy import integrate
+
+    return integrate.quad(*args, **kwargs)
+
+
 def mode_sum(grid: Grid, r: float) -> float:
     """(1/L^d) sum_k e^{-2 r lam_k} / lam_k over the grid's frequency cube.
 
@@ -77,7 +85,7 @@ def mode_sum(grid: Grid, r: float) -> float:
         theta = np.exp(-t * ksq).sum()
         return math.exp(-t) * theta**grid.dim
 
-    val, _ = integrate.quad(
+    val, _ = _quad(
         integrand, 2.0 * r, np.inf, epsabs=1e-13, epsrel=1e-11, limit=400
     )
     return val / grid.volume
@@ -129,7 +137,7 @@ def sunset_constant() -> float:
     def inner(alpha):
         return 2.0 / ((1.0 + alpha) * math.sqrt(1.0 + 2.0 * alpha))
 
-    val, _ = integrate.quad(inner, 1.0, np.inf, epsabs=1e-12, epsrel=1e-10)
+    val, _ = _quad(inner, 1.0, np.inf, epsabs=1e-12, epsrel=1e-10)
     return val
 
 
@@ -151,8 +159,8 @@ def b_numeric(r: float) -> float:
         def integrand(s1):
             return 2.0 / ((a + s1) * math.sqrt(a * s1 + m * (a + s1)))
 
-        val, _ = integrate.quad(integrand, m, np.inf, epsabs=1e-12, epsrel=1e-9, limit=200)
+        val, _ = _quad(integrand, m, np.inf, epsabs=1e-12, epsrel=1e-9, limit=200)
         return val
 
-    outer, _ = integrate.quad(s1_integral, 0.0, 1.0, epsrel=1e-8, limit=200)
+    outer, _ = _quad(s1_integral, 0.0, 1.0, epsrel=1e-8, limit=200)
     return outer / (4.0 * math.pi) ** 3

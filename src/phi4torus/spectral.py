@@ -16,9 +16,28 @@ and Parseval reads  mean(u^2) = sum_k |c_k|^2.
 
 Storage.  A field keeps only the rfftn half-cube c = rfftn(u) / N^d, of
 shape (N, ..., N, N/2 + 1); the other half follows from c_{-k} = conj(c_k).
-All transforms are real-to-complex (rfftn) or complex-to-real (irfftn), and
-linear operations (+, -, scalar *) carry the half-cube along with the
-values, so a field built from others is not transformed again.
+All transforms are real-to-complex (rfftn) or complex-to-real (irfftn).
+Physical values are computed on first read: a field built from
+coefficients (a product, a Duhamel step, a block, a gradient, a noise
+increment) runs its irfftn only when some caller reads its values, and
+keeps the result.  Linear operations (+, -, scalar *) work on the
+coefficients unless every operand already has values, so a field built
+from others is not transformed again.
+
+Transforms are serial: every call uses scipy's default of one worker.  The
+fields here are small (16^3 to 64^3), and a thread pool costs more than it
+saves.  On a 2-core machine, medians of 5 rounds:
+
+    transform     1 worker    2 workers
+    rfftn  16^3   0.064 ms    0.49 ms
+    irfftn 16^3   0.062 ms    0.47 ms
+    rfftn  64^3   3.0 ms      6.2 ms
+    irfftn 64^3   5.3 ms      12.3 ms
+
+At 64^3 the comparison moves with the host's load (in another sample two
+workers won on irfftn, 2.9 against 4.7 ms); at 16^3 and 32^3 one worker won
+in every sample.  Two workers were about 15% faster only at 128^3, which
+no run of the benchmark reaches.
 
 Nyquist convention.  Index N/2 of an axis is the frequency -N/2, which is
 also +N/2.  A coefficient whose index has a Nyquist component is treated as
@@ -47,7 +66,8 @@ from __future__ import annotations
 import functools
 import itertools
 import struct
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import fft as sfft
@@ -59,6 +79,7 @@ __all__ = [
     "duhamel_step",
     "cubic",
     "dealiased_product",
+    "dealiased_products",
     "dealiased_sum",
     "gradient",
     "grad_dot",
@@ -162,6 +183,12 @@ def half_cube(grid: Grid) -> HalfCube:
     return HalfCube(shape, ksq, lam, tuple(ik))
 
 
+def fft_workers() -> int:
+    """The number of workers each transform runs with: scipy's default in
+    the calling context, 1 unless the caller set another."""
+    return sfft.get_workers()
+
+
 def _mirror(a: np.ndarray, axes) -> np.ndarray:
     """a[-k mod n] along the given axes."""
     for ax in axes:
@@ -169,52 +196,77 @@ def _mirror(a: np.ndarray, axes) -> np.ndarray:
     return a
 
 
-@dataclass
 class Field:
     """Real scalar function on a Grid with a cached half-cube spectrum.
 
     Fields are treated as immutable snapshots: operations return new Field
-    instances.  The coefficients c = rfftn(values)/N^d are computed on first
-    use, kept when a field is built from them (`from_half`), and carried
-    through +, - and multiplication by a scalar.
+    instances.  A field holds its physical values, its half-cube
+    coefficients c = rfftn(values)/N^d, or both, and computes the missing
+    one on first use (read-only thereafter).  A field built from
+    coefficients (`from_half`) runs its inverse transform only when its
+    values are read.  +, - and multiplication by a scalar work on the values
+    when every operand has them and on the coefficients otherwise.
     """
 
-    grid: Grid
-    values: np.ndarray
-    _half: np.ndarray | None = field(default=None, repr=False, compare=False)
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.shape != self.grid.shape:
+    def __init__(self, grid: Grid, values):
+        values = np.asarray(values, dtype=np.float64)
+        if values.shape != grid.shape:
             raise ValueError(
-                f"values shape {self.values.shape} does not match grid {self.grid.shape}"
+                f"values shape {values.shape} does not match grid {grid.shape}"
             )
-        self.values.setflags(write=False)
-        if self._half is not None:
-            self._half.setflags(write=False)
+        values.setflags(write=False)
+        self.grid = grid
+        self._values = values
+        self._half = None
+
+    @classmethod
+    def _of(cls, grid: Grid, values, half) -> "Field":
+        """A field from its values, its coefficients or both (one may be
+        None), both already validated."""
+        f = cls.__new__(cls)
+        for arr in (values, half):
+            if arr is not None:
+                arr.setflags(write=False)
+        f.grid, f._values, f._half = grid, values, half
+        return f
 
     @classmethod
     def from_half(cls, grid: Grid, coeffs: np.ndarray) -> "Field":
         """Build a field from half-cube coefficients c = rfftn(u)/N^d, which
-        it keeps (read-only) as its spectrum."""
-        values = sfft.irfftn(coeffs, s=grid.shape, norm="forward", workers=-1)
-        return cls(grid, values, coeffs)
+        it keeps (read-only) as its spectrum; its values are computed on
+        first read."""
+        expected = half_cube(grid).shape
+        if coeffs.shape != expected:
+            raise ValueError(
+                f"coefficient shape {coeffs.shape} does not match the half-cube "
+                f"{expected} of grid {grid.shape}"
+            )
+        return cls._of(grid, None, coeffs)
 
     @classmethod
     def zeros(cls, grid: Grid) -> "Field":
-        return cls(grid, np.zeros(grid.shape), np.zeros(half_cube(grid).shape, complex))
+        return cls._of(grid, np.zeros(grid.shape), np.zeros(half_cube(grid).shape, complex))
 
     @classmethod
     def constant(cls, grid: Grid, c: float) -> "Field":
         half = np.zeros(half_cube(grid).shape, complex)
         half.flat[0] = c
-        return cls(grid, np.full(grid.shape, float(c)), half)
+        return cls._of(grid, np.full(grid.shape, float(c)), half)
+
+    @property
+    def values(self) -> np.ndarray:
+        """Physical values on the grid, irfftn(c) N^d."""
+        if self._values is None:
+            values = sfft.irfftn(self._half, s=self.grid.shape, norm="forward")
+            values.setflags(write=False)
+            self._values = values
+        return self._values
 
     @property
     def half(self) -> np.ndarray:
         """Half-cube coefficients c = rfftn(values) / N^d."""
         if self._half is None:
-            half = sfft.rfftn(self.values, norm="forward", workers=-1)
+            half = sfft.rfftn(self._values, norm="forward")
             half.setflags(write=False)
             self._half = half
         return self._half
@@ -224,31 +276,34 @@ class Field:
         if other.grid != self.grid:
             raise ValueError("fields live on different grids")
 
-    def _shifted_half(self, c):
-        """Half-cube of self + c, if it is cached and c is a scalar."""
-        if self._half is None or np.ndim(c) != 0:
-            return None
-        half = self._half.copy()
-        half.flat[0] += c
-        return half
-
-    def __add__(self, other):
+    def _linear(self, other, op):
+        """self op other for op = np.add or np.subtract, where other is a
+        Field, a scalar or an array of values."""
         if isinstance(other, Field):
             self._check(other)
-            return Field(self.grid, self.values + other.values,
-                         _combine(self._half, other._half, np.add))
-        return Field(self.grid, self.values + other, self._shifted_half(other))
+            if self._values is None or other._values is None:
+                return Field._of(self.grid, None, op(self.half, other.half))
+            half = None
+            if self._half is not None and other._half is not None:
+                half = op(self._half, other._half)
+            return Field._of(self.grid, op(self._values, other._values), half)
+        if np.ndim(other) != 0:
+            return Field(self.grid, op(self.values, other))
+        half = None
+        if self._half is not None:
+            # a scalar moves only the k = 0 coefficient
+            half = self._half.copy()
+            half.flat[0] = op(half.flat[0], other)
+        values = None if self._values is None else op(self._values, other)
+        return Field._of(self.grid, values, half)
+
+    def __add__(self, other):
+        return self._linear(other, np.add)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, Field):
-            self._check(other)
-            return Field(self.grid, self.values - other.values,
-                         _combine(self._half, other._half, np.subtract))
-        if np.ndim(other) == 0:
-            return self + (-other)
-        return Field(self.grid, self.values - other)
+        return self._linear(other, np.subtract)
 
     def __rsub__(self, other):
         return -self + other
@@ -257,23 +312,25 @@ class Field:
         if isinstance(other, Field):
             self._check(other)
             return Field(self.grid, self.values * other.values)
-        half = None
-        if self._half is not None and np.ndim(other) == 0:
-            half = self._half * other
-        return Field(self.grid, self.values * other, half)
+        if np.ndim(other) != 0:
+            return Field(self.grid, self.values * other)
+        return Field._of(
+            self.grid,
+            None if self._values is None else self._values * other,
+            None if self._half is None else self._half * other,
+        )
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        return Field(self.grid, -self.values,
-                     None if self._half is None else -self._half)
+        return Field._of(
+            self.grid,
+            None if self._values is None else -self._values,
+            None if self._half is None else -self._half,
+        )
 
     def mean(self) -> float:
         return float(self.values.mean())
-
-
-def _combine(a, b, op):
-    return None if a is None or b is None else op(a, b)
 
 
 def apply_multiplier(f: Field, symbol) -> Field:
@@ -355,7 +412,7 @@ def _padded_values(f: Field, plan: _PadPlan) -> np.ndarray:
             out[plus + (low,)] = block
         out[minus + (low,)] = block
     out[plan.plus_plane + (h,)] = 0.5 * half[..., h]
-    return sfft.irfftn(out, s=plan.shape, norm="forward", workers=-1)
+    return sfft.irfftn(out, s=plan.shape, norm="forward")
 
 
 def _truncated_field(grid: Grid, vals: np.ndarray, plan: _PadPlan) -> Field:
@@ -363,7 +420,7 @@ def _truncated_field(grid: Grid, vals: np.ndarray, plan: _PadPlan) -> Field:
     restricted to N, with each Nyquist coefficient the mean of its two
     images."""
     h = plan.h
-    big = sfft.rfftn(vals, norm="forward", workers=-1)
+    big = sfft.rfftn(vals, norm="forward")
     out = np.empty(half_cube(grid).shape, dtype=complex)
     low = slice(0, h)
     for src, minus, plus, nyquist in plan.blocks:
@@ -376,41 +433,68 @@ def _truncated_field(grid: Grid, vals: np.ndarray, plan: _PadPlan) -> Field:
     return Field.from_half(grid, out)
 
 
-def dealiased_product(*fields: Field) -> Field:
-    """Pointwise product of fields with 2x zero-padding (aliasing-free for
-    products of up to three factors).  Each distinct factor is padded once."""
-    return dealiased_sum(fields)
-
-
-def dealiased_sum(*products) -> Field:
-    """sum_i prod_{f in products[i]} f, each product dealiased by 2x zero
-    padding as in dealiased_product.  The products are summed on the 2N
-    grid and truncated back once."""
+def _padded_products(products):
+    """The 2N-grid values of each product of fields in turn, with their grid
+    and pad plan.  Each distinct factor is padded once across all products,
+    and its padded values are dropped after their last use."""
     grid = products[0][0].grid
     for factors in products:
         for f in factors:
             if f.grid != grid:
                 raise ValueError("fields live on different grids")
     plan = _pad_plan(grid)
-    total = None
-    for factors in products:
-        padded = {}
-        prod = None
-        for f in factors:
-            vals = padded.get(id(f))
-            if vals is None:
-                vals = padded[id(f)] = _padded_values(f, plan)
-            prod = vals if prod is None else prod * vals
-        if total is None:
-            total = prod
-        else:
-            total += prod
+    uses = Counter(id(f) for factors in products for f in factors)
+    padded = {}
+
+    def pad(f):
+        key = id(f)
+        vals = padded.get(key)
+        if vals is None:
+            vals = padded[key] = _padded_values(f, plan)
+        uses[key] -= 1
+        if not uses[key]:
+            del padded[key]
+        return vals
+
+    def values():
+        for factors in products:
+            prod = pad(factors[0])
+            for f in factors[1:]:
+                prod = prod * pad(f)
+            # the caller may write to a product; a lone factor is shared
+            yield prod if len(factors) > 1 else prod.copy()
+
+    return grid, plan, values()
+
+
+def dealiased_products(*products) -> list[Field]:
+    """[prod_{f in factors} f for factors in products], each product
+    dealiased by 2x zero padding (aliasing-free for up to three factors).
+    Each distinct factor is padded once across all the products."""
+    grid, plan, values = _padded_products(products)
+    return [_truncated_field(grid, vals, plan) for vals in values]
+
+
+def dealiased_sum(*products) -> Field:
+    """sum_i prod_{f in products[i]} f, each product dealiased as in
+    dealiased_products.  The products are summed on the 2N grid and
+    truncated back once."""
+    grid, plan, values = _padded_products(products)
+    total = next(values)
+    for vals in values:
+        total += vals
     return _truncated_field(grid, total, plan)
+
+
+def dealiased_product(*fields: Field) -> Field:
+    """Pointwise product of fields with 2x zero padding; each distinct
+    factor is padded once."""
+    return dealiased_products(fields)[0]
 
 
 def cubic(f: Field) -> Field:
     """Pointwise cube f^3 computed with full dealiasing (2x zero padding)."""
-    return dealiased_product(f, f, f)
+    return dealiased_products((f, f, f))[0]
 
 
 def gradient(f: Field) -> list[Field]:

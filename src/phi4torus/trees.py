@@ -32,7 +32,14 @@ import numpy as np
 from .noise import NoiseStream, ou_noise_field, ou_transition, sample_stationary
 from .paraproduct import besov_norm, resonant
 from .renorm import a_closed, b_closed
-from .spectral import Field, Grid, cubic, dealiased_product, duhamel_step, grad_dot
+from .spectral import (
+    Field,
+    Grid,
+    dealiased_product,
+    dealiased_products,
+    duhamel_step,
+    grad_dot,
+)
 
 __all__ = ["EnhancedNoise", "TreeEvolver", "build_enhanced_noise", "tree_divergence_report"]
 
@@ -107,20 +114,24 @@ class TreeEvolver:
         self.I2 = Field.zeros(grid)
         self.I3 = Field.zeros(grid)
         self.v_ref = Field.zeros(grid) if track_vref else None
-        # (X, W) pairs: each Wick power is built once per X, so that a
+        # (X, W2, W3): the Wick powers are built once per X, so that a
         # snapshot and the step after it share them
-        self._w2 = self._w3 = (None, None)
+        self._wick = (None, None, None)
 
     # -- Wick powers of the current X --------------------------------------
+    def wick_powers(self) -> tuple[Field, Field]:
+        """(W2, W3) of the current X, from one pad of X."""
+        X = self.X
+        if self._wick[0] is not X:
+            square, cube = dealiased_products((X, X), (X, X, X))
+            self._wick = (X, square - self.a, cube - 3.0 * self.a * X)
+        return self._wick[1:]
+
     def wick_square(self) -> Field:
-        if self._w2[0] is not self.X:
-            self._w2 = (self.X, dealiased_product(self.X, self.X) - self.a)
-        return self._w2[1]
+        return self.wick_powers()[0]
 
     def wick_cube(self) -> Field:
-        if self._w3[0] is not self.X:
-            self._w3 = (self.X, cubic(self.X) - 3.0 * self.a * self.X)
-        return self._w3[1]
+        return self.wick_powers()[1]
 
     def _vref_drift(self, W2: Field) -> Field:
         e3 = Field(self.grid, np.exp(3.0 * self.I2.values))
@@ -141,8 +152,7 @@ class TreeEvolver:
         either as a standard-normal array g or directly as the stochastic-
         convolution increment field over this step.
         """
-        W2 = self.wick_square()
-        W3 = self.wick_cube()
+        W2, W3 = self.wick_powers()
         self.I2 = duhamel_step(self.I2, W2, dt)
         self.I3 = duhamel_step(self.I3, W3, dt)
         if self.track_vref:
@@ -167,8 +177,7 @@ class TreeEvolver:
             self.step(dt)
 
     def snapshot(self, with_resonants: bool = True) -> EnhancedNoise:
-        W2 = self.wick_square()
-        W3 = self.wick_cube()
+        W2, W3 = self.wick_powers()
         snap = EnhancedNoise(
             r=self.r, time=self.time, X=self.X, W2=W2, W3=W3,
             I2=self.I2, I3=self.I3, v_ref=self.v_ref,

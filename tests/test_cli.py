@@ -3,7 +3,9 @@ import hashlib
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
+import scipy
 from click.testing import CliRunner
 
 from phi4torus.cli import main
@@ -145,6 +147,9 @@ class TestSimulate:
         assert manifest["subcommand"] == "simulate"
         assert manifest["seed"] == 0
         assert manifest["status"] == "ok"
+        assert manifest["numpy"] == np.__version__
+        assert manifest["scipy"] == scipy.__version__
+        assert manifest["fft_workers"] == 1
         # checkpoints default on: at least one .field output is recorded
         assert any(name.endswith(".field") for name in manifest["outputs"])
         # every recorded checksum matches the file on disk

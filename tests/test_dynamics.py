@@ -134,6 +134,18 @@ class TestSimulateU:
         for key in ("L2", "L8", "besov_proxy"):
             assert len(traj.diagnostics[key]) == len(traj.times)
 
+    def test_block_sups_weigh_to_both_besov_norms(self):
+        """The block sup norms kept per snapshot give the same Besov norms as
+        splitting the snapshot again, bit for bit."""
+        traj = simulate_u(make_cfg(horizon=0.05, snapshot_stride=1))
+        assert traj.diagnostics["besov_proxy"] == [
+            besov_norm(u, -0.55) for u in traj.snapshots
+        ]
+        shared = running_weighted_norm(traj.times, traj.snapshots, 0.5, 0.25,
+                                       traj.block_sups)
+        fresh = running_weighted_norm(traj.times, traj.snapshots, 0.5, 0.25)
+        assert np.isnan(shared[0]) and shared[1:] == fresh[1:]
+
     def test_deterministic_given_seed(self):
         cfg = make_cfg(seed=42, stream=3)
         a = simulate_u(cfg)

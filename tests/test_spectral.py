@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.fft
 
 from phi4torus.spectral import (
     Field,
@@ -95,6 +96,36 @@ class TestField:
         assert (2.0 * a).values[0] == 4.0
         assert (1.0 - a).values[0] == -1.0
         assert (-a).values[0] == -2.0
+
+    def test_arithmetic_on_coefficients(self):
+        # a field built from coefficients has no values until read; linear
+        # operations on it match the same operations on values to rounding
+        grid = Grid(dim=2, n=8)
+        rng = np.random.default_rng(1)
+        va, vb = rng.normal(size=(2,) + grid.shape)
+        a = Field.from_half(grid, Field(grid, va).half)
+        b = Field(grid, vb)
+        cases = [
+            (a + b, va + vb), (b - a, vb - va), (-a, -va), (2.5 * a, 2.5 * va),
+            (a + 1.5, va + 1.5), (a - 1.5, va - 1.5), (1.0 - a, 1.0 - va),
+        ]
+        for f, want in cases:
+            np.testing.assert_allclose(f.values, want, atol=1e-13)
+
+    def test_values_from_coefficients_on_first_read(self):
+        grid = Grid(dim=3, n=8)
+        half = Field(grid, np.random.default_rng(2).normal(size=grid.shape)).half
+        f = Field.from_half(grid, half)
+        values = f.values
+        want = scipy.fft.irfftn(half, s=grid.shape, norm="forward")
+        assert np.array_equal(values, want)
+        assert not values.flags.writeable
+        assert f.values is values
+
+    @pytest.mark.parametrize("shape", [(8, 8, 8), (8, 8, 4), (4, 4, 3)])
+    def test_coefficient_shape_mismatch_rejected(self, shape):
+        with pytest.raises(ValueError, match="half-cube"):
+            Field.from_half(Grid(dim=3, n=8), np.zeros(shape, complex))
 
     def test_grid_mismatch_rejected(self):
         a = Field.zeros(Grid(dim=1, n=8))
