@@ -5,7 +5,9 @@ holding the fully resolved configuration, the seed, the package version, the
 numpy and scipy versions, the FFT worker count, the run's status and a
 sha256 checksum per output file, so a run can be reproduced and verified
 bit-for-bit.  A refused run still writes its manifest, with status
-"refused", the reason, and the files written before the refusal.
+"refused", the reason, and the files written before the refusal; a run
+that dies of an unexpected exception writes it with status "error" and the
+exception's type and text.
 
 Exit codes
     0  success
@@ -77,8 +79,8 @@ class RunManifest:
     config: dict
     seed: int | None
     version: str
-    status: str = "ok"  # or "refused"
-    message: str | None = None  # the reason for a refusal
+    status: str = "ok"  # or "refused" or "error"
+    message: str | None = None  # the reason for a refusal, or the error
     outputs: dict[str, str] = field(default_factory=dict)  # file -> sha256
     numpy: str = np.__version__
     scipy: str = scipy.__version__
@@ -97,12 +99,16 @@ class RunManifest:
 @contextlib.contextmanager
 def _run_manifest(outdir: Path, subcommand: str, config: dict, seed: int | None):
     """Yield the run's manifest and write it to outdir when the block exits,
-    also when the run is refused."""
+    also when the run is refused or dies of an error."""
     manifest = RunManifest(subcommand, config, seed, __version__)
     try:
         yield manifest
     except Refused as exc:
         manifest.status, manifest.message = "refused", exc.message
+        manifest.write(outdir)
+        raise
+    except Exception as exc:
+        manifest.status, manifest.message = "error", f"{type(exc).__name__}: {exc}"
         manifest.write(outdir)
         raise
     manifest.write(outdir)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import Field, Grid, dealiased_sum, half_cube, lp_norm
+from .spectral import Field, Grid, dealiased_sum, dealiased_sums, half_cube, lp_norm
 
 __all__ = [
     "BlockDecomposition",
@@ -33,6 +33,7 @@ __all__ = [
     "block_fields",
     "paraproduct",
     "resonant",
+    "resonants",
     "product_decomposition",
     "besov_norm",
     "block_norms",
@@ -127,21 +128,22 @@ def product_decomposition(a: Field, b: Field) -> tuple[Field, Field, Field]:
         para_ba = dealiased_sum(*((blocks_a[k], los_b[k - 1]) for k in range(2, nlev)))
     else:
         para_ab = para_ba = Field.zeros(grid)
-    return para_ab, _resonant_sum(blocks_a, blocks_b), para_ba
+    return para_ab, dealiased_sum(*zip(blocks_a, _near_sums(blocks_b))), para_ba
 
 
-def _resonant_sum(blocks_a: list[Field], blocks_b: list[Field]) -> Field:
-    """sum_k Delta_k a (Delta_{k-1} b + Delta_k b + Delta_{k+1} b)."""
-    nlev = len(blocks_a)
-    pairs = []
+def _near_sums(blocks: list[Field]) -> list[Field]:
+    """[Delta_{k-1} f + Delta_k f + Delta_{k+1} f for each level k] from
+    the blocks of f."""
+    nlev = len(blocks)
+    out = []
     for k in range(nlev):
-        near = blocks_b[k]
+        near = blocks[k]
         if k > 0:
-            near = near + blocks_b[k - 1]
+            near = near + blocks[k - 1]
         if k + 1 < nlev:
-            near = near + blocks_b[k + 1]
-        pairs.append((blocks_a[k], near))
-    return dealiased_sum(*pairs)
+            near = near + blocks[k + 1]
+        out.append(near)
+    return out
 
 
 def paraproduct(a: Field, b: Field) -> Field:
@@ -151,9 +153,26 @@ def paraproduct(a: Field, b: Field) -> Field:
 
 def resonant(a: Field, b: Field) -> Field:
     """Resonant product a o b."""
-    if a.grid != b.grid:
-        raise ValueError("fields live on different grids")
-    return _resonant_sum(block_fields(a), block_fields(b))
+    return resonants((a, b))[0]
+
+
+def resonants(*pairs) -> list[Field]:
+    """[a o b for a, b in pairs], where
+    a o b = sum_k Delta_k a (Delta_{k-1} b + Delta_k b + Delta_{k+1} b).
+    Each distinct left factor is split into blocks once and each distinct
+    right factor into near-diagonal sums once, and each distinct block and
+    sum is padded once across all the products."""
+    blocks, nears = {}, {}
+    sums = []
+    for a, b in pairs:
+        if a.grid != b.grid:
+            raise ValueError("fields live on different grids")
+        if id(a) not in blocks:
+            blocks[id(a)] = block_fields(a)
+        if id(b) not in nears:
+            nears[id(b)] = _near_sums(block_fields(b))
+        sums.append(zip(blocks[id(a)], nears[id(b)]))
+    return dealiased_sums(*sums)
 
 
 def block_norms(f: Field, p: float = np.inf) -> list[float]:

@@ -16,13 +16,13 @@ and Parseval reads  mean(u^2) = sum_k |c_k|^2.
 
 Storage.  A field keeps only the rfftn half-cube c = rfftn(u) / N^d, of
 shape (N, ..., N, N/2 + 1); the other half follows from c_{-k} = conj(c_k).
-All transforms are real-to-complex (rfftn) or complex-to-real (irfftn).
-Physical values are computed on first read: a field built from
-coefficients (a product, a Duhamel step, a block, a gradient, a noise
-increment) runs its irfftn only when some caller reads its values, and
-keeps the result.  Linear operations (+, -, scalar *) work on the
-coefficients unless every operand already has values, so a field built
-from others is not transformed again.
+Every transform maps real values to the half-cube or back, and one private
+helper runs and counts them all (`transform_counts`).  Physical values are
+computed on first read: a field built from coefficients (a product, a
+Duhamel step, a block, a gradient, a noise increment) runs its irfftn only
+when some caller reads its values, and keeps the result.  Linear
+operations (+, -, scalar *) work on the coefficients unless every operand
+already has values, so a field built from others is not transformed again.
 
 Transforms are serial: every call uses scipy's default of one worker.  The
 fields here are small (16^3 to 64^3), and a thread pool costs more than it
@@ -36,8 +36,9 @@ saves.  On a 2-core machine, medians of 5 rounds:
 
 At 64^3 the comparison moves with the host's load (in another sample two
 workers won on irfftn, 2.9 against 4.7 ms); at 16^3 and 32^3 one worker won
-in every sample.  Two workers were about 15% faster only at 128^3, which
-no run of the benchmark reaches.
+in every sample.  Two workers were about 15% faster on full 128^3
+transforms, the 2N grid of N = 64; the pruned 2N transforms below win more
+than that back.
 
 Nyquist convention.  Index N/2 of an axis is the frequency -N/2, which is
 also +N/2.  A coefficient whose index has a Nyquist component is treated as
@@ -59,6 +60,32 @@ planes and the cube into the retained modes.  On stationary X at N = 32,
 r = 0.01 that moves the square by about 1.6e-5 and the cube by about 5e-4
 of their sup norms, where the 2N results agree with the full-cube
 definition to rounding.
+
+Pruned 2N transforms.  The padded 2N half-cube is zero outside its first
+N/2 + 1 columns and, along each leading axis, outside the N + 1 rows of
+the frequencies -N/2 .. N/2, so the 2N transforms skip the zero rows (FFT
+pruning: Markel 1971, IEEE Trans. Audio Electroacoust. 19:305; Frigo &
+Johnson 2005, Proc. IEEE 93:216).  A pad fills the 2N half-cube, runs one
+complex pass per leading axis, first to last, each over the nonzero
+columns and only the nonzero rows of the leading axes not yet transformed,
+and ends with one real pass over the last axis.  A truncation runs the
+real pass over the last axis, then the same complex passes in reverse, and
+reads the retained rows.  Every pass is an n-d scipy.fft call over one
+axis, on a view of the half-cube, in place; in 3-d the pass over the first
+axis takes two calls, one per block of nonzero rows of the second axis.
+Working in place allocates no more than the full transforms did, which
+counts: each fresh array costs page faults when it is first written.  The
+results equal the full transforms of the padded half-cube, pads to the bit
+and truncations to rounding.  Per call in 3-d, on a 2-core machine
+(minimum over 3 rounds of the median of 15 to 200 calls):
+
+    2N grid    pad, full -> pruned    truncation, full -> pruned
+    32^3       0.40 -> 0.38 ms        0.50 -> 0.47 ms
+    64^3       2.3  -> 1.6 ms         2.1  -> 1.5 ms
+    128^3      35   -> 17 ms          27   -> 14 ms
+
+At 32^3 the difference is within the host's noise: another sample gave
+0.26 -> 0.30 ms and 0.28 -> 0.28 ms.
 """
 
 from __future__ import annotations
@@ -81,11 +108,13 @@ __all__ = [
     "dealiased_product",
     "dealiased_products",
     "dealiased_sum",
+    "dealiased_sums",
     "gradient",
     "grad_dot",
     "lp_norm",
     "save_field",
     "load_field",
+    "transform_counts",
 ]
 
 _FIELD_MAGIC = b"PHI4FLD1"
@@ -189,6 +218,51 @@ def fft_workers() -> int:
     return sfft.get_workers()
 
 
+_COUNTS = Counter()
+
+
+def transform_counts() -> dict[str, int]:
+    """What this process has transformed so far.
+
+    transforms : logical transforms: a field's values or coefficients, a pad
+        to or a truncation from the 2N grid.
+    passes : the scipy.fft calls they took.
+    points : the values that the 1-d transforms of those passes take in or
+        give out, on their longer side, summed over the transformed axes.
+        A real pass transforms its last axis between real values and the
+        half-cube, and its other axes on the half-cube.
+    """
+    return {key: _COUNTS[key] for key in ("transforms", "passes", "points")}
+
+
+def _fft(name: str, x: np.ndarray, axes=None) -> np.ndarray:
+    """scipy.fft's n-d transform `name` (rfftn, irfftn, fftn or ifftn) of x
+    over `axes` (all by default), scaled by 1/n on the forward side.  This is
+    the one place of the package that transforms, and it counts each pass.
+
+    A complex pass (fftn, ifftn) overwrites x with its result, so x must be
+    a scratch array or a view of one.  Every logical transform maps real
+    values to half-cube coefficients or back, and exactly one of its passes,
+    the real one, crosses between them, so the real passes count the
+    logical transforms.
+    """
+    complex_pass = name in ("fftn", "ifftn")
+    y = getattr(sfft, name)(x, axes=axes, norm="forward", overwrite_x=complex_pass)
+    if complex_pass and not np.may_share_memory(x, y):
+        x[...] = y  # scipy declined to work in place
+        y = x
+    naxes = x.ndim if axes is None else len(axes)
+    if complex_pass:
+        points = naxes * x.size
+    else:
+        real, half = (x, y) if name == "rfftn" else (y, x)
+        points = real.size + (naxes - 1) * half.size
+    _COUNTS["passes"] += 1
+    _COUNTS["points"] += points
+    _COUNTS["transforms"] += not complex_pass
+    return y
+
+
 def _mirror(a: np.ndarray, axes) -> np.ndarray:
     """a[-k mod n] along the given axes."""
     for ax in axes:
@@ -257,7 +331,7 @@ class Field:
     def values(self) -> np.ndarray:
         """Physical values on the grid, irfftn(c) N^d."""
         if self._values is None:
-            values = sfft.irfftn(self._half, s=self.grid.shape, norm="forward")
+            values = _fft("irfftn", self._half)
             values.setflags(write=False)
             self._values = values
         return self._values
@@ -266,7 +340,7 @@ class Field:
     def half(self) -> np.ndarray:
         """Half-cube coefficients c = rfftn(values) / N^d."""
         if self._half is None:
-            half = sfft.rfftn(self._values, norm="forward")
+            half = _fft("rfftn", self._values)
             half.setflags(write=False)
             self._half = half
         return self._half
@@ -330,7 +404,11 @@ class Field:
         )
 
     def mean(self) -> float:
-        return float(self.values.mean())
+        """The spatial mean: the k = 0 coefficient when the field has
+        coefficients, so that reading it runs no transform."""
+        if self._half is not None:
+            return float(self._half.flat[0].real)
+        return float(self._values.mean())
 
 
 def apply_multiplier(f: Field, symbol) -> Field:
@@ -370,13 +448,17 @@ class _PadPlan:
     its images in the 2N half-cube with the block's Nyquist components at
     -N/2 and at +N/2 (the same slices when it has none), and `nyquist` says
     whether it has any.  `plus_plane` indexes the +N/2 images of the whole
-    plane of last-axis Nyquist coefficients.
+    plane of last-axis Nyquist coefficients.  The padded 2N half-cube is
+    zero outside its first N/2 + 1 columns and, along each leading axis,
+    outside the `rows` 0 .. N/2 and 2N - N/2 .. 2N - 1 of the frequencies
+    -N/2 .. N/2.
     """
 
     h: int
     shape: tuple[int, ...]  # the 2N grid
     blocks: tuple
     plus_plane: tuple
+    rows: tuple
 
 
 @functools.cache
@@ -395,12 +477,28 @@ def _pad_plan(grid: Grid) -> _PadPlan:
             blocks.append((src, minus, plus, "nyquist" in combo))
     plus_index = np.concatenate([np.arange(h + 1), np.arange(m - h + 1, m)])
     plus_plane = np.ix_(*([plus_index] * (dim - 1))) if dim > 1 else ()
-    return _PadPlan(h, (m,) * dim, tuple(blocks), plus_plane)
+    rows = (slice(0, h + 1), slice(m - h, m))
+    return _PadPlan(h, (m,) * dim, tuple(blocks), plus_plane, rows)
+
+
+def _pruned_passes(plan: _PadPlan, ndim: int):
+    """The complex passes of a pruned inverse transform of a 2N half-cube
+    array, in order, as (axis, index of the view to transform): one pass per
+    leading axis, first to last, over the nonzero columns and only the
+    nonzero rows of the leading axes not yet transformed.  Those rows form
+    two blocks per axis, so a pass takes one view per combination of
+    blocks.  A pruned forward transform runs the same passes in reverse."""
+    cols = slice(0, plan.h + 1)
+    for axis in range(ndim - 1):
+        for rows in itertools.product(plan.rows, repeat=ndim - 2 - axis):
+            yield axis, (slice(None),) * (axis + 1) + rows + (cols,)
 
 
 def _padded_values(f: Field, plan: _PadPlan) -> np.ndarray:
     """Values of f on the 2N grid: its coefficients zero-padded, with each
-    Nyquist coefficient split evenly between its two images."""
+    Nyquist coefficient split evenly between its two images.  The complex
+    passes of the inverse transform skip the zero rows (`_pruned_passes`)
+    and work in place; the real pass over the last axis ends it."""
     h = plan.h
     half = f.half
     out = np.zeros(plan.shape[:-1] + (plan.shape[-1] // 2 + 1,), dtype=complex)
@@ -412,15 +510,21 @@ def _padded_values(f: Field, plan: _PadPlan) -> np.ndarray:
             out[plus + (low,)] = block
         out[minus + (low,)] = block
     out[plan.plus_plane + (h,)] = 0.5 * half[..., h]
-    return sfft.irfftn(out, s=plan.shape, norm="forward")
+    for axis, index in _pruned_passes(plan, out.ndim):
+        _fft("ifftn", out[index], (axis,))
+    return _fft("irfftn", out, (out.ndim - 1,))
 
 
 def _truncated_field(grid: Grid, vals: np.ndarray, plan: _PadPlan) -> Field:
     """The field on `grid` whose coefficients are those of the 2N values
     restricted to N, with each Nyquist coefficient the mean of its two
-    images."""
+    images.  After the real pass over the last axis, the complex passes of
+    `_pruned_passes` run in reverse and in place, computing only the rows
+    that are kept."""
     h = plan.h
-    big = sfft.rfftn(vals, norm="forward")
+    big = _fft("rfftn", vals, (vals.ndim - 1,))
+    for axis, index in reversed(list(_pruned_passes(plan, vals.ndim))):
+        _fft("fftn", big[index], (axis,))
     out = np.empty(half_cube(grid).shape, dtype=complex)
     low = slice(0, h)
     for src, minus, plus, nyquist in plan.blocks:
@@ -456,34 +560,52 @@ def _padded_products(products):
             del padded[key]
         return vals
 
-    def values():
-        for factors in products:
-            prod = pad(factors[0])
-            for f in factors[1:]:
-                prod = prod * pad(f)
-            # the caller may write to a product; a lone factor is shared
-            yield prod if len(factors) > 1 else prod.copy()
+    # a function rather than a generator body, so that no padded values
+    # stay referenced from a suspended frame after their last use
+    def product(factors):
+        prod = pad(factors[0])
+        for f in factors[1:]:
+            prod = prod * pad(f)
+        # the caller may write to a product; a lone factor is shared
+        return prod if len(factors) > 1 else prod.copy()
 
-    return grid, plan, values()
+    return grid, plan, (product(factors) for factors in products)
+
+
+def dealiased_sums(*sums) -> list[Field]:
+    """[sum_i prod_{f in terms[i]} f for terms in sums], each product
+    dealiased by 2x zero padding (aliasing-free for up to three factors).
+    Each sum is added up on the 2N grid and truncated back once, and each
+    distinct factor is padded once across all the sums."""
+    sums = [list(terms) for terms in sums]
+    # term i of every sum before term i + 1 of any, so that a factor which
+    # several sums share at the same place is padded, used and dropped in
+    # one round; each sum still adds its terms in order
+    order = [(s, i) for i in range(max(map(len, sums), default=0))
+             for s, terms in enumerate(sums) if i < len(terms)]
+    grid, plan, values = _padded_products([sums[s][i] for s, i in order])
+    totals, out = {}, [None] * len(sums)
+    for s, i in order:
+        if i:
+            totals[s] += next(values)
+        else:
+            totals[s] = next(values)
+        if i + 1 == len(sums[s]):
+            out[s] = _truncated_field(grid, totals.pop(s), plan)
+    return out
 
 
 def dealiased_products(*products) -> list[Field]:
     """[prod_{f in factors} f for factors in products], each product
-    dealiased by 2x zero padding (aliasing-free for up to three factors).
-    Each distinct factor is padded once across all the products."""
-    grid, plan, values = _padded_products(products)
-    return [_truncated_field(grid, vals, plan) for vals in values]
+    dealiased as in dealiased_sums; each distinct factor is padded once
+    across all the products."""
+    return dealiased_sums(*([factors] for factors in products))
 
 
 def dealiased_sum(*products) -> Field:
-    """sum_i prod_{f in products[i]} f, each product dealiased as in
-    dealiased_products.  The products are summed on the 2N grid and
-    truncated back once."""
-    grid, plan, values = _padded_products(products)
-    total = next(values)
-    for vals in values:
-        total += vals
-    return _truncated_field(grid, total, plan)
+    """sum_i prod_{f in products[i]} f, dealiased as in dealiased_sums: the
+    products are summed on the 2N grid and truncated back once."""
+    return dealiased_sums(products)[0]
 
 
 def dealiased_product(*fields: Field) -> Field:

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .noise import NoiseStream, ou_noise_field, ou_transition, sample_stationary
-from .paraproduct import besov_norm, resonant
+from .paraproduct import besov_norm, resonants
 from .renorm import a_closed, b_closed
 from .spectral import (
     Field,
@@ -184,10 +184,14 @@ class TreeEvolver:
             a=self.a, b=self.b, counterterms=self.counterterms,
         )
         if with_resonants:
-            snap.R1 = resonant(self.I3, self.X)
-            snap.R2 = resonant(self.I2, W2) - self.b / 3.0
+            # R4 shares the blocks of I3 with R1 and the near sums of W2 with
+            # R2; in this order each shared pad serves two neighbouring
+            # products and is dropped
+            R1, R4, R2 = resonants((self.I3, self.X), (self.I3, W2), (self.I2, W2))
+            snap.R1 = R1
+            snap.R2 = R2 - self.b / 3.0
             snap.R3 = grad_dot(self.I2, self.I2) - self.b / 3.0
-            snap.R4 = resonant(self.I3, W2) - self.b * self.X
+            snap.R4 = R4 - self.b * self.X
         return snap
 
 

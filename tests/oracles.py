@@ -223,6 +223,55 @@ def full_dealiased_product(*us: np.ndarray) -> np.ndarray:
     return full_values(full_coefficients(prod)[index])
 
 
+def _signed(idx, n):
+    """Signed frequencies of half-cube indices, the Nyquist index at -N/2."""
+    return tuple(i - n if i >= n // 2 else i for i in idx)
+
+
+def padded_half_cube(half: np.ndarray, n: int) -> np.ndarray:
+    """The 2N rfftn half-cube of the N half-cube `half` zero-padded, one
+    coefficient at a time: each goes to its signed index, and one with a
+    Nyquist component half to its image with every Nyquist component at
+    -N/2 and half to the one with every Nyquist component at +N/2.  The
+    -N/2 image of a last-axis Nyquist coefficient lies in the half of the
+    cube that the half-cube leaves out."""
+    m, h = 2 * n, n // 2
+    out = np.zeros((m,) * (half.ndim - 1) + (n + 1,), dtype=complex)
+    for idx in np.ndindex(half.shape):
+        minus = tuple(k % m for k in _signed(idx, n))
+        if h not in idx:
+            out[minus] = half[idx]
+            continue
+        out[tuple(h if i == h else k for i, k in zip(idx, minus))] = 0.5 * half[idx]
+        if idx[-1] != h:
+            out[minus] = 0.5 * half[idx]
+    return out
+
+
+def truncated_half_cube(big: np.ndarray, n: int) -> np.ndarray:
+    """The N half-cube read from the 2N rfftn half-cube `big`, one
+    coefficient at a time: each from its signed index, and one with a
+    Nyquist component as the mean of its images with every Nyquist
+    component at -N/2 and at +N/2.  An image outside the stored half is the
+    conjugate of its mirror image."""
+    m, h = 2 * n, n // 2
+
+    def read(k):
+        if k[-1] < 0:
+            return np.conj(big[tuple(-ki % m for ki in k)])
+        return big[tuple(ki % m for ki in k)]
+
+    out = np.empty((n,) * (big.ndim - 1) + (h + 1,), dtype=complex)
+    for idx in np.ndindex(out.shape):
+        k = _signed(idx, n)
+        if h not in idx:
+            out[idx] = read(k)
+        else:
+            plus = tuple(h if i == h else ki for i, ki in zip(idx, k))
+            out[idx] = 0.5 * (read(k) + read(plus))
+    return out
+
+
 def full_gradient(u: np.ndarray, period: float) -> list[np.ndarray]:
     c = full_coefficients(u)
     return [full_values(1j * km * c) for km in full_wavenumbers(u.shape[0], u.ndim, period)]

@@ -79,6 +79,17 @@ class TestPlumbing:
         assert "burn_in must cover" in manifest["message"]
         assert manifest["outputs"] == {}
 
+    def test_failed_run_writes_manifest(self, runner, tmp_path, monkeypatch):
+        def broken(cfg):
+            raise RuntimeError("integrator broke")
+
+        monkeypatch.setattr("phi4torus.cli.simulate_u", broken)
+        res = runner.invoke(main, ["simulate", *FAST, "--output-dir", str(tmp_path)])
+        assert isinstance(res.exception, RuntimeError)
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["status"] == "error"
+        assert manifest["message"] == "RuntimeError: integrator broke"
+
     def test_output_dir_env_var(self, runner, tmp_path):
         out = tmp_path / "via_env"
         res = invoke(

@@ -1,11 +1,26 @@
 """Exact transform counts of the hot paths.
 
-The test wraps the `scipy.fft` transforms that the spectral core and the
-noise module call, counts the calls by kind and asserts the exact numbers,
-including that no complex full-cube fftn/ifftn runs.  The counts depend only
-on the code path, not on the machine.  Each comment gives the counts of
-earlier versions for comparison: the full-cube code, and the half-cube code
-that transformed every field built from coefficients at once.
+The test wraps the `scipy.fft` transforms that the spectral core calls,
+counts the calls by kind and asserts the exact numbers, including that every
+complex fftn/ifftn is a pass over one axis, never a full cube.  The counts
+depend only on the code path, not on the machine.
+
+A pad to the 2N grid fills the padded half-cube and runs one-axis ifftn
+passes over its nonzero rows, then one irfftn over the last axis; a
+truncation runs one rfftn over the last axis, then the one-axis fftn passes
+in reverse.  On these 3-d grids the pass over axis 0 takes two calls, one
+per block of nonzero axis-1 rows, so one 2N transform is four calls, and
+each test derives its counts from the numbers of pads and truncations.
+Each comment gives the counts of earlier versions for comparison: one
+irfftn or rfftn per 2N transform before pruning, the half-cube code that
+transformed every field built from coefficients at once, and the
+full-cube code.
+
+Points (`transform_counts()["points"]`) sum, over every pass and transformed
+axis, the values its 1-d transforms take in or give out on their longer
+side.  On GRID a 2N transform takes 4096 + 2 * 16 * 16 * 9 = 8704 points
+unpruned and 4096 + 16 * 16 * 5 + 16 * (5 + 4) * 5 = 6096 pruned; a
+transform on the 8^3 grid takes 512 + 2 * 8 * 8 * 5 = 1152.
 """
 
 from collections import Counter
@@ -17,10 +32,26 @@ import scipy.fft
 from phi4torus.dynamics import SimConfig, step_u
 from phi4torus.noise import NoiseStream
 from phi4torus.paraproduct import BlockDecomposition, resonant
-from phi4torus.spectral import Field, Grid, cubic, dealiased_product, grad_dot
+from phi4torus.spectral import (
+    Field,
+    Grid,
+    cubic,
+    dealiased_product,
+    grad_dot,
+    transform_counts,
+)
 from phi4torus.trees import TreeEvolver
 
 GRID = Grid(dim=3, n=8)
+PRUNED_2N = 6096
+UNPRUNED_2N = 8704
+ON_GRID = 1152
+
+
+def two_n(pads: int, truncations: int) -> dict:
+    """The calls of `pads` pruned pads and `truncations` pruned truncations
+    on GRID."""
+    return {"irfftn": pads, "ifftn": 3 * pads, "rfftn": truncations, "fftn": 3 * truncations}
 
 
 @pytest.fixture
@@ -29,12 +60,32 @@ def counts(monkeypatch):
     for name in ("fftn", "ifftn", "rfftn", "irfftn"):
         original = getattr(scipy.fft, name)
 
-        def counted(*args, _name=name, _fn=original, **kwargs):
+        def counted(x, *args, _name=name, _fn=original, **kwargs):
             calls[_name] += 1
-            return _fn(*args, **kwargs)
+            axes = kwargs.get("axes")
+            if _name in ("fftn", "ifftn") and (axes is None or len(axes) != 1):
+                calls["complex over several axes"] += 1
+            return _fn(x, *args, **kwargs)
 
         monkeypatch.setattr(scipy.fft, name, counted)
     return calls
+
+
+class Points:
+    """The points transformed since the last `clear()`."""
+
+    def clear(self):
+        self.start = transform_counts()["points"]
+
+    def __call__(self):
+        return transform_counts()["points"] - self.start
+
+
+@pytest.fixture
+def points():
+    p = Points()
+    p.clear()
+    return p
 
 
 def cached_field(seed=0):
@@ -45,23 +96,26 @@ def cached_field(seed=0):
     return f
 
 
-def test_cubic(counts):
+def test_cubic(counts, points):
     f = cached_field()
     counts.clear()
+    points.clear()
     cubic(f)
     # one pad of the single distinct factor and the product back; the
-    # values wait for a reader (earlier: 3 with eager values, 6 complex
-    # transforms on a fresh field)
-    assert counts == {"irfftn": 1, "rfftn": 1}
+    # values wait for a reader (earlier: irfftn 1 and rfftn 1 unpruned, 3
+    # with eager values, 6 complex transforms on a fresh field)
+    assert counts == two_n(pads=1, truncations=1)
+    assert points() == 2 * PRUNED_2N == 12192
+    assert points() < 2 * UNPRUNED_2N
 
 
 def test_product_of_two_fields(counts):
     a, b = cached_field(1), cached_field(2)
     counts.clear()
     dealiased_product(a, b)
-    # two pads and the product back (earlier: 4 with eager values, 6
-    # complex transforms)
-    assert counts == {"irfftn": 2, "rfftn": 1}
+    # two pads and the product back (earlier: irfftn 2 and rfftn 1
+    # unpruned, 4 with eager values, 6 complex transforms)
+    assert counts == two_n(pads=2, truncations=1)
 
 
 def test_step_u_on_previous_output(counts):
@@ -70,21 +124,28 @@ def test_step_u_on_previous_output(counts):
     u = step_u(cached_field(3), cfg, stream)
     counts.clear()
     step_u(u, cfg, stream)
-    # cube 2, noise coefficients 1, the values of the new u for the
-    # blow-up check 1 (earlier: 6 with eager values, 10 complex)
-    assert counts == {"irfftn": 2, "rfftn": 2}
+    # the cube, a pad and a truncation; on the 8^3 grid, the noise
+    # coefficients (rfftn) and the values of the new u for the blow-up
+    # check (irfftn) (earlier: irfftn 2 and rfftn 2 unpruned, 6 with eager
+    # values, 10 complex)
+    assert counts == {"irfftn": 1 + 1, "ifftn": 3, "rfftn": 1 + 1, "fftn": 3}
 
 
-def test_tree_step(counts):
+def test_tree_step(counts, points):
     ev = TreeEvolver(GRID, 0.05, NoiseStream(0))
     ev.step(0.05)
     counts.clear()
+    points.clear()
     ev.step(0.05)
-    # W2 and W3 from one pad of X 3, v_ref drift 8 (I2 values, pads of I3
-    # and W2, their product back, e^{3 I2} coefficients and pad, the pad of
-    # the inner factor, the drift back), noise coefficients 1 (earlier: 21
-    # with eager values and one pad of X per Wick power, 33 complex)
-    assert counts == {"irfftn": 6, "rfftn": 6}
+    # W2 and W3: one pad of X, two truncations.  v_ref drift: pads of I3
+    # and W2, their product back, pads of e^{3 I2} and of the inner factor,
+    # the drift back.  That is 5 pads and 4 truncations.  On the 8^3 grid:
+    # the values of I2 (irfftn), the coefficients of e^{3 I2} and of the
+    # noise (rfftn).  (Earlier: irfftn 6 and rfftn 6 unpruned, 21 with
+    # eager values and one pad of X per Wick power, 33 complex.)
+    assert counts == {"irfftn": 5 + 1, "ifftn": 15, "rfftn": 4 + 2, "fftn": 12}
+    assert points() == 9 * PRUNED_2N + 3 * ON_GRID == 58320
+    assert points() < 9 * UNPRUNED_2N + 3 * ON_GRID  # 81792
 
 
 def test_snapshot_shares_wick_powers_with_next_step(counts):
@@ -93,9 +154,31 @@ def test_snapshot_shares_wick_powers_with_next_step(counts):
     ev.snapshot(with_resonants=False)
     counts.clear()
     ev.step(0.05)
-    # the step reuses W2 and W3 of the snapshot: 12 - 3 transforms
-    # (earlier: 15 with eager values)
-    assert counts == {"irfftn": 5, "rfftn": 4}
+    # the step reuses W2 and W3 of the snapshot, one pad and two
+    # truncations fewer: 4 pads and 2 truncations (earlier: irfftn 5 and
+    # rfftn 4 unpruned, 15 with eager values)
+    assert counts == {"irfftn": 4 + 1, "ifftn": 12, "rfftn": 2 + 2, "fftn": 6}
+
+
+def test_snapshot_resonants_share_blocks(counts):
+    ev = TreeEvolver(GRID, 0.05, NoiseStream(0))
+    ev.step(0.05)
+    ev.wick_powers()
+    counts.clear()
+    before = transform_counts()
+    ev.snapshot(with_resonants=True)
+    after = transform_counts()
+    # R1 = I3 o X, R2 = I2 o W2 and R4 = I3 o W2 pad the blocks of I3 and
+    # I2 and the near-diagonal sums of X and W2 once each, one pad per
+    # level, and truncate three sums; R3 = |grad I2|^2 pads three gradients
+    # and truncates once.  That is 27 logical transforms, down from 37
+    # when R1 and R4 each padded the blocks of I3, and R2 and R4 the near
+    # sums of W2.
+    levels = BlockDecomposition(GRID).j_max + 2
+    assert levels == 5
+    assert counts == two_n(pads=4 * levels + 3, truncations=3 + 1)
+    assert after["transforms"] - before["transforms"] == 27
+    assert after["passes"] - before["passes"] == sum(counts.values())
 
 
 def test_grad_dot(counts):
@@ -103,8 +186,9 @@ def test_grad_dot(counts):
     counts.clear()
     grad_dot(a, a)
     # the three gradients are built from coefficients and never read: one
-    # pad each, and one truncation of the sum
-    assert counts == {"irfftn": 3, "rfftn": 1}
+    # pad each, and one truncation of the sum (earlier: irfftn 3 and rfftn
+    # 1 unpruned)
+    assert counts == two_n(pads=3, truncations=1)
 
 
 def test_resonant(counts):
@@ -112,9 +196,10 @@ def test_resonant(counts):
     counts.clear()
     resonant(a, b)
     # one pad per block of a and per near-diagonal sum of blocks of b, one
-    # truncation of the sum
+    # truncation of the sum (earlier: irfftn 2 * levels and rfftn 1
+    # unpruned)
     levels = BlockDecomposition(GRID).j_max + 2
-    assert counts == {"irfftn": 2 * levels, "rfftn": 1}
+    assert counts == two_n(pads=2 * levels, truncations=1)
 
 
 def test_field_from_coefficients_is_not_transformed_until_read(counts):
@@ -127,3 +212,13 @@ def test_field_from_coefficients_is_not_transformed_until_read(counts):
     assert counts == {}
     g.values
     assert counts == {"irfftn": 1}
+
+
+def test_mean_of_field_from_coefficients_runs_no_transform(counts):
+    f = Field.from_half(GRID, cached_field(8).half * 0.5)
+    counts.clear()
+    mean = f.mean()
+    assert counts == {}
+    # relative to the field's sup norm: the mean of a random field is
+    # near zero, and summing the values rounds at the scale of the values
+    assert abs(mean - f.values.mean()) <= 1e-15 * np.abs(f.values).max()

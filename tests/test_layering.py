@@ -1,4 +1,5 @@
-"""The spectral core is the only module of the package that transforms."""
+"""The spectral core is the only module of the package that transforms, and
+inside it one helper makes every transform, so that its counts see them all."""
 
 import ast
 import subprocess
@@ -15,20 +16,74 @@ def fft_imports(path: Path) -> set[str]:
     import c` or `from a import b`."""
     found = set()
     for node in ast.walk(ast.parse(path.read_text())):
-        if isinstance(node, ast.Import):
-            names = [alias.name for alias in node.names]
-        elif isinstance(node, ast.ImportFrom) and node.module:
-            names = [node.module] + [f"{node.module}.{a.name}" for a in node.names]
-        else:
-            continue
-        found.update(name for name in names if name in FFT_MODULES)
+        found |= fft_imports_of(node)
     return found
+
+
+def fft_imports_of(node: ast.AST) -> set[str]:
+    """The FFT modules one import statement imports."""
+    if isinstance(node, ast.Import):
+        names = [alias.name for alias in node.names]
+    elif isinstance(node, ast.ImportFrom) and node.module:
+        names = [node.module] + [f"{node.module}.{a.name}" for a in node.names]
+    else:
+        return set()
+    return {name for name in names if name in FFT_MODULES}
 
 
 def test_only_spectral_imports_an_fft():
     sources = sorted(Path(phi4torus.__file__).parent.glob("*.py"))
     importers = {path.name for path in sources if fft_imports(path)}
     assert importers == {"spectral.py"}
+
+
+# scipy.fft functions that transform nothing
+NON_TRANSFORMS = {"fftfreq", "rfftfreq", "get_workers"}
+
+
+def fft_uses(source: str) -> list[tuple[str | None, str]]:
+    """(enclosing function, name) of each use of `sfft` (scipy.fft in the
+    spectral core) other than a non-transform function, and of each use of
+    `np.fft`."""
+    uses = []
+
+    def visit(node, func):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Attribute) and isinstance(child.value, ast.Name):
+                if child.value.id == "sfft":
+                    if child.attr not in NON_TRANSFORMS:
+                        uses.append((func, "sfft." + child.attr))
+                    continue
+                if child.value.id == "np" and child.attr == "fft":
+                    uses.append((func, "np.fft"))
+            elif isinstance(child, ast.Name) and child.id == "sfft":
+                uses.append((func, "sfft"))
+            visit(child, func)
+
+    visit(ast.parse(source), None)
+    return uses
+
+
+def test_one_helper_makes_every_transform():
+    path = Path(phi4torus.__file__).parent / "spectral.py"
+    source = path.read_text()
+    imports = [node for node in ast.walk(ast.parse(source))
+               if isinstance(node, (ast.Import, ast.ImportFrom))
+               and fft_imports_of(node)]
+    assert [ast.unparse(node) for node in imports] == ["from scipy import fft as sfft"]
+    uses = fft_uses(source)
+    assert uses and {func for func, _ in uses} == {"_fft"}
+
+
+def test_transform_outside_the_helper_is_caught():
+    source = ("def _fft(x):\n    return getattr(sfft, 'rfftn')(x)\n"
+              "def values(x):\n    return sfft.irfftn(x) + np.fft.fft(x)\n"
+              "def freqs(n):\n    return sfft.rfftfreq(n)\n")
+    assert fft_uses(source) == [("_fft", "sfft"), ("values", "sfft.irfftn"),
+                                ("values", "np.fft")]
 
 
 def test_cli_import_leaves_out_scipy_integrate():

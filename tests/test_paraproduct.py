@@ -11,10 +11,11 @@ from phi4torus.paraproduct import (
     paraproduct,
     product_decomposition,
     resonant,
+    resonants,
 )
 from phi4torus.spectral import Field, Grid, dealiased_product, half_cube
 
-from oracles import full_eigenvalues, full_values
+from oracles import full_eigenvalues, full_resonant, full_values
 
 
 def random_field(grid, seed):
@@ -85,6 +86,14 @@ class TestParaproducts:
         np.testing.assert_allclose(resonant(a, b).values, res.values, atol=1e-12)
         np.testing.assert_allclose(resonant(a, b).values, resonant(b, a).values,
                                    atol=1e-12)
+
+    def test_resonants_with_shared_factors_match_the_full_cube(self):
+        grid = Grid(dim=3, n=8)
+        a, b, c = (random_field(grid, seed) for seed in (6, 7, 8))
+        pairs = [(a, b), (a, c), (c, c), (b, c)]
+        for got, (x, y) in zip(resonants(*pairs), pairs):
+            want = full_resonant(x.values, y.values, grid.period)
+            assert np.abs(got.values - want).max() <= 1e-13 * np.abs(want).max()
 
     def test_paraproduct_of_separated_frequencies(self):
         """A single low mode times a single high mode lands entirely in the

@@ -8,8 +8,14 @@ from phi4torus.spectral import (
     Field,
     Grid,
     apply_multiplier,
+    _pad_plan,
+    _padded_values,
+    _truncated_field,
     cubic,
     dealiased_product,
+    dealiased_products,
+    dealiased_sum,
+    dealiased_sums,
     duhamel_step,
     grad_dot,
     gradient,
@@ -18,7 +24,7 @@ from phi4torus.spectral import (
     save_field,
 )
 
-from oracles import naive_convolution_product
+from oracles import naive_convolution_product, padded_half_cube, truncated_half_cube
 
 
 def plane_wave(grid: Grid, k: tuple, phase: float = 0.0) -> Field:
@@ -272,6 +278,45 @@ class TestDealiasedProducts:
         np.testing.assert_allclose(
             dealiased_product(a, b).values, a.values * b.values, atol=1e-12
         )
+
+
+    def test_sums_share_factors_and_match_single_sums(self):
+        grid = Grid(dim=2, n=8)
+        rng = np.random.default_rng(6)
+        a, b, c = (Field(grid, rng.normal(size=grid.shape)) for _ in range(3))
+        got = dealiased_sums([(a, b), (c,)], [(b, c, c)], [(a,), (a, a)])
+        want = [
+            dealiased_sum((a, b), (c,)),
+            dealiased_products((b, c, c))[0],
+            dealiased_sum((a,), (a, a)),
+        ]
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g.half, w.half)
+
+
+PRUNED_GRIDS = [Grid(dim, n) for dim in (1, 2, 3) for n in (8, 16)]
+
+
+@pytest.mark.parametrize("grid", PRUNED_GRIDS, ids=lambda g: f"d{g.dim}n{g.n}")
+class TestPrunedTransforms:
+    """The pruned 2N transforms against full 2N transforms of the padded
+    half-cube, built one coefficient at a time."""
+
+    def test_pad_equals_full_inverse(self, grid):
+        f = Field(grid, np.random.default_rng(grid.n).normal(size=grid.shape))
+        full = scipy.fft.irfftn(padded_half_cube(f.half, grid.n),
+                                s=(2 * grid.n,) * grid.dim, norm="forward")
+        got = _padded_values(f, _pad_plan(grid))
+        assert got.shape == full.shape
+        assert np.abs(got - full).max() == 0.0
+
+    def test_truncation_equals_full_forward(self, grid):
+        rng = np.random.default_rng(grid.n + 1)
+        vals = rng.normal(size=(2 * grid.n,) * grid.dim) ** 3
+        want = truncated_half_cube(scipy.fft.rfftn(vals, norm="forward"), grid.n)
+        got = _truncated_field(grid, vals, _pad_plan(grid)).half
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-15
 
 
 class TestGradient:
