@@ -1,12 +1,12 @@
 """The `phi4` command-line front-end.
 
 Every subcommand writes its outputs plus a run manifest (manifest.json)
-holding the fully resolved configuration, the seed, the package version, the
-numpy and scipy versions, the FFT worker count, the run's status and a
+holding every option the subcommand resolved, the seed, the package version,
+the numpy and scipy versions, the FFT worker count, the run's status and a
 sha256 checksum per output file, so a run can be reproduced and verified
 bit-for-bit.  A refused run still writes its manifest, with status
-"refused", the reason, and the files written before the refusal; a run
-that dies of an unexpected exception writes it with status "error" and the
+"refused", the reason, and the files written before the refusal; a run that
+dies of an exception or an interrupt writes it with status "error" and the
 exception's type and text.
 
 Exit codes
@@ -16,27 +16,26 @@ Exit codes
     4  experiment precondition refused (e.g. too few samples, grid too
        coarse, comparison-test hypothesis violated)
 
-The default output directory is the current directory, overridable by the
-PHI4_OUTPUT_DIR environment variable or --output-dir.
-
-Config files may be flat `key = value` text (one pair per line, '#'
-comments) or a JSON object; explicit command-line flags take precedence,
-and both layers are recorded in the manifest.
+Each subcommand takes only the options its code reads.  A config file
+(--config) is flat `key = value` text ('#' comments) or a JSON object; a key
+that is not an option of the subcommand, or a value its option's type
+rejects, exits 3.  Flag beats config file beats default; $PHI4_OUTPUT_DIR
+sits between the flag and the file for --output-dir (default: the current
+directory).
 """
 
 from __future__ import annotations
 
 import contextlib
 import csv
+import dataclasses
 import hashlib
 import json
 import math
-import os
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import click
-from click.core import ParameterSource
 import numpy as np
 import scipy
 
@@ -91,41 +90,34 @@ class RunManifest:
         self.outputs[path.name] = digest
 
     def write(self, directory: Path) -> Path:
-        path = directory / "manifest.json"
-        path.write_text(json.dumps(asdict(self), indent=2, default=str) + "\n")
-        return path
+        return _write_json(directory / "manifest.json", asdict(self))
 
 
 @contextlib.contextmanager
-def _run_manifest(outdir: Path, subcommand: str, config: dict, seed: int | None):
-    """Yield the run's manifest and write it to outdir when the block exits,
-    also when the run is refused or dies of an error."""
-    manifest = RunManifest(subcommand, config, seed, __version__)
+def _run():
+    """Yield (output directory, manifest) for the running subcommand, and write
+    the manifest, recording every option the subcommand resolved, when the
+    block exits, also when the run is refused or dies of an error."""
+    ctx = click.get_current_context()
+    config = {p.name: ctx.params[p.name] for p in ctx.command.params}
+    outdir = Path(config["output_dir"])
+    outdir.mkdir(parents=True, exist_ok=True)
+    manifest = RunManifest(ctx.command.name, config, config.get("seed"), __version__)
     try:
-        yield manifest
+        yield outdir, manifest
     except Refused as exc:
         manifest.status, manifest.message = "refused", exc.message
-        manifest.write(outdir)
         raise
-    except Exception as exc:
+    except BaseException as exc:
         manifest.status, manifest.message = "error", f"{type(exc).__name__}: {exc}"
-        manifest.write(outdir)
         raise
-    manifest.write(outdir)
+    finally:
+        manifest.write(outdir)
 
 
-def _output_dir(explicit: str | None) -> Path:
-    d = Path(explicit or os.environ.get("PHI4_OUTPUT_DIR", "."))
-    d.mkdir(parents=True, exist_ok=True)
-    return d
-
-
-def _load_config_file(path: str | None) -> dict:
-    if path is None:
-        return {}
+def _load_config_file(path: str) -> dict:
     text = Path(path).read_text()
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
+    if text.lstrip().startswith("{"):
         try:
             return json.loads(text)
         except json.JSONDecodeError as exc:
@@ -138,28 +130,39 @@ def _load_config_file(path: str | None) -> dict:
         if "=" not in line:
             raise InvalidConfig(f"{path}:{lineno}: expected 'key = value'")
         key, val = (s.strip() for s in line.split("=", 1))
-        out[key.replace("-", "_")] = val
+        out[key] = val
     return out
 
 
-def _resolve(ctx_params: dict, file_cfg: dict, keys: list[str]) -> dict:
-    """Explicit flags beat the config file; config file beats defaults."""
-    ctx = click.get_current_context()
-    resolved = {}
-    for key in keys:
-        if key in file_cfg and ctx.get_parameter_source(key) is ParameterSource.DEFAULT:
-            resolved[key] = file_cfg[key]
-        else:
-            resolved[key] = ctx_params[key]
-    return resolved
+def _apply_config_file(ctx: click.Context, param: click.Parameter, path: str | None):
+    """Make the config file the default map of ctx, each value cast by its
+    option's own type, so that click lets a flag beat the file."""
+    if path is None:
+        return None
+    options = {p.name: p for p in ctx.command.params if p is not param}
+    defaults = {}
+    for key, value in _load_config_file(path).items():
+        name = key.replace("-", "_")
+        if name not in options:
+            raise InvalidConfig(f"{path}: {key!r} is not an option of 'phi4 {ctx.info_name}'")
+        try:
+            defaults[name] = options[name].type_cast_value(ctx, value)
+        except click.BadParameter as exc:
+            raise InvalidConfig(f"{path}: {key} = {value!r}: {exc.message}")
+    ctx.default_map = defaults
+    return path
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
     with path.open("w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(header)
-        for row in rows:
-            w.writerow(row)
+        w.writerows(rows)
+
+
+def _write_json(path: Path, payload) -> Path:
+    path.write_text(json.dumps(payload, indent=2, default=str) + "\n")
+    return path
 
 
 def _parse_sweep(spec: str) -> list[float]:
@@ -171,61 +174,53 @@ def _parse_sweep(spec: str) -> list[float]:
 
 
 def _sim_config(params: dict) -> SimConfig:
+    """The SimConfig of a subcommand's options.  Fields without an option keep
+    their defaults; horizon, read only by simulate and comedown, defaults to 1."""
+    fields = {f.name for f in dataclasses.fields(SimConfig)}
     try:
-        coupling = float(params["coupling"])
-        return SimConfig(
-            n=int(params["n"]),
-            r=float(params["r"]),
-            dt=float(params["dt"]),
-            horizon=float(params["horizon"]),
-            dim=int(params["dim"]),
-            period=float(params["period"]),
-            coupling=coupling,
-            counterterm_a=_as_bool(params["counterterm_a"]),
-            counterterm_b=_as_bool(params["counterterm_b"]),
-            seed=int(params["seed"]),
-            stream=int(params["stream"]),
-            snapshot_stride=int(params["snapshot_stride"]),
-        )
+        cfg = SimConfig(**{"horizon": 1.0, **{k: v for k, v in params.items() if k in fields}})
+        cfg.grid  # validates n, dim and period
     except (ValueError, TypeError) as exc:
         raise InvalidConfig(str(exc))
+    return cfg
 
 
-def _as_bool(v) -> bool:
-    if isinstance(v, bool):
-        return v
-    return str(v).strip().lower() in ("1", "true", "yes", "on")
+# The options several subcommands share, keyed by parameter name.
+_OPTIONS = {
+    "n": click.option("--n", default=32, help="grid points per axis"),
+    "r": click.option("--r", default=0.01, help="noise regularization scale"),
+    "dt": click.option("--dt", default=0.01, help="time step"),
+    "horizon": click.option("--horizon", default=1.0, help="final time"),
+    "dim": click.option("--dim", default=3, help="torus dimension"),
+    "period": click.option("--period", default=2 * math.pi, help="torus period L"),
+    "coupling": click.option("--coupling", default=1.0, help="coupling constant"),
+    "counterterm_a": click.option("--counterterm-a/--no-counterterm-a", default=True),
+    "counterterm_b": click.option("--counterterm-b/--no-counterterm-b", default=True),
+    "seed": click.option("--seed", default=0),
+    "stream": click.option("--stream", default=0),
+    "snapshot_stride": click.option("--snapshot-stride", default=10, type=click.IntRange(min=1),
+                                    help="steps between snapshots"),
+    "burn_in": click.option("--burn-in", default=5.0, help="time evolved before sampling"),
+    "config_file": click.option("--config", "config_file", callback=_apply_config_file,
+                                type=click.Path(exists=True, dir_okay=False), is_eager=True,
+                                help="key=value or JSON file of this subcommand's options"),
+    "output_dir": click.option("--output-dir", envvar="PHI4_OUTPUT_DIR", default=".",
+                               show_envvar=True, help="output directory"),
+}
+_TREE_OPTIONS = ("n", "r", "dt", "dim", "period", "seed", "stream", "burn_in")
+_LANGEVIN_OPTIONS = ("coupling", "counterterm_a", "counterterm_b")
 
 
-_SIM_KEYS = [
-    "n", "r", "dt", "horizon", "dim", "period", "coupling",
-    "counterterm_a", "counterterm_b", "seed", "stream", "snapshot_stride",
-]
+def _options(*names: str):
+    """Apply the named options of _OPTIONS in order, then --config and --output-dir."""
+    def decorate(fn):
+        for name in reversed((*names, "config_file", "output_dir")):
+            fn = _OPTIONS[name](fn)
+        return fn
+    return decorate
 
 
-def sim_options(fn):
-    opts = [
-        click.option("--n", default=32, show_default=True, help="grid points per axis"),
-        click.option("--r", default=0.01, show_default=True, help="noise regularization scale"),
-        click.option("--dt", default=0.01, show_default=True, help="time step"),
-        click.option("--horizon", default=1.0, show_default=True, help="final time"),
-        click.option("--dim", default=3, show_default=True, help="torus dimension"),
-        click.option("--period", default=2 * math.pi, show_default=True, help="torus period L"),
-        click.option("--coupling", default=1.0, show_default=True, help="coupling constant"),
-        click.option("--counterterm-a/--no-counterterm-a", "counterterm_a", default=True, show_default=True),
-        click.option("--counterterm-b/--no-counterterm-b", "counterterm_b", default=True, show_default=True),
-        click.option("--seed", default=0, show_default=True),
-        click.option("--stream", default=0, show_default=True),
-        click.option("--snapshot-stride", default=10, show_default=True, help="steps between snapshots"),
-        click.option("--config", "config_file", default=None, help="key=value or JSON config file"),
-        click.option("--output-dir", default=None, help="output directory (default: $PHI4_OUTPUT_DIR or .)"),
-    ]
-    for opt in reversed(opts):
-        fn = opt(fn)
-    return fn
-
-
-@click.group()
+@click.group(context_settings={"show_default": True})
 @click.version_option(__version__, prog_name="phi4")
 def main():
     """Spectral stochastic quantization toolkit for the renormalized
@@ -246,16 +241,14 @@ def main():
 
 
 @main.command()
-@sim_options
-@click.option("--checkpoints/--no-checkpoints", default=True, show_default=True,
+@_options("n", "r", "dt", "horizon", "dim", "period", *_LANGEVIN_OPTIONS, "seed", "stream",
+          "snapshot_stride")
+@click.option("--checkpoints/--no-checkpoints", default=True,
               help="save field snapshots in the binary Field format")
-def simulate(config_file, output_dir, **params):
+def simulate(checkpoints, **params):
     """Integrate the renormalized u-equation and stream diagnostics."""
-    resolved = _resolve(params, _load_config_file(config_file), _SIM_KEYS)
-    cfg = _sim_config(resolved)
-    outdir = _output_dir(output_dir)
-    with _run_manifest(outdir, "simulate", {**resolved, "config_file": config_file},
-                       cfg.seed) as manifest:
+    cfg = _sim_config(params)
+    with _run() as (outdir, manifest):
         try:
             traj = simulate_u(cfg)
         except BlowUpError as exc:
@@ -273,7 +266,7 @@ def simulate(config_file, output_dir, **params):
             ],
         )
         manifest.add(csv_path)
-        if params["checkpoints"]:
+        if checkpoints:
             for t, snap in zip(traj.times, traj.snapshots):
                 p = outdir / f"u_t{t:.6f}.field"
                 save_field(snap, p)
@@ -287,22 +280,17 @@ def simulate(config_file, output_dir, **params):
 
 
 @main.command()
-@sim_options
-@click.option("--burn-in", default=5.0, show_default=True)
-@click.option("--snapshots", default=1, show_default=True)
+@_options(*_TREE_OPTIONS)
+@click.option("--snapshots", default=1)
 @click.option("--sweep", default=None,
               help="r sweep 'lo:hi:num' for the divergence report instead of fields")
-def trees(config_file, output_dir, burn_in, snapshots, sweep, **params):
+def trees(burn_in, snapshots, sweep, **params):
     """Build the enhanced-noise trees (or an r-sweep divergence report)."""
-    resolved = _resolve(params, _load_config_file(config_file), _SIM_KEYS)
-    cfg = _sim_config(resolved)
-    outdir = _output_dir(output_dir)
-    grid = cfg.grid
-    with _run_manifest(outdir, "trees", {**resolved, "burn_in": burn_in, "sweep": sweep},
-                       cfg.seed) as manifest:
+    cfg = _sim_config(params)
+    with _run() as (outdir, manifest):
         if sweep:
             try:
-                rows = tree_divergence_report(grid, _parse_sweep(sweep), seed=cfg.seed,
+                rows = tree_divergence_report(cfg.grid, _parse_sweep(sweep), seed=cfg.seed,
                                               dt=cfg.dt, burn_in=burn_in)
             except ValueError as exc:
                 raise Refused(str(exc))
@@ -314,7 +302,7 @@ def trees(config_file, output_dir, burn_in, snapshots, sweep, **params):
         else:
             try:
                 traj = build_enhanced_noise(
-                    NoiseStream(cfg.seed, cfg.stream), grid, cfg.r,
+                    NoiseStream(cfg.seed, cfg.stream), cfg.grid, cfg.r,
                     burn_in=burn_in, dt=cfg.dt, n_snapshots=snapshots,
                 )
             except ValueError as exc:
@@ -337,17 +325,15 @@ def trees(config_file, output_dir, burn_in, snapshots, sweep, **params):
               help="sweep 'lo:hi:num' (log-spaced) or comma list")
 @click.option("--n", default=None, type=int,
               help="grid size for a_numeric (default: minimal converged N per r)")
-@click.option("--with-b-numeric/--no-b-numeric", default=True, show_default=True)
-@click.option("--output-dir", default=None)
+@click.option("--with-b-numeric/--no-b-numeric", default=True)
+@_OPTIONS["output_dir"]
 def renorm_constants(sweep, n, with_b_numeric, output_dir):
     """Tabulate a_r, b_r: closed forms vs numerical counterparts."""
     try:
         r_values = _parse_sweep(sweep)
     except Exception as exc:
         raise InvalidConfig(f"bad sweep {sweep!r}: {exc}")
-    outdir = _output_dir(output_dir)
-    with _run_manifest(outdir, "renorm-constants",
-                       {"r": sweep, "n": n, "b_numeric": with_b_numeric}, None) as manifest:
+    with _run() as (outdir, manifest):
         rows = []
         for r in r_values:
             grid = Grid(dim=3, n=n) if n else Grid(dim=3, n=minimal_n_for(r, Grid(dim=3, n=2)))
@@ -372,7 +358,7 @@ def renorm_constants(sweep, n, with_b_numeric, output_dir):
 @click.option("--file", "path", required=True, type=click.Path(exists=True),
               help="graph DSL file")
 @click.option("--json", "as_json", is_flag=True, help="emit the full verdict structure")
-@click.option("--output-dir", default=None)
+@_OPTIONS["output_dir"]
 def powercount(path, as_json, output_dir):
     """Power-count a Feynman graph: per-subgraph table and gamma_max."""
     try:
@@ -402,11 +388,8 @@ def powercount(path, as_json, output_dir):
                 for v in report.verdicts
             ],
         }
-        outdir = _output_dir(output_dir)
-        out = outdir / (Path(path).stem + "_verdicts.json")
-        with _run_manifest(outdir, "powercount", {"file": str(path)}, None) as manifest:
-            out.write_text(json.dumps(payload, indent=2) + "\n")
-            manifest.add(out)
+        with _run() as (outdir, manifest):
+            manifest.add(_write_json(outdir / f"{Path(path).stem}_verdicts.json", payload))
         click.echo(json.dumps(payload, indent=2))
     else:
         for v in report.verdicts:
@@ -425,21 +408,17 @@ def powercount(path, as_json, output_dir):
 # regularity
 # ---------------------------------------------------------------------------
 
-
 @main.command()
-@sim_options
-@click.option("--component", default="X", show_default=True,
-              help="tree component to estimate (X, W2, W3, I2, I3)")
-@click.option("--samples", default=32, show_default=True)
-@click.option("--burn-in", default=5.0, show_default=True)
-@click.option("--j-min", default=2, show_default=True)
-def regularity(config_file, output_dir, component, samples, burn_in, j_min, **params):
+@_options(*_TREE_OPTIONS)
+@click.option("--component", default="X", help="tree component to estimate (X, W2, W3, I2, I3)")
+@click.option("--samples", default=32)
+@click.option("--j-min", default=2)
+def regularity(component, samples, burn_in, j_min, **params):
     """Estimate the Besov regularity exponent of a tree component."""
-    resolved = _resolve(params, _load_config_file(config_file), _SIM_KEYS)
-    cfg = _sim_config(resolved)
-    outdir = _output_dir(output_dir)
-    with _run_manifest(outdir, "regularity", {**resolved, "component": component,
-                                              "samples": samples}, cfg.seed) as manifest:
+    cfg = _sim_config(params)
+    with _run() as (outdir, manifest):
+        if component not in ("X", "W2", "W3", "I2", "I3"):
+            raise Refused(f"unknown component {component!r}; choose X, W2, W3, I2 or I3")
         try:
             traj = build_enhanced_noise(
                 NoiseStream(cfg.seed, cfg.stream), cfg.grid, cfg.r,
@@ -448,7 +427,7 @@ def regularity(config_file, output_dir, component, samples, burn_in, j_min, **pa
             )
             fields = [getattr(s, component) for s in traj.snapshots]
             fit = estimate_regularity(fields, j_min=j_min)
-        except (ValueError, AttributeError) as exc:
+        except ValueError as exc:
             raise Refused(str(exc))
         payload = {
             "component": component,
@@ -457,9 +436,7 @@ def regularity(config_file, output_dir, component, samples, burn_in, j_min, **pa
             "levels": fit.levels,
             "log2_energy": fit.log2_energy,
         }
-        out = outdir / f"regularity_{component}.json"
-        out.write_text(json.dumps(payload, indent=2) + "\n")
-        manifest.add(out)
+        manifest.add(_write_json(outdir / f"regularity_{component}.json", payload))
     click.echo(f"{component}: {fit}")
 
 
@@ -469,17 +446,13 @@ def regularity(config_file, output_dir, component, samples, burn_in, j_min, **pa
 
 
 @main.command()
-@sim_options
-@click.option("--sizes", default="3,30,300", show_default=True,
-              help="comma list of initial Besov sizes")
-@click.option("--p", default=8, show_default=True, help="even L^p exponent >= 8")
-def comedown(config_file, output_dir, sizes, p, **params):
-    """Coming-down-from-infinity experiment for the v-equation."""
-    resolved = _resolve(params, _load_config_file(config_file), _SIM_KEYS)
-    cfg = _sim_config(resolved)
-    outdir = _output_dir(output_dir)
-    with _run_manifest(outdir, "comedown", {**resolved, "sizes": sizes, "p": p},
-                       cfg.seed) as manifest:
+@_options("n", "r", "dt", "horizon", "dim", "period", "seed", "stream")
+@click.option("--sizes", default="3,30,300", help="comma list of initial Besov sizes")
+@click.option("--p", default=8, help="even L^p exponent >= 8")
+def comedown(sizes, p, **params):
+    """Coming-down-from-infinity experiment for the v-equation (lambda = 1)."""
+    cfg = _sim_config(params)
+    with _run() as (outdir, manifest):
         try:
             initial = [float(s) for s in sizes.split(",")]
             report = coming_down_experiment(cfg, initial, p=p)
@@ -493,10 +466,8 @@ def comedown(config_file, output_dir, sizes, p, **params):
         ]
         _write_csv(path, header, rows)
         summary = {k: v for k, v in report.items() if k not in ("times", "norms")}
-        out = outdir / "comedown.json"
-        out.write_text(json.dumps(summary, indent=2) + "\n")
         manifest.add(path)
-        manifest.add(out)
+        manifest.add(_write_json(outdir / "comedown.json", summary))
     click.echo(json.dumps(summary, indent=2))
 
 
@@ -506,27 +477,22 @@ def comedown(config_file, output_dir, sizes, p, **params):
 
 
 @main.command()
-@sim_options
-@click.option("--burn-in", default=5.0, show_default=True)
-@click.option("--stride", default=0.5, show_default=True)
-@click.option("--count", default=200, show_default=True)
-@click.option("--probes", default="0.08:0.01:4", show_default=True,
-              help="r_probe sweep 'hi:lo:num' or comma list")
-@click.option("--streams", default=1, show_default=True,
-              help="independent trajectories pooled for samples")
-def cumulant(config_file, output_dir, burn_in, stride, count, probes, streams, **params):
+@_options(*_TREE_OPTIONS, *_LANGEVIN_OPTIONS)
+@click.option("--stride", default=0.5)
+@click.option("--count", default=200)
+@click.option("--probes", default="0.08:0.01:4", help="r_probe sweep 'hi:lo:num' or comma list")
+@click.option("--streams", default=1, type=click.IntRange(min=1),
+              help="independent trajectories pooled for samples; must divide --count")
+def cumulant(burn_in, stride, count, probes, streams, **params):
     """Fourth-cumulant non-Gaussianity sweep over probe scales."""
-    resolved = _resolve(params, _load_config_file(config_file), _SIM_KEYS)
-    cfg = _sim_config(resolved)
-    outdir = _output_dir(output_dir)
-    with _run_manifest(outdir, "cumulant", {**resolved, "burn_in": burn_in,
-                                            "stride": stride, "count": count,
-                                            "probes": probes}, cfg.seed) as manifest:
-        per_stream = count // streams
+    cfg = _sim_config(params)
+    if count % streams:
+        raise InvalidConfig(f"--streams {streams} does not divide --count {count}")
+    with _run() as (outdir, manifest):
         fields = []
         for s in range(streams):
-            scfg = _sim_config({**resolved, "stream": cfg.stream + s})
-            sset = birkhoff_sample(scfg, burn_in, stride, per_stream)
+            scfg = dataclasses.replace(cfg, stream=cfg.stream + s)
+            sset = birkhoff_sample(scfg, burn_in, stride, count // streams)
             if sset.blew_up:
                 raise Refused(f"stream {s} blew up: {sset.blew_up}")
             fields.extend(sset.fields)
@@ -545,19 +511,14 @@ def cumulant(config_file, output_dir, burn_in, stride, count, probes, streams, *
 
 
 @main.command()
-@sim_options
-@click.option("--burn-in", default=5.0, show_default=True)
-@click.option("--stride", default=0.5, show_default=True)
-@click.option("--count", default=100, show_default=True)
-@click.option("--save-fields/--no-save-fields", default=False, show_default=True)
-def sample(config_file, output_dir, burn_in, stride, count, save_fields, **params):
+@_options(*_TREE_OPTIONS, *_LANGEVIN_OPTIONS)
+@click.option("--stride", default=0.5)
+@click.option("--count", default=100)
+@click.option("--save-fields/--no-save-fields", default=False)
+def sample(burn_in, stride, count, save_fields, **params):
     """Birkhoff-sample the invariant measure; report observable statistics."""
-    resolved = _resolve(params, _load_config_file(config_file), _SIM_KEYS)
-    cfg = _sim_config(resolved)
-    outdir = _output_dir(output_dir)
-    with _run_manifest(outdir, "sample", {**resolved, "burn_in": burn_in,
-                                          "stride": stride, "count": count},
-                       cfg.seed) as manifest:
+    cfg = _sim_config(params)
+    with _run() as (outdir, manifest):
         try:
             sset = birkhoff_sample(cfg, burn_in, stride, count)
         except ValueError as exc:
@@ -581,8 +542,7 @@ def sample(config_file, output_dir, burn_in, stride, count, save_fields, **param
             "stride_adequate": sset.stride_adequate,
             "blew_up": sset.blew_up,
         }
-        (outdir / "sample_report.json").write_text(json.dumps(summary, indent=2) + "\n")
-        manifest.add(outdir / "sample_report.json")
+        manifest.add(_write_json(outdir / "sample_report.json", summary))
     click.echo(json.dumps(summary, indent=2))
 
 

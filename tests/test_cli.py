@@ -11,10 +11,8 @@ from phi4torus.cli import main
 
 from oracles import GRAPHS
 
-FAST = [
-    "--n", "8", "--r", "0.05", "--dt", "0.05", "--horizon", "0.5",
-    "--snapshot-stride", "2",
-]
+FAST_GRID = ["--n", "8", "--r", "0.05", "--dt", "0.05"]
+FAST = [*FAST_GRID, "--horizon", "0.5", "--snapshot-stride", "2"]
 
 
 @pytest.fixture
@@ -64,7 +62,7 @@ class TestPlumbing:
     def test_refused_precondition_exits_4(self, runner, tmp_path):
         res = runner.invoke(
             main,
-            ["trees", *FAST, "--burn-in", "1.0",
+            ["trees", *FAST_GRID, "--burn-in", "1.0",
              "--output-dir", str(tmp_path)],
         )
         assert res.exit_code == 4
@@ -146,6 +144,110 @@ class TestConfigPrecedence:
         assert int(manifest["config"]["n"]) == 8
 
 
+    def test_config_file_option_outside_the_sim_keys_honoured(self, runner, tmp_path):
+        cfg = tmp_path / "trees.cfg"
+        cfg.write_text("n = 8\nburn-in = 1.0\n")
+        res = runner.invoke(main, ["trees", "--config", str(cfg),
+                                   "--output-dir", str(tmp_path)])
+        assert res.exit_code == 4
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["config"]["burn_in"] == 1.0
+        assert "burn_in must cover" in manifest["message"]
+
+    def test_unknown_config_key_exits_3(self, runner, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("n = 8\nhorizn = 0.5\n")
+        res = runner.invoke(main, ["comedown", "--config", str(cfg),
+                                   "--output-dir", str(tmp_path)])
+        assert res.exit_code == 3
+        assert "horizn" in res.output and "comedown" in res.output
+        assert not (tmp_path / "manifest.json").exists()
+
+    def test_option_of_another_subcommand_in_config_exits_3(self, runner, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"n": 8, "horizon": 0.5}))
+        res = runner.invoke(main, ["trees", "--config", str(cfg)])
+        assert res.exit_code == 3
+        assert "horizon" in res.output and "trees" in res.output
+
+    @pytest.mark.parametrize("line", ["counterterm_a = maybe", "n = eight",
+                                      "snapshot_stride = 0"])
+    def test_config_value_its_type_rejects_exits_3(self, runner, tmp_path, line):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        res = runner.invoke(main, ["simulate", "--config", str(cfg),
+                                   "--output-dir", str(tmp_path)])
+        assert res.exit_code == 3
+        assert line.split(" = ")[0] in res.output
+
+    def test_config_bool_values_cast_by_the_option_type(self, runner, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("n = 8\ndt = 0.05\nhorizon = 0.25\ncounterterm_a = no\n")
+        res = invoke(runner, ["simulate", "--config", str(cfg), "--counterterm-b",
+                              "--output-dir", str(tmp_path), "--no-checkpoints"])
+        assert res.exit_code == 0
+        config = json.loads((tmp_path / "manifest.json").read_text())["config"]
+        assert config["counterterm_a"] is False and config["counterterm_b"] is True
+        assert config["config_file"] == str(cfg)
+
+
+# Each flag the subcommand's code never read, so it is no longer accepted.
+IGNORED_FLAGS = [
+    *[(cmd, flag) for cmd in ("trees", "regularity")
+      for flag in (["--horizon", "2"], ["--coupling", "2"], ["--no-counterterm-a"],
+                   ["--no-counterterm-b"], ["--snapshot-stride", "2"])],
+    *[("comedown", flag) for flag in (["--coupling", "2"], ["--no-counterterm-a"],
+                                      ["--no-counterterm-b"], ["--snapshot-stride", "2"])],
+    *[(cmd, flag) for cmd in ("cumulant", "sample")
+      for flag in (["--horizon", "2"], ["--snapshot-stride", "2"])],
+]
+
+
+class TestOptionSets:
+    def test_option_count(self):
+        assert sum(len(c.params) for c in main.commands.values()) == 92
+
+    @pytest.mark.parametrize("sub,flag", IGNORED_FLAGS,
+                             ids=[f"{c}{f[0]}" for c, f in IGNORED_FLAGS])
+    def test_ignored_flag_exits_2(self, runner, tmp_path, sub, flag):
+        res = runner.invoke(main, [sub, *flag, "--output-dir", str(tmp_path)])
+        assert res.exit_code == 2
+        assert "No such option" in res.output
+
+    @pytest.mark.parametrize("sub", ["trees", "sample"])
+    def test_refused_run_records_every_option(self, runner, tmp_path, sub):
+        res = runner.invoke(main, [sub, *FAST_GRID, "--burn-in", "1.0",
+                                   "--output-dir", str(tmp_path)])
+        assert res.exit_code == 4
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["status"] == "refused"
+        assert set(manifest["config"]) == {p.name for p in main.commands[sub].params}
+        assert manifest["config"]["burn_in"] == 1.0
+
+    @pytest.mark.parametrize("flag", [["--n", "12"], ["--dim", "4"], ["--r", "0"]])
+    def test_invalid_grid_or_config_exits_3(self, runner, tmp_path, flag):
+        res = runner.invoke(main, ["simulate", *flag, "--output-dir", str(tmp_path)])
+        assert res.exit_code == 3
+        assert res.exception is None or isinstance(res.exception, SystemExit)
+
+    @pytest.mark.parametrize("args", [["simulate", "--snapshot-stride", "0"],
+                                      ["cumulant", "--streams", "0"]])
+    def test_zero_stride_or_streams_exits_2(self, runner, tmp_path, args):
+        res = runner.invoke(main, [*args, "--output-dir", str(tmp_path)])
+        assert res.exit_code == 2
+
+    def test_streams_not_dividing_count_exits_3_before_sampling(self, runner, tmp_path,
+                                                                monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("sampled before checking --streams")
+
+        monkeypatch.setattr("phi4torus.cli.birkhoff_sample", never)
+        res = runner.invoke(main, ["cumulant", "--count", "200", "--streams", "3",
+                                   "--output-dir", str(tmp_path)])
+        assert res.exit_code == 3
+        assert "--streams 3" in res.output
+
+
 class TestSimulate:
     def test_writes_diagnostics_and_manifest(self, runner, tmp_path):
         res = invoke(runner, ["simulate", *FAST, "--output-dir", str(tmp_path)])
@@ -192,14 +294,14 @@ class TestSimulate:
 
 class TestTrees:
     def test_component_dump(self, runner, tmp_path):
-        res = invoke(runner, ["trees", *FAST, "--burn-in", "5.0",
+        res = invoke(runner, ["trees", *FAST_GRID, "--burn-in", "5.0",
                               "--snapshots", "1", "--output-dir", str(tmp_path)])
         assert res.exit_code == 0
         for name in ("X", "W2", "W3", "I2", "I3", "v_ref"):
             assert (tmp_path / f"tree_{name}_0.field").exists()
 
     def test_divergence_sweep(self, runner, tmp_path):
-        res = invoke(runner, ["trees", *FAST, "--burn-in", "5.0",
+        res = invoke(runner, ["trees", *FAST_GRID, "--burn-in", "5.0",
                               "--sweep", "0.005:0.3:4",
                               "--output-dir", str(tmp_path)])
         assert res.exit_code == 0
@@ -208,7 +310,7 @@ class TestTrees:
         assert len(rows) == 4
 
     def test_narrow_sweep_refused(self, runner, tmp_path):
-        res = runner.invoke(main, ["trees", *FAST, "--sweep", "0.01,0.02,0.04",
+        res = runner.invoke(main, ["trees", *FAST_GRID, "--sweep", "0.01,0.02,0.04",
                                    "--output-dir", str(tmp_path)])
         assert res.exit_code == 4
 
@@ -275,10 +377,24 @@ class TestRegularity:
         assert len(payload["levels"]) == len(payload["log2_energy"])
 
     def test_unknown_component_refused(self, runner, tmp_path):
-        res = runner.invoke(main, ["regularity", *FAST, "--component", "Zed",
+        res = runner.invoke(main, ["regularity", *FAST_GRID, "--component", "Zed",
                                    "--burn-in", "5.0",
                                    "--output-dir", str(tmp_path)])
         assert res.exit_code == 4
+
+    @pytest.mark.parametrize("component", ["R1", "v_ref"])
+    def test_component_checked_before_building_trees(self, runner, tmp_path,
+                                                     monkeypatch, component):
+        def never(*args, **kwargs):
+            raise AssertionError("built trees before checking --component")
+
+        monkeypatch.setattr("phi4torus.cli.build_enhanced_noise", never)
+        res = runner.invoke(main, ["regularity", *FAST_GRID, "--component", component,
+                                   "--output-dir", str(tmp_path)])
+        assert res.exit_code == 4
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["status"] == "refused"
+        assert component in manifest["message"]
 
 
 class TestComedown:
@@ -297,7 +413,7 @@ class TestComedown:
         assert summary["blow_up"] == [None, None]
 
     def test_odd_p_refused(self, runner, tmp_path):
-        res = runner.invoke(main, ["comedown", *FAST, "--p", "7",
+        res = runner.invoke(main, ["comedown", *FAST_GRID, "--horizon", "0.5", "--p", "7",
                                    "--output-dir", str(tmp_path)])
         assert res.exit_code == 4
 
@@ -331,6 +447,6 @@ class TestCumulantAndSample:
         assert (tmp_path / "sample_0000.field").exists()
 
     def test_sample_short_burn_in_refused(self, runner, tmp_path):
-        res = runner.invoke(main, ["sample", *FAST, "--burn-in", "1.0",
+        res = runner.invoke(main, ["sample", *FAST_GRID, "--burn-in", "1.0",
                                    "--output-dir", str(tmp_path)])
         assert res.exit_code == 4
