@@ -145,8 +145,13 @@ def _apply_config_file(ctx: click.Context, param: click.Parameter, path: str | N
         name = key.replace("-", "_")
         if name not in options:
             raise InvalidConfig(f"{path}: {key!r} is not an option of 'phi4 {ctx.info_name}'")
+        option = options[name]
+        if (isinstance(option.type, click.types.IntParamType)
+                and isinstance(value, float) and not value.is_integer()):
+            # click's INT would truncate it with int()
+            raise InvalidConfig(f"{path}: {key} = {value!r}: not an integer")
         try:
-            defaults[name] = options[name].type_cast_value(ctx, value)
+            defaults[name] = option.type_cast_value(ctx, value)
         except click.BadParameter as exc:
             raise InvalidConfig(f"{path}: {key} = {value!r}: {exc.message}")
     ctx.default_map = defaults
@@ -286,6 +291,12 @@ def simulate(checkpoints, **params):
               help="r sweep 'lo:hi:num' for the divergence report instead of fields")
 def trees(burn_in, snapshots, sweep, **params):
     """Build the enhanced-noise trees (or an r-sweep divergence report)."""
+    if sweep:
+        # the sweep sets its own r values, one stream per r and 8 snapshots
+        ctx = click.get_current_context()
+        for name in ("r", "stream", "snapshots"):
+            if ctx.get_parameter_source(name) is not click.core.ParameterSource.DEFAULT:
+                raise click.UsageError(f"--{name} does not apply with --sweep")
     cfg = _sim_config(params)
     with _run() as (outdir, manifest):
         if sweep:
@@ -303,7 +314,7 @@ def trees(burn_in, snapshots, sweep, **params):
             try:
                 traj = build_enhanced_noise(
                     NoiseStream(cfg.seed, cfg.stream), cfg.grid, cfg.r,
-                    burn_in=burn_in, dt=cfg.dt, n_snapshots=snapshots,
+                    burn_in=burn_in, dt=cfg.dt, n_snapshots=snapshots, track_vref=True,
                 )
             except ValueError as exc:
                 raise Refused(str(exc))

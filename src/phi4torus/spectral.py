@@ -85,13 +85,38 @@ and truncations to rounding.  Per call in 3-d, on a 2-core machine
     128^3      35   -> 17 ms          27   -> 14 ms
 
 At 32^3 the difference is within the host's noise: another sample gave
-0.26 -> 0.30 ms and 0.28 -> 0.28 ms.
+0.26 -> 0.30 ms and 0.28 -> 0.28 ms.  These times come from loops that
+keep each result until the next call, so that the allocator reuses the
+same heap memory.  A loop that drops each result, as the products do,
+measured 6.2 to 6.8 ms and 1 350 minor page faults per pad at 64^3: glibc
+returns a freed 2 MB array to the kernel, and the next one is faulted in
+page by page as it is written.  With the workspace below, the same loop
+took 1.5 to 2.8 ms per pad and faulted no page.
+
+Workspace.  The 2N arrays of the products therefore live in buffers that
+this module keeps and reuses (the preallocated workspace of FFT libraries,
+Frigo & Johnson 2005).  A buffer is a flat complex array the size of the
+2N half-cube, viewed as that half-cube or as the real 2N values, so one
+buffer serves a pad's spectrum, then a product or a sum, then a
+truncation's spectrum.  The real passes write into a buffer through
+numpy.fft's `out=`; products multiply and sums add in place.  A buffer
+goes back on a free list, one per 2N shape, after its last use, and a
+truncation copies the kept rows into a fresh N half-cube, so no field holds
+a buffer.  The list grows only when no buffer is free, so it holds at most
+as many as were in use at once: 2 for `cubic`, 3 for a tree step, 6 for a
+snapshot with resonants, which at N = 64 keep 102 MB.  The free list is
+module state: threads must not compute products at once.  Minor page
+faults of one `phi4` run in its own process (getrusage, 2-core machine),
+before -> after: `trees` (N = 32) 246 000 -> 7 000 to 12 000, with system
+time 0.6 -> 0.03 s; `simulate` (N = 32) 223 000 -> 65 000, the rest from
+arrays of the N grid; `comedown` (N = 16) 160 000 to 175 000 -> under 600.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 import struct
 from collections import Counter
 from dataclasses import dataclass
@@ -235,19 +260,24 @@ def transform_counts() -> dict[str, int]:
     return {key: _COUNTS[key] for key in ("transforms", "passes", "points")}
 
 
-def _fft(name: str, x: np.ndarray, axes=None) -> np.ndarray:
-    """scipy.fft's n-d transform `name` (rfftn, irfftn, fftn or ifftn) of x
-    over `axes` (all by default), scaled by 1/n on the forward side.  This is
-    the one place of the package that transforms, and it counts each pass.
+def _fft(name: str, x: np.ndarray, axes=None, out=None) -> np.ndarray:
+    """The n-d transform `name` (rfftn, irfftn, fftn or ifftn) of x over
+    `axes` (all by default), scaled by 1/n on the forward side.  This is the
+    one place of the package that transforms, and it counts each pass.
 
     A complex pass (fftn, ifftn) overwrites x with its result, so x must be
-    a scratch array or a view of one.  Every logical transform maps real
-    values to half-cube coefficients or back, and exactly one of its passes,
-    the real one, crosses between them, so the real passes count the
-    logical transforms.
+    a scratch array or a view of one.  A real pass writes into `out` when
+    one is given: scipy.fft has no `out=`, so that pass runs through
+    numpy.fft (numpy >= 2.0), whose one-axis real passes give the same bits.
+    Every logical transform maps real values to half-cube coefficients or
+    back, and exactly one of its passes, the real one, crosses between
+    them, so the real passes count the logical transforms.
     """
     complex_pass = name in ("fftn", "ifftn")
-    y = getattr(sfft, name)(x, axes=axes, norm="forward", overwrite_x=complex_pass)
+    if out is None:
+        y = getattr(sfft, name)(x, axes=axes, norm="forward", overwrite_x=complex_pass)
+    else:
+        y = getattr(np.fft, name)(x, axes=axes, norm="forward", out=out)
     if complex_pass and not np.may_share_memory(x, y):
         x[...] = y  # scipy declined to work in place
         y = x
@@ -460,6 +490,11 @@ class _PadPlan:
     plus_plane: tuple
     rows: tuple
 
+    @property
+    def half_shape(self) -> tuple[int, ...]:
+        """The 2N half-cube."""
+        return self.shape[:-1] + (self.shape[-1] // 2 + 1,)
+
 
 @functools.cache
 def _pad_plan(grid: Grid) -> _PadPlan:
@@ -481,6 +516,27 @@ def _pad_plan(grid: Grid) -> _PadPlan:
     return _PadPlan(h, (m,) * dim, tuple(blocks), plus_plane, rows)
 
 
+# the free 2N buffers per 2N grid shape ("Workspace" in the module docstring)
+_FREE: dict[tuple[int, ...], list[np.ndarray]] = {}
+
+
+def _take(plan: _PadPlan, view: str) -> np.ndarray:
+    """A free 2N buffer, as the 2N half-cube ("half") or the real 2N values
+    ("real"), its content undefined; a new one only if none is free, so
+    that the free list never holds more buffers than were in use at once."""
+    free = _FREE.setdefault(plan.shape, [])
+    buf = free.pop() if free else np.empty(math.prod(plan.half_shape), complex)
+    if view == "half":
+        return buf.reshape(plan.half_shape)
+    return buf.view(np.float64)[: math.prod(plan.shape)].reshape(plan.shape)
+
+
+def _give(plan: _PadPlan, a: np.ndarray) -> None:
+    """Hand back the buffer that a, a view from `_take`, lies in.  Nothing
+    may read a afterwards."""
+    _FREE[plan.shape].append(a.base)
+
+
 def _pruned_passes(plan: _PadPlan, ndim: int):
     """The complex passes of a pruned inverse transform of a 2N half-cube
     array, in order, as (axis, index of the view to transform): one pass per
@@ -498,10 +554,12 @@ def _padded_values(f: Field, plan: _PadPlan) -> np.ndarray:
     """Values of f on the 2N grid: its coefficients zero-padded, with each
     Nyquist coefficient split evenly between its two images.  The complex
     passes of the inverse transform skip the zero rows (`_pruned_passes`)
-    and work in place; the real pass over the last axis ends it."""
+    and work in place; the real pass over the last axis ends it.  The
+    values lie in a 2N buffer, which the caller hands back (`_give`)."""
     h = plan.h
     half = f.half
-    out = np.zeros(plan.shape[:-1] + (plan.shape[-1] // 2 + 1,), dtype=complex)
+    out = _take(plan, "half")
+    out.fill(0)
     low = slice(0, h)
     for src, minus, plus, nyquist in plan.blocks:
         block = half[src + (low,)]
@@ -512,7 +570,9 @@ def _padded_values(f: Field, plan: _PadPlan) -> np.ndarray:
     out[plan.plus_plane + (h,)] = 0.5 * half[..., h]
     for axis, index in _pruned_passes(plan, out.ndim):
         _fft("ifftn", out[index], (axis,))
-    return _fft("irfftn", out, (out.ndim - 1,))
+    vals = _fft("irfftn", out, (out.ndim - 1,), out=_take(plan, "real"))
+    _give(plan, out)
+    return vals
 
 
 def _truncated_field(grid: Grid, vals: np.ndarray, plan: _PadPlan) -> Field:
@@ -520,9 +580,10 @@ def _truncated_field(grid: Grid, vals: np.ndarray, plan: _PadPlan) -> Field:
     restricted to N, with each Nyquist coefficient the mean of its two
     images.  After the real pass over the last axis, the complex passes of
     `_pruned_passes` run in reverse and in place, computing only the rows
-    that are kept."""
+    that are kept.  The spectrum lies in a 2N buffer, and the field gets a
+    copy of its kept rows."""
     h = plan.h
-    big = _fft("rfftn", vals, (vals.ndim - 1,))
+    big = _fft("rfftn", vals, (vals.ndim - 1,), out=_take(plan, "half"))
     for axis, index in reversed(list(_pruned_passes(plan, vals.ndim))):
         _fft("fftn", big[index], (axis,))
     out = np.empty(half_cube(grid).shape, dtype=complex)
@@ -534,13 +595,15 @@ def _truncated_field(grid: Grid, vals: np.ndarray, plan: _PadPlan) -> Field:
         out[src + (low,)] = block
     plane = big[plan.plus_plane + (h,)]
     out[..., h] = 0.5 * (plane + np.conj(_mirror(plane, range(plane.ndim))))
+    _give(plan, big)
     return Field.from_half(grid, out)
 
 
 def _padded_products(products):
     """The 2N-grid values of each product of fields in turn, with their grid
     and pad plan.  Each distinct factor is padded once across all products,
-    and its padded values are dropped after their last use."""
+    and its buffer is handed back after its last use.  Each product lies in
+    a 2N buffer of its own, which the caller hands back."""
     grid = products[0][0].grid
     for factors in products:
         for f in factors:
@@ -550,24 +613,26 @@ def _padded_products(products):
     uses = Counter(id(f) for factors in products for f in factors)
     padded = {}
 
-    def pad(f):
-        key = id(f)
-        vals = padded.get(key)
-        if vals is None:
-            vals = padded[key] = _padded_values(f, plan)
-        uses[key] -= 1
-        if not uses[key]:
-            del padded[key]
-        return vals
-
-    # a function rather than a generator body, so that no padded values
-    # stay referenced from a suspended frame after their last use
     def product(factors):
-        prod = pad(factors[0])
-        for f in factors[1:]:
-            prod = prod * pad(f)
-        # the caller may write to a product; a lone factor is shared
-        return prod if len(factors) > 1 else prod.copy()
+        vals = []
+        for f in factors:
+            key = id(f)
+            if key not in padded:
+                padded[key] = _padded_values(f, plan)
+            vals.append(padded[key])
+            uses[key] -= 1
+        prod = _take(plan, "real")
+        if len(vals) == 1:
+            np.copyto(prod, vals[0])
+        else:
+            np.multiply(vals[0], vals[1], out=prod)
+        for v in vals[2:]:
+            np.multiply(prod, v, out=prod)
+        # only now, once the product no longer reads them
+        for key in dict.fromkeys(map(id, factors)):
+            if not uses[key]:
+                _give(plan, padded.pop(key))
+        return prod
 
     return grid, plan, (product(factors) for factors in products)
 
@@ -586,12 +651,16 @@ def dealiased_sums(*sums) -> list[Field]:
     grid, plan, values = _padded_products([sums[s][i] for s, i in order])
     totals, out = {}, [None] * len(sums)
     for s, i in order:
+        prod = next(values)
         if i:
-            totals[s] += next(values)
+            totals[s] += prod
+            _give(plan, prod)
         else:
-            totals[s] = next(values)
+            totals[s] = prod
         if i + 1 == len(sums[s]):
-            out[s] = _truncated_field(grid, totals.pop(s), plan)
+            total = totals.pop(s)
+            out[s] = _truncated_field(grid, total, plan)
+            _give(plan, total)
     return out
 
 

@@ -212,14 +212,17 @@ def build_enhanced_noise(
     snapshot_stride: float = 1.0,
     counterterms: bool = True,
     with_resonants: bool = True,
+    track_vref: bool = False,
 ) -> TreeTrajectory:
     """Build an enhanced-noise trajectory: burn in the integrated trees, then
-    record n_snapshots time slices separated by snapshot_stride."""
+    record n_snapshots time slices separated by snapshot_stride.  v_ref is
+    integrated only with track_vref; it draws no noise, so the other
+    components are the same either way."""
     if burn_in < 5.0:
         raise ValueError(
             "burn_in must cover at least 5 relaxation times of the slowest mode"
         )
-    ev = TreeEvolver(grid, r, stream, counterterms=counterterms)
+    ev = TreeEvolver(grid, r, stream, counterterms=counterterms, track_vref=track_vref)
     ev.burn_in(burn_in, dt)
     traj = TreeTrajectory(r=r, times=[])
     stride_steps = max(1, int(round(snapshot_stride / dt)))

@@ -13,6 +13,7 @@ from oracles import GRAPHS
 
 FAST_GRID = ["--n", "8", "--r", "0.05", "--dt", "0.05"]
 FAST = [*FAST_GRID, "--horizon", "0.5", "--snapshot-stride", "2"]
+SWEEP_GRID = ["--n", "8", "--dt", "0.05"]  # a sweep sets its own r values
 
 
 @pytest.fixture
@@ -180,6 +181,26 @@ class TestConfigPrecedence:
         assert res.exit_code == 3
         assert line.split(" = ")[0] in res.output
 
+    @pytest.mark.parametrize("value", [8.5, 16.25])
+    def test_non_integral_number_for_an_integer_option_exits_3(self, runner, tmp_path,
+                                                               value):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"n": value}))
+        res = runner.invoke(main, ["simulate", "--config", str(cfg),
+                                   "--output-dir", str(tmp_path)])
+        assert res.exit_code == 3
+        assert f"n = {value!r}: not an integer" in res.output
+        assert not (tmp_path / "manifest.json").exists()
+
+    def test_integral_float_for_an_integer_option_is_cast(self, runner, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"n": 8.0, "dt": 0.05, "horizon": 0.25}))
+        res = invoke(runner, ["simulate", "--config", str(cfg), "--no-checkpoints",
+                              "--output-dir", str(tmp_path)])
+        assert res.exit_code == 0
+        config = json.loads((tmp_path / "manifest.json").read_text())["config"]
+        assert config["n"] == 8 and isinstance(config["n"], int)
+
     def test_config_bool_values_cast_by_the_option_type(self, runner, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("n = 8\ndt = 0.05\nhorizon = 0.25\ncounterterm_a = no\n")
@@ -301,7 +322,7 @@ class TestTrees:
             assert (tmp_path / f"tree_{name}_0.field").exists()
 
     def test_divergence_sweep(self, runner, tmp_path):
-        res = invoke(runner, ["trees", *FAST_GRID, "--burn-in", "5.0",
+        res = invoke(runner, ["trees", *SWEEP_GRID, "--burn-in", "5.0",
                               "--sweep", "0.005:0.3:4",
                               "--output-dir", str(tmp_path)])
         assert res.exit_code == 0
@@ -310,9 +331,26 @@ class TestTrees:
         assert len(rows) == 4
 
     def test_narrow_sweep_refused(self, runner, tmp_path):
-        res = runner.invoke(main, ["trees", *FAST_GRID, "--sweep", "0.01,0.02,0.04",
+        res = runner.invoke(main, ["trees", *SWEEP_GRID, "--sweep", "0.01,0.02,0.04",
                                    "--output-dir", str(tmp_path)])
         assert res.exit_code == 4
+
+    @pytest.mark.parametrize("flag", [["--r", "0.05"], ["--stream", "1"],
+                                      ["--snapshots", "2"], ["--r", "0.01"]])
+    def test_flag_the_sweep_ignores_exits_2(self, runner, tmp_path, flag):
+        res = runner.invoke(main, ["trees", *SWEEP_GRID, *flag, "--sweep", "0.005:0.3:4",
+                                   "--output-dir", str(tmp_path)])
+        assert res.exit_code == 2
+        assert f"{flag[0]} does not apply with --sweep" in res.output
+        assert not (tmp_path / "manifest.json").exists()
+
+    def test_flag_the_sweep_ignores_in_a_config_file_exits_2(self, runner, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("stream = 3\n")
+        res = runner.invoke(main, ["trees", *SWEEP_GRID, "--config", str(cfg),
+                                   "--sweep", "0.005:0.3:4", "--output-dir", str(tmp_path)])
+        assert res.exit_code == 2
+        assert "--stream does not apply with --sweep" in res.output
 
 
 class TestRenormConstants:

@@ -1,9 +1,11 @@
 """Exact transform counts of the hot paths.
 
-The test wraps the `scipy.fft` transforms that the spectral core calls,
-counts the calls by kind and asserts the exact numbers, including that every
-complex fftn/ifftn is a pass over one axis, never a full cube.  The counts
-depend only on the code path, not on the machine.
+The test wraps the n-d transforms of `scipy.fft` and `numpy.fft` that the
+spectral core calls (the real passes of the 2N transforms write into a
+reused buffer through `numpy.fft`), counts the calls by kind and asserts the
+exact numbers, including that every complex fftn/ifftn is a pass over one
+axis, never a full cube.  The counts depend only on the code path, not on
+the machine.
 
 A pad to the 2N grid fills the padded half-cube and runs one-axis ifftn
 passes over its nonzero rows, then one irfftn over the last axis; a
@@ -57,17 +59,18 @@ def two_n(pads: int, truncations: int) -> dict:
 @pytest.fixture
 def counts(monkeypatch):
     calls = Counter()
-    for name in ("fftn", "ifftn", "rfftn", "irfftn"):
-        original = getattr(scipy.fft, name)
+    for module in (scipy.fft, np.fft):
+        for name in ("fftn", "ifftn", "rfftn", "irfftn"):
+            original = getattr(module, name)
 
-        def counted(x, *args, _name=name, _fn=original, **kwargs):
-            calls[_name] += 1
-            axes = kwargs.get("axes")
-            if _name in ("fftn", "ifftn") and (axes is None or len(axes) != 1):
-                calls["complex over several axes"] += 1
-            return _fn(x, *args, **kwargs)
+            def counted(x, *args, _name=name, _fn=original, **kwargs):
+                calls[_name] += 1
+                axes = kwargs.get("axes")
+                if _name in ("fftn", "ifftn") and (axes is None or len(axes) != 1):
+                    calls["complex over several axes"] += 1
+                return _fn(x, *args, **kwargs)
 
-        monkeypatch.setattr(scipy.fft, name, counted)
+            monkeypatch.setattr(module, name, counted)
     return calls
 
 

@@ -1,9 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.fft
 
+from phi4torus import spectral
+from phi4torus.noise import NoiseStream
 from phi4torus.spectral import (
     Field,
     Grid,
@@ -23,6 +26,7 @@ from phi4torus.spectral import (
     load_field,
     save_field,
 )
+from phi4torus.trees import TreeEvolver
 
 from oracles import naive_convolution_product, padded_half_cube, truncated_half_cube
 
@@ -317,6 +321,59 @@ class TestPrunedTransforms:
         got = _truncated_field(grid, vals, _pad_plan(grid)).half
         assert got.shape == want.shape
         assert np.abs(got - want).max() <= 1e-15
+
+
+class TestWorkspace:
+    """The 2N buffers that pads, products and truncations reuse."""
+
+    def test_results_do_not_alias_the_workspace(self):
+        grid = Grid(3, 8)
+        rng = np.random.default_rng(3)
+        a, b = (Field(grid, rng.normal(size=grid.shape)) for _ in range(2))
+        first = [cubic(a), *dealiased_products((a, b), (b,), (a, a, b))]
+        kept = [(f.half.copy(), f.values.copy()) for f in first]
+        # later calls that take, overwrite and hand back the same buffers
+        for _ in range(2):
+            again = [cubic(b), *dealiased_products((b, a), (a,), (b, b, a))]
+            dealiased_sums([(a, b), (b,)], [(a, a, a)])
+        for f, (half, values) in zip(first, kept):
+            np.testing.assert_array_equal(f.half, half)
+            np.testing.assert_array_equal(f.values, values)
+        pooled = spectral._FREE[_pad_plan(grid).shape]
+        assert pooled
+        for f in first + again:
+            for buf in pooled:
+                assert not np.shares_memory(f.half, buf)
+                assert not np.shares_memory(f.values, buf)
+        # the same call gives the same bits whatever the buffers held before
+        np.testing.assert_array_equal(cubic(a).half, first[0].half)
+
+    @staticmethod
+    def transient_peak(call) -> int:
+        """Bytes that `call` has allocated at its peak beyond what it
+        leaves allocated: its scratch, not its results."""
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            result = call()  # noqa: F841 (kept alive for the count)
+            now, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert now >= start
+        return peak - now
+
+    def test_steady_state_allocates_no_2n_array(self):
+        """After a warm-up call, the scratch of `cubic` and of a tree step
+        stays below one real 2N array: the 2N buffers are reused."""
+        grid = Grid(3, 16)
+        two_n_array = (2 * grid.n) ** grid.dim * 8
+        f = Field(grid, np.random.default_rng(4).normal(size=grid.shape))
+        f.half
+        cubic(f)
+        assert self.transient_peak(lambda: cubic(f)) < two_n_array
+        ev = TreeEvolver(grid, 0.05, NoiseStream(0))
+        ev.step(0.05)
+        assert self.transient_peak(lambda: ev.step(0.05)) < two_n_array
 
 
 class TestGradient:

@@ -163,6 +163,20 @@ class TestSnapshots:
 
 
 class TestBuildEnhancedNoise:
+    def test_vref_draws_no_noise(self):
+        """v_ref consumes no draws, so the other components are the same bits
+        with and without it."""
+        kwargs = dict(burn_in=5.0, dt=0.1, n_snapshots=2, snapshot_stride=0.5,
+                      with_resonants=False)
+        with_vref = build_enhanced_noise(NoiseStream(13), GRID, R, track_vref=True, **kwargs)
+        without = build_enhanced_noise(NoiseStream(13), GRID, R, **kwargs)
+        for a, b in zip(with_vref.snapshots, without.snapshots):
+            assert a.v_ref is not None and b.v_ref is None
+            for name in ("X", "W2", "W3", "I2", "I3"):
+                np.testing.assert_array_equal(getattr(a, name).half, getattr(b, name).half)
+                np.testing.assert_array_equal(getattr(a, name).values,
+                                              getattr(b, name).values)
+
     def test_refuses_short_burn_in(self):
         with pytest.raises(ValueError, match="burn_in"):
             build_enhanced_noise(NoiseStream(0), GRID, R, burn_in=1.0)
