@@ -3,23 +3,27 @@
 Blocks use sharp Fourier cutoffs on dyadic annuli of physical frequency
 magnitude |k|:
 
-    A_{-1} = { |k| <= 1 },      A_j = { 2^{j-1} < |k| <= 2^j },  j >= 0,
+    A_{-1} = { |k| <= 1 },      A_j = { max(2^{j-1}, 1) < |k| <= 2^j },  j >= 0,
 
-which partition the grid's frequency set exactly, so the reconstruction
-sum_j Delta_j f = f and the block orthogonality Delta_j Delta_k = 0 (j != k)
-hold to rounding.  Paraproducts follow the standard frequency sorting
+which partition the grid's frequency set exactly (A_0 is empty), so the
+reconstruction sum_j Delta_j f = f and the block orthogonality
+Delta_j Delta_k = 0 (j != k) hold to rounding.  The spectral core gives each
+mode its level once (`HalfCube.levels`), and every restriction here is a
+band Delta_lo + ... + Delta_hi: a block is the band from j to j, a near sum
+the band from j-1 to j+1 and the low-pass S_j the band from -1 to j.
+Paraproducts follow the standard frequency sorting
 
     a < b  = sum_{j < k-1} Delta_j a Delta_k b        (low-high)
     a o b  = sum_{|j-k| <= 1} Delta_j a Delta_k b     (resonant)
     a > b  = sum_{k < j-1} Delta_j a Delta_k b        (high-low)
 
 and a<b + a o b + a>b = a b exactly; all pairwise block products are
-dealiased by 2x zero padding, consistently with the plain product.
+dealiased by 2x zero padding, consistently with the plain product.  The
+sums run over the levels that hold a mode.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -51,9 +55,8 @@ class BlockDecomposition:
 
     @property
     def j_max(self) -> int:
-        """Largest level with a non-empty annulus on this grid."""
-        kmax = math.sqrt(half_cube(self.grid).k_squared.max())
-        return max(0, math.ceil(math.log2(kmax))) if kmax > 1 else 0
+        """Largest level with a non-empty annulus on this grid (0 if none)."""
+        return max(0, int(half_cube(self.grid).levels.max()))
 
     @property
     def j_complete(self) -> int:
@@ -63,87 +66,44 @@ class BlockDecomposition:
         return int(math.floor(math.log2(k_nyquist)))
 
 
-def _annuli(kmag: np.ndarray, j_max: int) -> list[np.ndarray]:
-    """Boolean annulus masks indexed [j+1] for j = -1 .. j_max.
-
-    The base block collects |k| <= 1 and each annulus A_j the shell
-    2^{j-1} < |k| <= 2^j (clipped below at 1 so the levels partition the
-    frequency set exactly).
-    """
-    out = [kmag <= 1.0]
-    for j in range(j_max + 1):
-        lo = max(2.0 ** (j - 1), 1.0)
-        out.append((kmag > lo) & (kmag <= 2.0**j))
-    return out
+def _held_levels(grid: Grid) -> list[int]:
+    """The levels that hold a mode of the grid, in increasing order."""
+    counts = np.bincount(half_cube(grid).levels.ravel() + 1)
+    return [int(j) for j in np.flatnonzero(counts) - 1]
 
 
-@functools.cache
-def _half_masks(grid: Grid) -> list[np.ndarray]:
-    """The annulus masks over the grid's half-cube."""
-    kmag = np.sqrt(half_cube(grid).k_squared)
-    return _annuli(kmag, BlockDecomposition(grid).j_max)
+def _band(f: Field, lo: int, hi: int) -> Field:
+    """Delta_lo f + ... + Delta_hi f (sharp restriction to levels lo..hi)."""
+    levels = half_cube(f.grid).levels
+    return Field.from_half(f.grid, f.half * ((lo <= levels) & (levels <= hi)))
 
 
 def lp_block(f: Field, j: int) -> Field:
     """Littlewood-Paley block Delta_j f (sharp annulus restriction)."""
     if j < -1:
         raise ValueError(f"block level must be >= -1, got {j}")
-    masks = _half_masks(f.grid)
-    if j + 1 >= len(masks):
-        return Field.zeros(f.grid)
-    return Field.from_half(f.grid, f.half * masks[j + 1])
+    return _band(f, j, j)
 
 
 def block_fields(f: Field) -> list[Field]:
-    """All blocks [Delta_{-1} f, Delta_0 f, ...] covering the grid."""
-    return [Field.from_half(f.grid, f.half * mask) for mask in _half_masks(f.grid)]
+    """All blocks [Delta_{-1} f, Delta_0 f, ..., Delta_{j_max} f] covering
+    the grid, the empty Delta_0 f included."""
+    return [_band(f, j, j) for j in range(-1, BlockDecomposition(f.grid).j_max + 1)]
 
 
 def product_decomposition(a: Field, b: Field) -> tuple[Field, Field, Field]:
-    """(a<b, a o b, a>b) with dealiased block products.
-
-    Computed with running low-pass sums so the cost is O(j_max) products:
-        a<b = sum_k (S_{k-2} a) (Delta_k b),   S_j = sum_{i<=j} Delta_i.
-    """
+    """(a<b, a o b, a>b) with dealiased block products, where
+        a<b = sum_k (S_{k-2} a) (Delta_k b),   S_j = Delta_{-1} + ... + Delta_j,
+    so the cost is O(j_max) products."""
     if a.grid != b.grid:
         raise ValueError("fields live on different grids")
-    grid = a.grid
-    blocks_a = block_fields(a)
-    blocks_b = block_fields(b)
-    nlev = len(blocks_a)
+    high = [k for k in _held_levels(a.grid) if k > 0]
 
-    lo = Field.zeros(grid)
-    los_a = []  # los_a[k] = S_{k-1} a = sum of blocks strictly below level index k
-    for ba in blocks_a:
-        los_a.append(lo)
-        lo = lo + ba
-    lo = Field.zeros(grid)
-    los_b = []
-    for bb in blocks_b:
-        los_b.append(lo)
-        lo = lo + bb
+    def para(x, y):  # x < y
+        terms = [(_band(x, -1, k - 2), _band(y, k, k)) for k in high]
+        return dealiased_sum(*terms) if terms else Field.zeros(x.grid)
 
-    if nlev > 2:
-        para_ab = dealiased_sum(*((los_a[k - 1], blocks_b[k]) for k in range(2, nlev)))
-        para_ba = dealiased_sum(*((blocks_a[k], los_b[k - 1]) for k in range(2, nlev)))
-    else:
-        para_ab = para_ba = Field.zeros(grid)
-    return para_ab, dealiased_sum(*zip(blocks_a, _near_sums(blocks_b))), para_ba
-
-
-def _near_sums(blocks: list[Field]) -> list[Field]:
-    """[Delta_{k-1} f + Delta_k f + Delta_{k+1} f for each level k] from
-    the blocks of f."""
-    nlev = len(blocks)
-    out = []
-    for k in range(nlev):
-        near = blocks[k]
-        if k > 0:
-            near = near + blocks[k - 1]
-        if k + 1 < nlev:
-            near = near + blocks[k + 1]
-        out.append(near)
-    return out
+    return para(a, b), resonant(a, b), para(b, a)
 
 
 def paraproduct(a: Field, b: Field) -> Field:
@@ -159,18 +119,20 @@ def resonant(a: Field, b: Field) -> Field:
 def resonants(*pairs) -> list[Field]:
     """[a o b for a, b in pairs], where
     a o b = sum_k Delta_k a (Delta_{k-1} b + Delta_k b + Delta_{k+1} b).
-    Each distinct left factor is split into blocks once and each distinct
-    right factor into near-diagonal sums once, and each distinct block and
-    sum is padded once across all the products."""
+    The sum runs over the levels k that hold a mode.  Each distinct left
+    factor is split into blocks once and each distinct right factor into
+    near-diagonal sums once, and each distinct block and sum is padded once
+    across all the products."""
     blocks, nears = {}, {}
     sums = []
     for a, b in pairs:
         if a.grid != b.grid:
             raise ValueError("fields live on different grids")
+        levels = _held_levels(a.grid)
         if id(a) not in blocks:
-            blocks[id(a)] = block_fields(a)
+            blocks[id(a)] = [_band(a, k, k) for k in levels]
         if id(b) not in nears:
-            nears[id(b)] = _near_sums(block_fields(b))
+            nears[id(b)] = [_band(b, k - 1, k + 1) for k in levels]
         sums.append(zip(blocks[id(a)], nears[id(b)]))
     return dealiased_sums(*sums)
 

@@ -24,21 +24,14 @@ when some caller reads its values, and keeps the result.  Linear
 operations (+, -, scalar *) work on the coefficients unless every operand
 already has values, so a field built from others is not transformed again.
 
-Transforms are serial: every call uses scipy's default of one worker.  The
-fields here are small (16^3 to 64^3), and a thread pool costs more than it
-saves.  On a 2-core machine, medians of 5 rounds:
-
-    transform     1 worker    2 workers
-    rfftn  16^3   0.064 ms    0.49 ms
-    irfftn 16^3   0.062 ms    0.47 ms
-    rfftn  64^3   3.0 ms      6.2 ms
-    irfftn 64^3   5.3 ms      12.3 ms
-
-At 64^3 the comparison moves with the host's load (in another sample two
-workers won on irfftn, 2.9 against 4.7 ms); at 16^3 and 32^3 one worker won
-in every sample.  Two workers were about 15% faster on full 128^3
-transforms, the 2N grid of N = 64; the pruned 2N transforms below win more
-than that back.
+Workers.  The scipy.fft calls run with scipy's worker setting in the
+calling context, one worker unless the caller sets another
+(scipy.fft.set_workers), and `fft_workers()` reports it.  That setting
+reaches the transforms on the N grid and the complex passes of the 2N
+transforms below.  The real passes of the 2N transforms run through
+numpy.fft, which has no worker setting and runs on one thread.  The
+package sets no workers: the fields here are small (16^3 to 64^3), and a
+thread pool costs more than it saves.
 
 Nyquist convention.  Index N/2 of an axis is the frequency -N/2, which is
 also +N/2.  A coefficient whose index has a Nyquist component is treated as
@@ -104,12 +97,16 @@ goes back on a free list, one per 2N shape, after its last use, and a
 truncation copies the kept rows into a fresh N half-cube, so no field holds
 a buffer.  The list grows only when no buffer is free, so it holds at most
 as many as were in use at once: 2 for `cubic`, 3 for a tree step, 6 for a
-snapshot with resonants, which at N = 64 keep 102 MB.  The free list is
-module state: threads must not compute products at once.  Minor page
-faults of one `phi4` run in its own process (getrusage, 2-core machine),
-before -> after: `trees` (N = 32) 246 000 -> 7 000 to 12 000, with system
-time 0.6 -> 0.03 s; `simulate` (N = 32) 223 000 -> 65 000, the rest from
-arrays of the N grid; `comedown` (N = 16) 160 000 to 175 000 -> under 600.
+snapshot with resonants, which at N = 64 keep 102 MB.  The free lists hold
+one 2N shape at a time: a buffer of a shape that has no list drops the
+lists of the other shapes, so moving to another grid releases the buffers
+of the old one, and a run on one grid allocates none after its first
+products.  The free lists are module state: threads must not compute
+products at once.  Minor page faults of one `phi4` run in its own process
+(getrusage, 2-core machine), before -> after: `trees` (N = 32) 246 000 ->
+7 000 to 12 000, with system time 0.6 -> 0.03 s; `simulate` (N = 32)
+223 000 -> 65 000, the rest from arrays of the N grid; `comedown` (N = 16)
+160 000 to 175 000 -> under 600.
 """
 
 from __future__ import annotations
@@ -208,12 +205,15 @@ class HalfCube:
     ik : i k_a per axis, shaped to broadcast over the half-cube, with the
         Nyquist wavenumber set to 0 (the derivative of a Nyquist mode along
         its own axis vanishes on a real grid).
+    levels : the Littlewood-Paley level of each mode: -1 where |k| <= 1 and
+        j where max(2^{j-1}, 1) < |k| <= 2^j, so that level 0 holds no mode.
     """
 
     shape: tuple[int, ...]
     k_squared: np.ndarray
     eigenvalues: np.ndarray
     ik: tuple[np.ndarray, ...]
+    levels: np.ndarray
 
 
 @functools.cache
@@ -232,14 +232,22 @@ def half_cube(grid: Grid) -> HalfCube:
         d[n // 2] = 0.0
         ik.append(d.reshape(axis_shape))
     lam = 1.0 + ksq
-    for arr in (*ik, ksq, lam):
+    # edges[i] = max(2^{i-1}, 1), up to one level past the largest |k|, so
+    # that searchsorted puts |k| at the i with edges[i-1] < |k| <= edges[i]
+    kmag = np.sqrt(ksq)
+    top = math.ceil(math.log2(max(kmag.max(), 1.0))) + 1
+    edges = np.maximum(2.0 ** np.arange(-1, top + 1), 1.0)
+    levels = np.searchsorted(edges, kmag) - 1
+    for arr in (*ik, ksq, lam, levels):
         arr.setflags(write=False)
-    return HalfCube(shape, ksq, lam, tuple(ik))
+    return HalfCube(shape, ksq, lam, tuple(ik), levels)
 
 
 def fft_workers() -> int:
-    """The number of workers each transform runs with: scipy's default in
-    the calling context, 1 unless the caller set another."""
+    """scipy's worker setting in the calling context, 1 unless the caller
+    set another: the workers of the N-grid transforms and of the complex
+    passes of the 2N transforms.  The real 2N passes run through numpy.fft
+    on one thread."""
     return sfft.get_workers()
 
 
@@ -309,8 +317,14 @@ class Field:
     one on first use (read-only thereafter).  A field built from
     coefficients (`from_half`) runs its inverse transform only when its
     values are read.  +, - and multiplication by a scalar work on the values
-    when every operand has them and on the coefficients otherwise.
+    when every operand has them and on the coefficients otherwise.  A field
+    times a field or an array raises TypeError: products of fields are
+    dealiased (`dealiased_product`).
     """
+
+    # an array operand defers to Field's own operators, so that
+    # `array * field` raises TypeError as `field * array` does
+    __array_ufunc__ = None
 
     def __init__(self, grid: Grid, values):
         values = np.asarray(values, dtype=np.float64)
@@ -413,11 +427,8 @@ class Field:
         return -self + other
 
     def __mul__(self, other):
-        if isinstance(other, Field):
-            self._check(other)
-            return Field(self.grid, self.values * other.values)
-        if np.ndim(other) != 0:
-            return Field(self.grid, self.values * other)
+        if isinstance(other, Field) or np.ndim(other) != 0:
+            return NotImplemented
         return Field._of(
             self.grid,
             None if self._values is None else self._values * other,
@@ -516,15 +527,20 @@ def _pad_plan(grid: Grid) -> _PadPlan:
     return _PadPlan(h, (m,) * dim, tuple(blocks), plus_plane, rows)
 
 
-# the free 2N buffers per 2N grid shape ("Workspace" in the module docstring)
+# the free 2N buffers of the last 2N grid shape used ("Workspace" in the
+# module docstring)
 _FREE: dict[tuple[int, ...], list[np.ndarray]] = {}
 
 
 def _take(plan: _PadPlan, view: str) -> np.ndarray:
     """A free 2N buffer, as the 2N half-cube ("half") or the real 2N values
     ("real"), its content undefined; a new one only if none is free, so
-    that the free list never holds more buffers than were in use at once."""
-    free = _FREE.setdefault(plan.shape, [])
+    that the free list never holds more buffers than were in use at once.
+    The buffers of other 2N shapes are dropped when this shape has no list."""
+    free = _FREE.get(plan.shape)
+    if free is None:
+        _FREE.clear()
+        free = _FREE[plan.shape] = []
     buf = free.pop() if free else np.empty(math.prod(plan.half_shape), complex)
     if view == "half":
         return buf.reshape(plan.half_shape)

@@ -324,6 +324,17 @@ def full_resonant(a: np.ndarray, b: np.ndarray, period: float) -> np.ndarray:
     return out
 
 
+def full_paraproduct(a: np.ndarray, b: np.ndarray, period: float) -> np.ndarray:
+    """a < b: the sum over levels j < k - 1 of Delta_j a Delta_k b, one
+    dealiased product per pair of blocks."""
+    ba, bb = full_blocks(a, period), full_blocks(b, period)
+    out = np.zeros_like(a)
+    for k, blk in enumerate(bb):
+        for low in ba[: max(k - 1, 0)]:
+            out = out + full_dealiased_product(low, blk)
+    return out
+
+
 def philox_normals(seed: int, stream: int, step: int, shape) -> np.ndarray:
     """The standard normals of the counter-based noise contract for
     (seed, stream, step)."""

@@ -173,14 +173,15 @@ def test_snapshot_resonants_share_blocks(counts):
     after = transform_counts()
     # R1 = I3 o X, R2 = I2 o W2 and R4 = I3 o W2 pad the blocks of I3 and
     # I2 and the near-diagonal sums of X and W2 once each, one pad per
-    # level, and truncate three sums; R3 = |grad I2|^2 pads three gradients
-    # and truncates once.  That is 27 logical transforms, down from 37
-    # when R1 and R4 each padded the blocks of I3, and R2 and R4 the near
-    # sums of W2.
-    levels = BlockDecomposition(GRID).j_max + 2
-    assert levels == 5
+    # level that holds a mode, and truncate three sums; R3 = |grad I2|^2
+    # pads three gradients and truncates once.  Level 0 is empty and is
+    # never padded, so the levels are -1, 1 .. j_max.  That is 23 logical
+    # transforms, down from 27 when level 0 was padded and from 37 when R1
+    # and R4 each padded the blocks of I3, and R2 and R4 the near sums of W2.
+    levels = BlockDecomposition(GRID).j_max + 1
+    assert levels == 4
     assert counts == two_n(pads=4 * levels + 3, truncations=3 + 1)
-    assert after["transforms"] - before["transforms"] == 27
+    assert after["transforms"] - before["transforms"] == 23
     assert after["passes"] - before["passes"] == sum(counts.values())
 
 
@@ -198,10 +199,11 @@ def test_resonant(counts):
     a, b = cached_field(5), cached_field(6)
     counts.clear()
     resonant(a, b)
-    # one pad per block of a and per near-diagonal sum of blocks of b, one
-    # truncation of the sum (earlier: irfftn 2 * levels and rfftn 1
-    # unpruned)
-    levels = BlockDecomposition(GRID).j_max + 2
+    # one pad per block of a and per near-diagonal sum of blocks of b at
+    # each level that holds a mode, -1 and 1 .. j_max (level 0 is empty and
+    # is never padded), one truncation of the sum (earlier: one more pad of
+    # each for level 0; irfftn 2 * (j_max + 2) and rfftn 1 unpruned)
+    levels = BlockDecomposition(GRID).j_max + 1
     assert counts == two_n(pads=2 * levels, truncations=1)
 
 

@@ -15,7 +15,7 @@ from phi4torus.paraproduct import (
 )
 from phi4torus.spectral import Field, Grid, dealiased_product, half_cube
 
-from oracles import full_eigenvalues, full_resonant, full_values
+from oracles import full_eigenvalues, full_paraproduct, full_resonant, full_values
 
 
 def random_field(grid, seed):
@@ -33,20 +33,23 @@ class TestBlocks:
             total = total + b
         np.testing.assert_allclose(total.values, f.values, atol=1e-12)
 
-    def test_block_supports_are_annuli(self):
-        grid = Grid(dim=1, n=32)
+    @pytest.mark.parametrize("period", [2.0 * np.pi, 3.0, 20.0], ids=["2pi", "3", "20"])
+    def test_block_supports_are_annuli(self, period):
+        """Each block holds exactly the modes of its annulus; with periods
+        other than 2 pi the level edges fall off the integer lattice."""
+        grid = Grid(dim=2, n=32, period=period)
         f = random_field(grid, 1)
         kmag = np.sqrt(half_cube(grid).k_squared)
-        for j, b in enumerate(block_fields(f), start=-1):
-            spec = np.abs(b.half)
-            live = kmag[spec > 1e-12]
-            if live.size == 0:
-                continue
+        blocks = block_fields(f)
+        assert len(blocks) == BlockDecomposition(grid).j_max + 2
+        assert kmag.max() <= 2.0 ** BlockDecomposition(grid).j_max
+        for j, b in enumerate(blocks, start=-1):
             if j == -1:
-                assert live.max() <= 1.0
+                annulus = kmag <= 1.0
             else:
-                assert live.min() > 2.0 ** (j - 1)
-                assert live.max() <= 2.0 ** (j + 1)
+                annulus = (kmag > max(2.0 ** (j - 1), 1.0)) & (kmag <= 2.0**j)
+            np.testing.assert_array_equal(b.half[annulus], f.half[annulus])
+            assert not b.half[~annulus].any()
 
     def test_blocks_are_disjoint(self):
         """Every mode of a random field is nonzero, so each must be live in
@@ -94,6 +97,26 @@ class TestParaproducts:
         for got, (x, y) in zip(resonants(*pairs), pairs):
             want = full_resonant(x.values, y.values, grid.period)
             assert np.abs(got.values - want).max() <= 1e-13 * np.abs(want).max()
+
+    @pytest.mark.parametrize("grid", [Grid(dim=3, n=8), Grid(dim=2, n=16)])
+    def test_paraproducts_match_the_full_cube(self, grid):
+        """a<b and a>b each against the pairwise block sum, which the
+        identity a<b + a o b + a>b = ab alone cannot tell apart."""
+        a, b = random_field(grid, 9), random_field(grid, 10)
+        lo, _, hi = product_decomposition(a, b)
+        for got, (x, y) in ((lo, (a, b)), (hi, (b, a))):
+            want = full_paraproduct(x.values, y.values, grid.period)
+            assert np.abs(got.values - want).max() <= 1e-13 * np.abs(want).max()
+
+    def test_grid_without_paraproduct_levels(self):
+        """On Grid(1, 2) every mode has |k| <= 1: the paraproducts vanish
+        and the resonant term is the whole product."""
+        grid = Grid(dim=1, n=2)
+        a, b = random_field(grid, 11), random_field(grid, 12)
+        lo, res, hi = product_decomposition(a, b)
+        assert not lo.values.any() and not hi.values.any()
+        np.testing.assert_allclose(res.values, dealiased_product(a, b).values,
+                                   atol=1e-14)
 
     def test_paraproduct_of_separated_frequencies(self):
         """A single low mode times a single high mode lands entirely in the

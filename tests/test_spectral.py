@@ -102,10 +102,14 @@ class TestField:
         b = Field.constant(grid, 3.0)
         assert (a + b).values[0] == 5.0
         assert (a - b).values[0] == -1.0
-        assert (a * b).values[0] == 6.0
         assert (2.0 * a).values[0] == 4.0
         assert (1.0 - a).values[0] == -1.0
         assert (-a).values[0] == -2.0
+        # a product of fields is dealiased (dealiased_product), never
+        # formed pointwise by *
+        for x, y in ((a, b), (a, b.values), (b.values, a)):
+            with pytest.raises(TypeError):
+                x * y
 
     def test_arithmetic_on_coefficients(self):
         # a field built from coefficients has no values until read; linear
@@ -347,6 +351,14 @@ class TestWorkspace:
                 assert not np.shares_memory(f.values, buf)
         # the same call gives the same bits whatever the buffers held before
         np.testing.assert_array_equal(cubic(a).half, first[0].half)
+
+    def test_another_grid_releases_the_buffers_of_the_last(self):
+        rng = np.random.default_rng(5)
+        for n in (16, 8):
+            grid = Grid(3, n)
+            cubic(Field(grid, rng.normal(size=grid.shape)))
+        assert (32, 32, 32) not in spectral._FREE
+        assert spectral._FREE[(16, 16, 16)]
 
     @staticmethod
     def transient_peak(call) -> int:
