@@ -170,12 +170,16 @@ def _write_json(path: Path, payload) -> Path:
     return path
 
 
-def _parse_sweep(spec: str) -> list[float]:
-    """'1e-4:1e-2:8' -> 8 log-spaced values; a comma list is taken verbatim."""
-    if ":" in spec:
-        lo, hi, num = spec.split(":")
-        return list(np.geomspace(float(lo), float(hi), int(num)))
-    return [float(s) for s in spec.split(",")]
+def _parse_sweep(option: str, spec: str) -> list[float]:
+    """'1e-4:1e-2:8' -> 8 log-spaced values; a comma list is taken verbatim.
+    A malformed spec exits 3."""
+    try:
+        if ":" in spec:
+            lo, hi, num = spec.split(":")
+            return list(np.geomspace(float(lo), float(hi), int(num)))
+        return [float(s) for s in spec.split(",")]
+    except ValueError as exc:
+        raise InvalidConfig(f"bad {option} {spec!r}: {exc}")
 
 
 def _sim_config(params: dict) -> SimConfig:
@@ -297,11 +301,12 @@ def trees(burn_in, snapshots, sweep, **params):
         for name in ("r", "stream", "snapshots"):
             if ctx.get_parameter_source(name) is not click.core.ParameterSource.DEFAULT:
                 raise click.UsageError(f"--{name} does not apply with --sweep")
+        r_values = _parse_sweep("--sweep", sweep)
     cfg = _sim_config(params)
     with _run() as (outdir, manifest):
         if sweep:
             try:
-                rows = tree_divergence_report(cfg.grid, _parse_sweep(sweep), seed=cfg.seed,
+                rows = tree_divergence_report(cfg.grid, r_values, seed=cfg.seed,
                                               dt=cfg.dt, burn_in=burn_in)
             except ValueError as exc:
                 raise Refused(str(exc))
@@ -340,14 +345,15 @@ def trees(burn_in, snapshots, sweep, **params):
 @_OPTIONS["output_dir"]
 def renorm_constants(sweep, n, with_b_numeric, output_dir):
     """Tabulate a_r, b_r: closed forms vs numerical counterparts."""
+    r_values = _parse_sweep("--r", sweep)
     try:
-        r_values = _parse_sweep(sweep)
-    except Exception as exc:
-        raise InvalidConfig(f"bad sweep {sweep!r}: {exc}")
+        fixed = None if n is None else Grid(dim=3, n=n)
+    except ValueError as exc:
+        raise InvalidConfig(f"bad --n: {exc}")
     with _run() as (outdir, manifest):
         rows = []
         for r in r_values:
-            grid = Grid(dim=3, n=n) if n else Grid(dim=3, n=minimal_n_for(r, Grid(dim=3, n=2)))
+            grid = fixed or Grid(dim=3, n=minimal_n_for(r, Grid(dim=3, n=2)))
             try:
                 a_num = a_numeric(grid, r)
             except ValueError as exc:
@@ -458,14 +464,15 @@ def regularity(component, samples, burn_in, j_min, **params):
 
 @main.command()
 @_options("n", "r", "dt", "horizon", "dim", "period", "seed", "stream")
-@click.option("--sizes", default="3,30,300", help="comma list of initial Besov sizes")
+@click.option("--sizes", default="3,30,300",
+              help="initial Besov sizes, comma list or 'lo:hi:num'")
 @click.option("--p", default=8, help="even L^p exponent >= 8")
 def comedown(sizes, p, **params):
     """Coming-down-from-infinity experiment for the v-equation (lambda = 1)."""
+    initial = _parse_sweep("--sizes", sizes)
     cfg = _sim_config(params)
     with _run() as (outdir, manifest):
         try:
-            initial = [float(s) for s in sizes.split(",")]
             report = coming_down_experiment(cfg, initial, p=p)
         except ValueError as exc:
             raise Refused(str(exc))
@@ -499,17 +506,22 @@ def cumulant(burn_in, stride, count, probes, streams, **params):
     cfg = _sim_config(params)
     if count % streams:
         raise InvalidConfig(f"--streams {streams} does not divide --count {count}")
+    r_probes = _parse_sweep("--probes", probes)
     with _run() as (outdir, manifest):
-        fields = []
+        fields, report = [], []
         for s in range(streams):
             scfg = dataclasses.replace(cfg, stream=cfg.stream + s)
             sset = birkhoff_sample(scfg, burn_in, stride, count // streams)
             if sset.blew_up:
                 raise Refused(f"stream {s} blew up: {sset.blew_up}")
             fields.extend(sset.fields)
+            report.append({"stream": scfg.stream, "tau_int": sset.autocorrelation_time,
+                           "stride_adequate": sset.stride_adequate})
+        manifest.add(_write_json(outdir / "cumulant_report.json",
+                                 {"stride": stride, "streams": report}))
         rows = []
         try:
-            for rp in _parse_sweep(probes):
+            for rp in r_probes:
                 est = fourth_cumulant(fields, rp)
                 rows.append((rp, est.c4, est.stderr, est.significance, est.n_samples))
                 click.echo(str(est))

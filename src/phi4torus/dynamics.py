@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .noise import NoiseStream, ou_noise_field
+from .noise import NoiseStream, ou_noise_field, sample_stationary
 from .paraproduct import besov_norm, block_norms, weigh_blocks
 from .renorm import a_closed, b_closed
 from .spectral import (
@@ -180,17 +180,15 @@ def step_u(
     u: Field,
     cfg: SimConfig,
     stream: NoiseStream,
-    g: np.ndarray | None = None,
     noise: Field | None = None,
     time: float = 0.0,
 ) -> Field:
     """One exponential-Euler step of the renormalized u-equation.
 
     The drift is frozen at the step's start; the noise enters through the
-    exact stochastic-convolution increment.  Pass g (a standard-normal
-    array) or noise (a precomputed increment field) to share the realization
-    with a co-evolving tree trajectory; g=None draws from the stream, and an
-    all-zero g turns the noise off.
+    exact stochastic-convolution increment.  noise=None draws it from the
+    stream; a given increment field (ou_noise_field) shares the realization
+    with a co-evolving tree trajectory, and a zero field turns the noise off.
     """
     lam = cfg.coupling
     cube = cubic(u)
@@ -205,12 +203,8 @@ def step_u(
         nonlin = nonlin + ct * u
     out = duhamel_step(u, nonlin, cfg.dt)
     if noise is None:
-        if g is None:
-            g = stream.normals(u.grid.shape)
-        if np.any(g):
-            noise = ou_noise_field(u.grid, cfg.dt, cfg.r, g)
-    if noise is not None:
-        out = out + noise
+        noise = ou_noise_field(u.grid, cfg.dt, cfg.r, stream.normals(u.grid.shape))
+    out = out + noise
     _check_blowup(out, time + cfg.dt, cfg.blowup_threshold)
     return out
 
@@ -230,8 +224,6 @@ def rough_initial_field(grid: Grid, size: float, stream: NoiseStream) -> Field:
     """A random field of prescribed C^{-1/2-eps} size: a stationary-law
     sample (which has exactly that roughness) rescaled so its Besov
     B^{-1/2-eps}_{inf,inf} norm equals size."""
-    from .noise import sample_stationary
-
     base = sample_stationary(grid, 1e-3, stream)
     norm = besov_norm(base, -0.55)
     return (size / norm) * base
@@ -245,9 +237,9 @@ def simulate_u(cfg: SimConfig, noise_on: bool = True) -> Trajectory:
     traj = Trajectory()
     traj.record(0.0, u)
     n_steps = int(round(cfg.horizon / cfg.dt))
-    zero_g = np.zeros(cfg.grid.shape) if not noise_on else None
+    noise = None if noise_on else Field.zeros(cfg.grid)
     for i in range(n_steps):
-        u = step_u(u, cfg, stream, g=zero_g, time=i * cfg.dt)
+        u = step_u(u, cfg, stream, noise, time=i * cfg.dt)
         if (i + 1) % cfg.snapshot_stride == 0 or i == n_steps - 1:
             traj.record((i + 1) * cfg.dt, u)
     return traj
@@ -328,7 +320,6 @@ def step_v(
     v: Field,
     trees: EnhancedNoise | ZCoefficients,
     cfg: SimConfig,
-    stream: NoiseStream | None = None,
     time: float = 0.0,
     dt: float | None = None,
 ) -> Field:

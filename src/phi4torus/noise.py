@@ -15,6 +15,9 @@ coefficients c_k of X satisfy exactly
 with g_k standard complex Gaussians, Hermitian-paired so the field is real.
 The stationary mode variance is e^{-2 r lam_k} / (lam_k L^d) and hence
 E[X(x)^2] = (1/L^d) sum_k e^{-2 r lam_k}/lam_k, matching renorm.a_numeric.
+The factors e^{-dt lam} and e^{-2 r lam} come from the spectral core's
+cached semigroup, and the amplitudes sigma_k N^{d/2} are cached per
+(grid, dt, r); the stationary law is the transition over dt = inf.
 
 Randomness is counter-based: identical (seed, stream, step) triples always
 yield identical Gaussian draws, and distinct streams are independent.
@@ -22,16 +25,17 @@ yield identical Gaussian draws, and distinct streams are independent.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spectral import Field, Grid, half_cube
+from .spectral import Field, Grid, half_cube, semigroup
 
 __all__ = [
     "NoiseStream",
-    "ou_exact_step",
-    "ou_increment_coefficients",
+    "ou_amplitude",
     "ou_noise_field",
     "ou_transition",
     "sample_stationary",
@@ -64,55 +68,36 @@ class NoiseStream:
         return NoiseStream(self.seed, stream)
 
 
-def _colored_gaussian(grid: Grid, mode_variance: np.ndarray, g: np.ndarray) -> Field:
-    """Real Gaussian field whose spectral coefficients c_k have variance
-    mode_variance[k] (over the half-cube), built by filtering physical white
-    noise.
-
-    The coefficients of iid N(0,1) physical noise are independent complex
-    Gaussians (up to the Hermitian pairing) with E|.|^2 = 1/N^d, so scaling
-    by sqrt(variance N^d) yields the target spectrum with exact symmetry.
-    """
-    ghat = Field(grid, g.copy()).half
-    return Field.from_half(grid, ghat * np.sqrt(mode_variance * grid.cell_count))
-
-
-def ou_increment_coefficients(grid: Grid, dt: float, r: float):
-    """(decay, noise mode variance) of the exact OU transition over dt, over
-    the grid's half-cube."""
+@functools.lru_cache(maxsize=8)
+def ou_amplitude(grid: Grid, dt: float, r: float) -> np.ndarray:
+    """sqrt(sigma_k^2 N^d) over the half-cube, read-only and cached: the
+    amplitude that colors white noise into the OU increment over dt.  At
+    dt = inf it is the amplitude of the stationary law."""
     lam = half_cube(grid).eigenvalues
-    decay = np.exp(-dt * lam)
-    var = np.exp(-2.0 * r * lam) * (1.0 - decay**2) / (lam * grid.volume)
-    return decay, var
+    decay = semigroup(grid, dt).decay
+    var = semigroup(grid, 2.0 * r).decay * (1.0 - decay**2) / (lam * grid.volume)
+    amplitude = np.sqrt(var * grid.cell_count)
+    amplitude.setflags(write=False)
+    return amplitude
 
 
 def ou_noise_field(grid: Grid, dt: float, r: float, g: np.ndarray) -> Field:
     """The stochastic-convolution increment int_0^dt e^{-(dt-s)P} sqrt(2) dxi_r
-    built from a given standard-normal array g.
-
+    built from a standard-normal array g, and at dt = inf a draw of the
+    stationary law.  The coefficients of g are independent complex
+    Gaussians (up to the Hermitian pairing) with E|.|^2 = 1/N^d, so the
+    amplitude gives them the increment's spectrum with exact symmetry.
     Sharing g between the OU update of X and a Duhamel step of u drives both
-    with the identical noise realization.
-    """
-    _, var = ou_increment_coefficients(grid, dt, r)
-    return _colored_gaussian(grid, var, g)
+    with the identical noise realization."""
+    ghat = Field(grid, g.copy()).half
+    return Field.from_half(grid, ghat * ou_amplitude(grid, dt, r))
 
 
 def ou_transition(X: Field, noise: Field, dt: float) -> Field:
     """e^{-dt P} X + noise: the exact OU update of X given the increment
     field over the step (see ou_noise_field)."""
-    decay = np.exp(-dt * half_cube(X.grid).eigenvalues)
+    decay = semigroup(X.grid, dt).decay
     return Field.from_half(X.grid, decay * X.half + noise.half)
-
-
-def ou_exact_step(X: Field, dt: float, r: float, stream: NoiseStream) -> Field:
-    """Exact transition of (d/dt + P) X = sqrt(2) xi_r over a step dt."""
-    if not (dt > 0):
-        raise ValueError(f"dt must be positive, got {dt}")
-    if r < 0:
-        raise ValueError(f"r must be non-negative, got {r}")
-    grid = X.grid
-    noise = ou_noise_field(grid, dt, r, stream.normals(grid.shape))
-    return ou_transition(X, noise, dt)
 
 
 def sample_stationary(grid: Grid, r: float, stream: NoiseStream) -> Field:
@@ -120,6 +105,4 @@ def sample_stationary(grid: Grid, r: float, stream: NoiseStream) -> Field:
     e^{-2 r lam_k} / (lam_k L^d)."""
     if r < 0:
         raise ValueError(f"r must be non-negative, got {r}")
-    lam = half_cube(grid).eigenvalues
-    var = np.exp(-2.0 * r * lam) / (lam * grid.volume)
-    return _colored_gaussian(grid, var, stream.normals(grid.shape))
+    return ou_noise_field(grid, math.inf, r, stream.normals(grid.shape))

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dynamics import BlowUpError, SimConfig, step_u
-from .spectral import Field, apply_multiplier
+from .spectral import Field, semigroup
 
 __all__ = [
     "SampleSet",
@@ -139,7 +139,7 @@ def fourth_cumulant(samples, r_probe: float) -> CumulantEstimate:
     m2 = np.empty(n)
     m4 = np.empty(n)
     for i, f in enumerate(fields):
-        w = apply_multiplier(f, lambda lam: np.exp(-r_probe * lam)).values
+        w = Field.from_half(f.grid, f.half * semigroup(f.grid, r_probe).decay).values
         w2 = w * w
         m2[i] = w2.mean()
         m4[i] = (w2 * w2).mean()

@@ -127,30 +127,19 @@ class TreeEvolver:
             self._wick = (X, square - self.a, cube - 3.0 * self.a * X)
         return self._wick[1:]
 
-    def wick_square(self) -> Field:
-        return self.wick_powers()[0]
-
-    def wick_cube(self) -> Field:
-        return self.wick_powers()[1]
-
     def _vref_drift(self, W2: Field) -> Field:
         e3 = Field(self.grid, np.exp(3.0 * self.I2.values))
         inner = dealiased_product(self.I3, W2) - self.b * (self.X + self.I3)
         return 3.0 * dealiased_product(e3, inner)
 
-    def step(
-        self,
-        dt: float,
-        g: np.ndarray | None = None,
-        noise: Field | None = None,
-    ) -> None:
+    def step(self, dt: float, noise: Field | None = None) -> None:
         """Advance every component by dt: exponential Euler for the
         integrated trees with the drift frozen at the step's start, then the
         exact OU transition for X.
 
-        The noise realization can be shared with a co-evolving u-trajectory
-        either as a standard-normal array g or directly as the stochastic-
-        convolution increment field over this step.
+        noise=None draws the increment from the stream; a given increment
+        field over this step (ou_noise_field) shares the realization with a
+        co-evolving u-trajectory.
         """
         W2, W3 = self.wick_powers()
         self.I2 = duhamel_step(self.I2, W2, dt)
@@ -158,9 +147,7 @@ class TreeEvolver:
         if self.track_vref:
             self.v_ref = duhamel_step(self.v_ref, self._vref_drift(W2), dt)
         if noise is None:
-            if g is None:
-                g = self.stream.normals(self.grid.shape)
-            noise = ou_noise_field(self.grid, dt, self.r, g)
+            noise = ou_noise_field(self.grid, dt, self.r, self.stream.normals(self.grid.shape))
         self.X = ou_transition(self.X, noise, dt)
         self.time += dt
 

@@ -28,7 +28,6 @@ from phi4torus.dynamics import (
 )
 from phi4torus.noise import (
     NoiseStream,
-    ou_increment_coefficients,
     ou_noise_field,
     sample_stationary,
 )
@@ -49,7 +48,7 @@ from phi4torus.renorm import (
     minimal_n_for,
     sunset_constant,
 )
-from phi4torus.spectral import Field, Grid, dealiased_product, half_cube
+from phi4torus.spectral import Field, Grid, dealiased_product, half_cube, semigroup
 from phi4torus.trees import TreeEvolver, build_enhanced_noise
 
 from oracles import GRAPHS
@@ -257,7 +256,7 @@ class TestColeHopfCrossValidation:
             ou_noise_field(grid, dt_f, r, stream.normals(grid.shape)).half
             for _ in range(n_f)
         ]
-        decay_f, _ = ou_increment_coefficients(grid, dt_f, r)
+        decay_f = semigroup(grid, dt_f).decay
 
         def coarse_increments(m):
             # a coarse OU increment is the decay-weighted sum of fine ones

@@ -268,6 +268,23 @@ class TestOptionSets:
         assert res.exit_code == 3
         assert "--streams 3" in res.output
 
+    @pytest.mark.parametrize("args,work", [
+        (["trees", "--sweep", "oops"], "tree_divergence_report"),
+        (["cumulant", "--probes", "oops"], "birkhoff_sample"),
+        (["comedown", "--sizes", "3,abc"], "coming_down_experiment"),
+    ], ids=["trees-sweep", "cumulant-probes", "comedown-sizes"])
+    def test_malformed_list_exits_3_before_any_work(self, runner, tmp_path, monkeypatch,
+                                                     args, work):
+        option = args[1]
+
+        def never(*a, **kw):
+            raise AssertionError(f"ran {work} before checking {option}")
+
+        monkeypatch.setattr(f"phi4torus.cli.{work}", never)
+        res = runner.invoke(main, [*args, "--output-dir", str(tmp_path)])
+        assert res.exit_code == 3
+        assert f"bad {option} {args[2]!r}" in res.output
+
 
 class TestSimulate:
     def test_writes_diagnostics_and_manifest(self, runner, tmp_path):
@@ -367,6 +384,14 @@ class TestRenormConstants:
         res = runner.invoke(main, ["renorm-constants", "--r", "oops",
                                    "--output-dir", str(tmp_path)])
         assert res.exit_code == 3
+
+    @pytest.mark.parametrize("n", ["3", "0"], ids=["not-a-power-of-two", "zero"])
+    def test_bad_n_exits_3(self, runner, tmp_path, n):
+        res = runner.invoke(main, ["renorm-constants", "--r", "0.02", "--n", n,
+                                   "--output-dir", str(tmp_path)])
+        assert res.exit_code == 3
+        assert f"bad --n: n must be a power of two >= 2, got {n}" in res.output
+        assert not (tmp_path / "renorm_constants.csv").exists()
 
 
 class TestPowercount:
@@ -469,6 +494,22 @@ class TestCumulantAndSample:
                           "n_samples"]
         assert len(rows) == 2
         assert int(rows[0][4]) == 200
+
+    def test_cumulant_reports_autocorrelation_per_stream(self, runner, tmp_path):
+        res = invoke(runner, ["cumulant", "--n", "8", "--r", "0.05",
+                              "--dt", "0.05", "--burn-in", "5.0",
+                              "--stride", "0.5", "--count", "200", "--streams", "2",
+                              "--stream", "4", "--probes", "0.02",
+                              "--output-dir", str(tmp_path)])
+        assert res.exit_code == 0
+        report = json.loads((tmp_path / "cumulant_report.json").read_text())
+        assert report["stride"] == 0.5
+        assert [s["stream"] for s in report["streams"]] == [4, 5]
+        for s in report["streams"]:
+            assert s["tau_int"] > 0
+            assert s["stride_adequate"] == (0.5 >= s["tau_int"])
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert "cumulant_report.json" in manifest["outputs"]
 
     def test_sample_outputs(self, runner, tmp_path):
         res = invoke(runner, ["sample", "--n", "8", "--r", "0.05",

@@ -19,10 +19,10 @@ from phi4torus.dynamics import (
     step_v,
     weighted_norm,
 )
-from phi4torus.noise import NoiseStream
+from phi4torus.noise import NoiseStream, ou_noise_field
 from phi4torus.paraproduct import besov_norm
 from phi4torus.renorm import a_closed, b_closed
-from phi4torus.spectral import Field, Grid
+from phi4torus.spectral import Field, Grid, semigroup
 from phi4torus.trees import EnhancedNoise, TreeEvolver
 
 
@@ -89,10 +89,10 @@ class TestStepU:
         stream = cfg.noise()
         ct = counterterm_field(cfg)
         u = Field.constant(grid, 1.3)
-        zero_g = np.zeros(grid.shape)
+        zero = Field.zeros(grid)
         steps = int(round(cfg.horizon / cfg.dt))
         for i in range(steps):
-            u = step_u(u, cfg, stream, g=zero_g, time=i * cfg.dt)
+            u = step_u(u, cfg, stream, zero, time=i * cfg.dt)
         rhs = lambda t, y: -y - 2.0 * y**3 + ct * y
         ref = solve_ivp(rhs, (0, cfg.horizon), [1.3], rtol=1e-10, atol=1e-12).y[0, -1]
         assert np.allclose(u.values, ref, rtol=2e-3)
@@ -102,26 +102,27 @@ class TestStepU:
         """lam = 0 with counterterms off reduces to the exact OU step."""
         cfg = make_cfg(coupling=0.0, counterterm_a=False, counterterm_b=False)
         grid = cfg.grid
-        g = np.random.default_rng(0).normal(size=grid.shape)
-        u0 = Field.zeros(grid)
-        u1 = step_u(u0, cfg, cfg.noise(), g=g)
-        from phi4torus.noise import ou_noise_field
-
+        stream = cfg.noise()
+        u1 = step_u(Field.zeros(grid), cfg, stream)
+        # the step drew its noise from the stream at the stream's step 0
+        g = cfg.noise().normals(grid.shape, step=0)
         want = ou_noise_field(grid, cfg.dt, cfg.r, g)
         np.testing.assert_allclose(u1.values, want.values, atol=1e-13)
+        assert stream.step == 1
 
     def test_blowup_detected(self):
         cfg = make_cfg(dt=0.5, coupling=1.0, blowup_threshold=1e4)
         u = Field.constant(cfg.grid, 500.0)
         with pytest.raises(BlowUpError) as err:
-            step_u(u, cfg, cfg.noise(), g=np.zeros(cfg.grid.shape))
+            step_u(u, cfg, cfg.noise(), Field.zeros(cfg.grid))
         assert err.value.sup > 1e4
 
     def test_shared_normals_reproducible(self):
         cfg = make_cfg()
         g = np.random.default_rng(1).normal(size=cfg.grid.shape)
-        a = step_u(Field.zeros(cfg.grid), cfg, cfg.noise(), g=g)
-        b = step_u(Field.zeros(cfg.grid), cfg, cfg.noise(), g=g)
+        noise = ou_noise_field(cfg.grid, cfg.dt, cfg.r, g)
+        a = step_u(Field.zeros(cfg.grid), cfg, cfg.noise(), noise)
+        b = step_u(Field.zeros(cfg.grid), cfg, cfg.noise(), noise)
         np.testing.assert_allclose(a.values, b.values, atol=1e-14)
 
 
@@ -224,7 +225,7 @@ class TestStepV:
         xs = grid.coordinates()
         v0 = Field(grid, 0.7 * np.cos(xs[0]) + 0.4 * np.sin(xs[1] + xs[2]))
         got = step_v(v0, trees, cfg)
-        want = step_u(v0, cfg, cfg.noise(), g=np.zeros(grid.shape))
+        want = step_u(v0, cfg, cfg.noise(), Field.zeros(grid))
         np.testing.assert_allclose(got.values, want.values, atol=1e-12)
 
     def test_preassembled_z_equivalent(self):
@@ -244,6 +245,20 @@ class TestStepV:
         snap.v_ref = None
         with pytest.raises(ValueError):
             assemble_z(snap)
+
+
+class TestSemigroupCache:
+    def test_stiff_substeps_stay_within_the_bound(self):
+        """The substeps of a coming-down run take a dt each, far more than
+        the cache holds, and the cache stays at its bound."""
+        cfg = SimConfig(n=8, r=0.05, dt=0.01, horizon=0.2, coupling=1.0)
+        before = semigroup.cache_info()
+        coming_down_experiment(cfg, [3.0, 300.0])
+        after = semigroup.cache_info()
+        assert after.misses - before.misses > 2 * after.maxsize
+        assert after.currsize <= after.maxsize == 8
+        # the run's own dt stays cached between its steps
+        assert after.hits - before.hits > after.misses - before.misses
 
 
 class TestComingDownRefusals:

@@ -95,3 +95,40 @@ def test_cli_import_leaves_out_scipy_integrate():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, timeout=120)
     assert out.stdout.strip() == "[]"
+
+
+# The functions of the package that may read the eigenvalues of P: the cached
+# semigroup, the general multiplier and the cached noise amplitude.  Every
+# other linear step reads its factors from the semigroup.
+EIGENVALUE_READERS = {("spectral.py", "semigroup"), ("spectral.py", "apply_multiplier"),
+                      ("noise.py", "ou_amplitude")}
+
+
+def eigenvalue_reads(source: str) -> list[str | None]:
+    """The enclosing function of each read of an `eigenvalues` attribute, as
+    in `half_cube(grid).eigenvalues`."""
+    reads = []
+
+    def visit(node, func):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Attribute) and child.attr == "eigenvalues":
+                reads.append(func)
+            inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if inner else func)
+
+    visit(ast.parse(source), None)
+    return reads
+
+
+def test_only_the_semigroup_multiplier_and_amplitude_read_eigenvalues():
+    readers = set()
+    for path in sorted(Path(phi4torus.__file__).parent.glob("*.py")):
+        readers |= {(path.name, func) for func in eigenvalue_reads(path.read_text())}
+    assert readers == EIGENVALUE_READERS
+
+
+def test_eigenvalue_read_outside_is_caught():
+    source = ("def semigroup(grid, t):\n    return np.exp(-t * half_cube(grid).eigenvalues)\n"
+              "def step(u, dt):\n    return lambda: half_cube(u.grid).eigenvalues\n"
+              "lam = HALF.eigenvalues\n")
+    assert eigenvalue_reads(source) == ["semigroup", "step", None]

@@ -5,12 +5,12 @@ import pytest
 
 from phi4torus.noise import (
     NoiseStream,
-    ou_exact_step,
-    ou_increment_coefficients,
+    ou_amplitude,
     ou_noise_field,
+    ou_transition,
     sample_stationary,
 )
-from phi4torus.spectral import Field, Grid, half_cube
+from phi4torus.spectral import Field, Grid, half_cube, semigroup
 
 from oracles import full_eigenvalues
 
@@ -86,15 +86,20 @@ class TestStationaryLaw:
 
 class TestOUStep:
     def test_increment_coefficients(self):
+        """The cached amplitudes are read-only and equal the written-out
+        variances, times N^d under the root, to the bit; dt = inf gives the
+        stationary law."""
         grid = Grid(dim=1, n=8)
         dt, r = 0.3, 0.02
-        decay, var = ou_increment_coefficients(grid, dt, r)
         lam = half_cube(grid).eigenvalues
-        np.testing.assert_allclose(decay, np.exp(-dt * lam))
-        want = np.exp(-2.0 * r * lam) * (1.0 - np.exp(-2.0 * dt * lam)) / (
-            lam * grid.volume
-        )
-        np.testing.assert_allclose(var, want)
+        decay = np.exp(-dt * lam)
+        var = np.exp(-2.0 * r * lam) * (1.0 - decay**2) / (lam * grid.volume)
+        stationary = np.exp(-2.0 * r * lam) / (lam * grid.volume)
+        for got, want in ((ou_amplitude(grid, dt, r), var),
+                          (ou_amplitude(grid, math.inf, r), stationary)):
+            np.testing.assert_array_equal(got, np.sqrt(want * grid.cell_count))
+            assert not got.flags.writeable
+        assert ou_amplitude(grid, dt, r) is ou_amplitude(grid, dt, r)
 
     def test_exact_step_preserves_stationarity(self):
         """One exact OU step applied to a stationary sample keeps the
@@ -106,7 +111,7 @@ class TestOUStep:
         for i in range(n_samples):
             s = NoiseStream(2000 + i)
             X = sample_stationary(grid, r, s)
-            Y = ou_exact_step(X, dt, r, s)
+            Y = ou_transition(X, ou_noise_field(grid, dt, r, s.normals(grid.shape)), dt)
             acc0 += (X.values**2).mean()
             acc1 += (Y.values**2).mean()
         assert acc1 / n_samples == pytest.approx(acc0 / n_samples, rel=0.1)
@@ -127,10 +132,11 @@ class TestOUStep:
 
     def test_composition_matches_single_step(self):
         """Two exact half-steps have the same law as one full step: check
-        the implied variance algebra decay_h^2 var_h + var_h = var_2h."""
+        the implied variance algebra decay_h^2 var_h + var_h = var_2h, where
+        var = amplitude^2 / N^d."""
         grid = Grid(dim=2, n=8)
         r = 0.03
-        d1, v1 = ou_increment_coefficients(grid, 0.4, r)
-        d2, v2 = ou_increment_coefficients(grid, 0.8, r)
+        d1, d2 = semigroup(grid, 0.4).decay, semigroup(grid, 0.8).decay
+        v1, v2 = (ou_amplitude(grid, dt, r) ** 2 / grid.cell_count for dt in (0.4, 0.8))
         np.testing.assert_allclose(d1 * d1, d2, atol=1e-14)
         np.testing.assert_allclose(d1**2 * v1 + v1, v2, atol=1e-16)

@@ -25,6 +25,7 @@ from phi4torus.spectral import (
     half_cube,
     load_field,
     save_field,
+    semigroup,
 )
 from phi4torus.trees import TreeEvolver
 
@@ -231,6 +232,31 @@ class TestDuhamel:
         grid = Grid(dim=1, n=8)
         with pytest.raises(ValueError):
             duhamel_step(Field.zeros(grid), Field.zeros(grid), 0.0)
+
+
+class TestSemigroup:
+    def test_read_only_and_equal_to_the_formulas(self):
+        grid = Grid(dim=3, n=8)
+        t = 0.37
+        lam = half_cube(grid).eigenvalues
+        decay, weight = semigroup(grid, t)
+        np.testing.assert_array_equal(decay, np.exp(-t * lam))
+        np.testing.assert_array_equal(weight, (1.0 - np.exp(-t * lam)) / lam)
+        for arr in (decay, weight):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0, 0, 0] = 0.0
+        assert semigroup(grid, t) is semigroup(grid, t)
+
+    def test_duhamel_step_reads_the_cache_bit_for_bit(self):
+        grid = Grid(dim=2, n=8)
+        rng = np.random.default_rng(4)
+        u, f = (Field(grid, rng.normal(size=grid.shape)) for _ in range(2))
+        dt = 0.05
+        lam = half_cube(grid).eigenvalues
+        decay = np.exp(-dt * lam)
+        want = decay * u.half + (1.0 - decay) / lam * f.half
+        np.testing.assert_array_equal(duhamel_step(u, f, dt).half, want)
 
 
 def _no_nyquist(grid: Grid, rng) -> Field:

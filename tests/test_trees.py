@@ -46,21 +46,21 @@ class TestEvolverBasics:
     def test_wick_square_is_dealiased_square_minus_a(self):
         ev = TreeEvolver(GRID, R, NoiseStream(1))
         want = dealiased_product(ev.X, ev.X).values - a_closed(R)
-        np.testing.assert_allclose(ev.wick_square().values, want, atol=1e-12)
+        np.testing.assert_allclose(ev.wick_powers()[0].values, want, atol=1e-12)
 
     def test_wick_cube(self):
         ev = TreeEvolver(GRID, R, NoiseStream(2))
         want = cubic(ev.X).values - 3.0 * a_closed(R) * ev.X.values
-        np.testing.assert_allclose(ev.wick_cube().values, want, atol=1e-12)
+        np.testing.assert_allclose(ev.wick_powers()[1].values, want, atol=1e-12)
 
     def test_clone_then_diverge(self):
         ev = TreeEvolver(GRID, R, NoiseStream(3))
         twin = ev.clone()
-        g = np.random.default_rng(0).normal(size=GRID.shape)
-        ev.step(0.05, g=g)
+        noise = ou_noise_field(GRID, 0.05, R, np.random.default_rng(0).normal(size=GRID.shape))
+        ev.step(0.05, noise)
         # the clone still holds the pre-step state
         assert twin.time == 0.0
-        twin.step(0.05, g=g)
+        twin.step(0.05, noise)
         np.testing.assert_allclose(ev.X.values, twin.X.values, atol=1e-13)
         np.testing.assert_allclose(ev.I2.values, twin.I2.values, atol=1e-13)
 
@@ -70,24 +70,25 @@ class TestDynamicsConsistency:
         a = TreeEvolver(GRID, R, NoiseStream(4))
         b = TreeEvolver(GRID, R, NoiseStream(4))
         for i in range(3):
-            g = np.random.default_rng(i).normal(size=GRID.shape)
-            a.step(0.05, g=g)
-            b.step(0.05, g=g)
+            noise = ou_noise_field(GRID, 0.05, R, np.random.default_rng(i).normal(size=GRID.shape))
+            a.step(0.05, noise)
+            b.step(0.05, noise)
         np.testing.assert_allclose(a.X.values, b.X.values, atol=1e-13)
 
     def test_noise_field_equivalent_to_normals(self):
         a = TreeEvolver(GRID, R, NoiseStream(5))
         b = a.clone()
-        g = np.random.default_rng(1).normal(size=GRID.shape)
+        # noise=None draws the stream's next normals, the ones given to b
+        g = NoiseStream(5).normals(GRID.shape, step=a.stream.step)
         dt = 0.05
-        a.step(dt, g=g)
+        a.step(dt)
         b.step(dt, noise=ou_noise_field(GRID, dt, R, g))
         np.testing.assert_allclose(a.X.values, b.X.values, atol=1e-13)
         np.testing.assert_allclose(a.v_ref.values, b.v_ref.values, atol=1e-13)
 
     def test_i2_solves_exponential_euler_recursion(self):
         ev = TreeEvolver(GRID, R, NoiseStream(6))
-        W2 = ev.wick_square()
+        W2, _ = ev.wick_powers()
         I2_before = ev.I2
         dt = 0.07
         ev.step(dt)
