@@ -350,10 +350,14 @@ def renorm_constants(sweep, n, with_b_numeric, output_dir):
         fixed = None if n is None else Grid(dim=3, n=n)
     except ValueError as exc:
         raise InvalidConfig(f"bad --n: {exc}")
+    try:
+        minimal = [minimal_n_for(r, Grid(dim=3, n=2)) for r in r_values]
+    except ValueError as exc:
+        raise InvalidConfig(f"bad --r {sweep!r}: {exc}")
     with _run() as (outdir, manifest):
         rows = []
-        for r in r_values:
-            grid = fixed or Grid(dim=3, n=minimal_n_for(r, Grid(dim=3, n=2)))
+        for r, n_min in zip(r_values, minimal):
+            grid = fixed or Grid(dim=3, n=n_min)
             try:
                 a_num = a_numeric(grid, r)
             except ValueError as exc:

@@ -5,7 +5,7 @@ convolution for the noise increment):
 
     (d/dt + P) u = sqrt(2) xi_r - lam u^3 + (3 lam a_r - 3 lam^2 b_r) u,
 
-with lam a positive constant or a positive Field.  The change of variables
+with lam a non-negative constant.  The change of variables
 
     v = e^{3 I2} (u - X + I3) - v_ref
 
@@ -61,7 +61,7 @@ __all__ = [
     "SimConfig",
     "Trajectory",
     "BlowUpError",
-    "counterterm_field",
+    "counterterm",
     "step_u",
     "simulate_u",
     "cole_hopf",
@@ -101,12 +101,13 @@ class SimConfig:
     horizon: float
     dim: int = 3
     period: float = 2.0 * math.pi
-    coupling: float | Field = 1.0
+    coupling: float = 1.0
     counterterm_a: bool = True
     counterterm_b: bool = True
     seed: int = 0
     stream: int = 0
-    initial: str | Field | tuple = "zero"
+    # the field at t = 0, zero when None; rough_initial_field gives a rough one
+    initial: Field | None = None
     snapshot_stride: int = 10
     blowup_threshold: float = 1.0e6
 
@@ -115,13 +116,9 @@ class SimConfig:
             raise ValueError(f"r must be positive, got {self.r}")
         if not (self.dt > 0 and self.horizon > 0):
             raise ValueError("dt and horizon must be positive")
-        lam = self.coupling
-        if isinstance(lam, Field):
-            if not np.all(lam.values > 0):
-                raise ValueError("coupling field must be strictly positive")
-        elif lam < 0:
+        if self.coupling < 0:
             # lam = 0 is admitted: the free dynamics is the Gaussian baseline
-            raise ValueError(f"coupling must be non-negative, got {lam}")
+            raise ValueError(f"coupling must be non-negative, got {self.coupling}")
 
     @property
     def grid(self) -> Grid:
@@ -158,15 +155,12 @@ class Trajectory:
             self.diagnostics.setdefault(key, []).append(val)
 
 
-def counterterm_field(cfg: SimConfig):
+def counterterm(cfg: SimConfig) -> float:
     """The linear counterterm coefficient 3 lam a_r - 3 lam^2 b_r, honoring
-    the independent toggles; a scalar for constant coupling, a Field
-    otherwise."""
+    the independent toggles."""
     a = a_closed(cfg.r) if cfg.counterterm_a else 0.0
     b = b_closed(cfg.r) if cfg.counterterm_b else 0.0
     lam = cfg.coupling
-    if isinstance(lam, Field):
-        return Field(lam.grid, 3.0 * lam.values * a - 3.0 * lam.values**2 * b)
     return 3.0 * lam * a - 3.0 * lam**2 * b
 
 
@@ -190,16 +184,9 @@ def step_u(
     stream; a given increment field (ou_noise_field) shares the realization
     with a co-evolving tree trajectory, and a zero field turns the noise off.
     """
-    lam = cfg.coupling
-    cube = cubic(u)
-    if isinstance(lam, Field):
-        nonlin = Field(u.grid, -lam.values * cube.values)
-    else:
-        nonlin = (-lam) * cube
-    ct = counterterm_field(cfg)
-    if isinstance(ct, Field):
-        nonlin = nonlin + Field(u.grid, ct.values * u.values)
-    elif ct != 0.0:
+    nonlin = (-cfg.coupling) * cubic(u)
+    ct = counterterm(cfg)
+    if ct != 0.0:
         nonlin = nonlin + ct * u
     out = duhamel_step(u, nonlin, cfg.dt)
     if noise is None:
@@ -207,17 +194,6 @@ def step_u(
     out = out + noise
     _check_blowup(out, time + cfg.dt, cfg.blowup_threshold)
     return out
-
-
-def _initial_field(cfg: SimConfig, stream: NoiseStream) -> Field:
-    init = cfg.initial
-    if isinstance(init, Field):
-        return init
-    if init == "zero":
-        return Field.zeros(cfg.grid)
-    if isinstance(init, tuple) and init[0] == "random":
-        return rough_initial_field(cfg.grid, float(init[1]), stream)
-    raise ValueError(f"unknown initial condition spec: {init!r}")
 
 
 def rough_initial_field(grid: Grid, size: float, stream: NoiseStream) -> Field:
@@ -229,17 +205,16 @@ def rough_initial_field(grid: Grid, size: float, stream: NoiseStream) -> Field:
     return (size / norm) * base
 
 
-def simulate_u(cfg: SimConfig, noise_on: bool = True) -> Trajectory:
+def simulate_u(cfg: SimConfig) -> Trajectory:
     """Integrate the u-equation over [0, horizon], recording snapshots and
     diagnostic norms every snapshot_stride steps."""
     stream = cfg.noise()
-    u = _initial_field(cfg, stream.child(10_000 + cfg.stream))
+    u = Field.zeros(cfg.grid) if cfg.initial is None else cfg.initial
     traj = Trajectory()
     traj.record(0.0, u)
     n_steps = int(round(cfg.horizon / cfg.dt))
-    noise = None if noise_on else Field.zeros(cfg.grid)
     for i in range(n_steps):
-        u = step_u(u, cfg, stream, noise, time=i * cfg.dt)
+        u = step_u(u, cfg, stream, time=i * cfg.dt)
         if (i + 1) % cfg.snapshot_stride == 0 or i == n_steps - 1:
             traj.record((i + 1) * cfg.dt, u)
     return traj
@@ -318,16 +293,15 @@ def assemble_z(trees: EnhancedNoise) -> ZCoefficients:
 
 def step_v(
     v: Field,
-    trees: EnhancedNoise | ZCoefficients,
+    z: ZCoefficients,
     cfg: SimConfig,
     time: float = 0.0,
     dt: float | None = None,
 ) -> Field:
-    """One exponential-Euler step of the v-equation with coefficients frozen
-    at the step's start.  Accepts a preassembled ZCoefficients to amortize
-    the assembly across several runs sharing one tree slice, and an optional
-    dt override for substepping the stiff cubic transient."""
-    z = trees if isinstance(trees, ZCoefficients) else assemble_z(trees)
+    """One exponential-Euler step of the v-equation with the coefficients
+    z = assemble_z(trees) of the step's start, which several runs sharing one
+    tree slice assemble once; dt overrides cfg.dt for substepping the stiff
+    cubic transient."""
     grad_v = gradient(v)
     transport = sum(gi.values * gv.values for gi, gv in zip(z.grad_i2, grad_v))
     vv = v.values
@@ -373,7 +347,6 @@ def coming_down_experiment(
     cfg: SimConfig,
     initial_norms: list[float],
     p: int = 8,
-    record_times: list[float] | None = None,
 ) -> dict:
     """Evolve the v-equation from initial data of widely different sizes on
     one shared noise realization and fit the coming-down bound

@@ -127,10 +127,11 @@ class CumulantEstimate:
         )
 
 
-def fourth_cumulant(samples, r_probe: float) -> CumulantEstimate:
+def fourth_cumulant(fields, r_probe: float) -> CumulantEstimate:
     """Jackknife estimate of C4 = E[w^4] - 3 E[w^2]^2 for the smoothed
-    pointwise marginal w = (e^{-r_probe P} u)(x0), pooled over all x0."""
-    fields = samples.fields if isinstance(samples, SampleSet) else list(samples)
+    pointwise marginal w = (e^{-r_probe P} u)(x0), pooled over all x0 and
+    over the sample fields."""
+    fields = list(fields)
     n = len(fields)
     if n < 200:
         raise ValueError(f"need at least 200 decorrelated samples, got {n}")

@@ -138,27 +138,25 @@ def resonants(*pairs) -> list[Field]:
 
 
 def block_norms(f: Field, p: float = np.inf) -> list[float]:
-    """[||Delta_j f||_{L^p} for j = -1, 0, 1, ...]: the block norms every
-    Besov norm of f with this p weighs."""
-    return [lp_norm(bj, p) for bj in block_fields(f)]
+    """[||Delta_j f||_{L^p} for j = -1, 0, 1, ..., j_max]: the block norms
+    every Besov norm of f with this p weighs.  A level that holds no mode
+    (level 0 always) gives 0.0 without building its block."""
+    held = _held_levels(f.grid)
+    return [lp_norm(_band(f, j, j), p) if j in held else 0.0
+            for j in range(-1, BlockDecomposition(f.grid).j_max + 1)]
 
 
-def weigh_blocks(norms, gamma: float, q: float = np.inf) -> float:
-    """l^q over j of 2^{j gamma} norms[j + 1], the Besov norm B^gamma_{p,q}
+def weigh_blocks(norms, gamma: float) -> float:
+    """sup over j of 2^{j gamma} norms[j + 1], the Besov norm B^gamma_{p,inf}
     from the block norms of block_norms(f, p)."""
-    if not 1 <= q <= np.inf:
-        raise ValueError("q must lie in [1, inf]")
-    arr = np.array([2.0 ** (j * gamma) * nj for j, nj in enumerate(norms, start=-1)])
-    if q == np.inf:
-        return float(arr.max())
-    return float((arr**q).sum() ** (1.0 / q))
+    return float(np.max([2.0 ** (j * gamma) * nj for j, nj in enumerate(norms, start=-1)]))
 
 
-def besov_norm(f: Field, gamma: float, p: float = np.inf, q: float = np.inf) -> float:
-    """Besov norm B^gamma_{p,q}: l^q over j of 2^{j gamma} ||Delta_j f||_{L^p}."""
-    if not (1 <= p <= np.inf and 1 <= q <= np.inf):
-        raise ValueError("p, q must lie in [1, inf]")
-    return weigh_blocks(block_norms(f, p), gamma, q)
+def besov_norm(f: Field, gamma: float, p: float = np.inf) -> float:
+    """Besov norm B^gamma_{p,inf}: sup over j of 2^{j gamma} ||Delta_j f||_{L^p}."""
+    if not 1 <= p <= np.inf:
+        raise ValueError("p must lie in [1, inf]")
+    return weigh_blocks(block_norms(f, p), gamma)
 
 
 @dataclass(frozen=True)
@@ -173,7 +171,7 @@ class RegularityFit:
         return f"gamma_hat = {self.gamma_hat:+.3f} +/- {self.stderr:.3f} (levels {self.levels})"
 
 
-def estimate_regularity(samples, j_min: int = 2, j_max: int | None = None) -> RegularityFit:
+def estimate_regularity(samples, j_min: int = 2) -> RegularityFit:
     """Estimate the Holder-Besov exponent of a stationary random field.
 
     Fits the least-squares slope of log2 E[(Delta_j u)(x)^2] against j over
@@ -181,17 +179,17 @@ def estimate_regularity(samples, j_min: int = 2, j_max: int | None = None) -> Re
     averaging (the fields are stationary on the torus).  Reports
     gamma_hat = -slope/2 with the regression standard error.
 
-    The window defaults to [j_min, j_complete], excluding the top levels
-    whose annuli are truncated by the corners of the frequency cube and
-    therefore contaminated by the grid cutoff.
+    The window holds the levels from j_min to j_complete that hold a mode
+    (level 0 never does), excluding the top levels whose annuli are
+    truncated by the corners of the frequency cube and therefore
+    contaminated by the grid cutoff.
     """
     samples = list(samples)
     if len(samples) < 16:
         raise ValueError(f"need at least 16 samples, got {len(samples)}")
     grid = samples[0].grid
-    decomp = BlockDecomposition(grid)
-    j_hi = decomp.j_complete if j_max is None else min(j_max, decomp.j_max)
-    levels = list(range(j_min, j_hi + 1))
+    j_hi = BlockDecomposition(grid).j_complete
+    levels = [j for j in _held_levels(grid) if j_min <= j <= j_hi]
     if len(levels) < 4:
         raise ValueError(
             f"only {len(levels)} usable levels on this grid; need at least 4"

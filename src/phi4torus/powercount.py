@@ -66,6 +66,8 @@ KERNEL_HOMOGENEITY: dict[str, Fraction] = {
 }
 RESONANCE_HOMOGENEITY = Fraction(6)  # [o] kernel per triple
 Q_MARKED_CONST = Fraction(6)  # marked probe: 6 + 2 gamma
+# the enumeration scans every edge subset, so larger graphs are refused
+MAX_VERTICES = 14
 
 
 class GraphError(ValueError):
@@ -149,12 +151,6 @@ class FeynmanGraph:
     @property
     def b1(self) -> int:
         return len(self.edges) - len(self.vertices) - self.n_triples + 1
-
-    def q_edge(self) -> Edge | None:
-        for e in self.edges:
-            if e.kind == "Q":
-                return e
-        return None
 
     # -- validation ---------------------------------------------------------
     def validate(self):
@@ -425,15 +421,13 @@ def _bridgeless(nodes: set[str], links) -> bool:
     return True
 
 
-def enumerate_relevant_subgraphs(
-    g: FeynmanGraph, max_vertices: int = 14
-) -> list[tuple[Edge, ...]]:
+def enumerate_relevant_subgraphs(g: FeynmanGraph) -> list[tuple[Edge, ...]]:
     """All connected, bridgeless, loop-carrying (b1 > 0) edge subsets, with
     triples completed; brute force over edge subsets."""
     n_vertices = len(g.all_names())
-    if n_vertices > max_vertices:
+    if n_vertices > MAX_VERTICES:
         raise GraphError(
-            f"graph has {n_vertices} vertices (cap {max_vertices}); "
+            f"graph has {n_vertices} vertices (cap {MAX_VERTICES}); "
             f"enumeration would scan 2^{len(g.edges)} = {2 ** len(g.edges)} subsets"
         )
     out = []
@@ -474,7 +468,6 @@ class SubgraphVerdict:
     #               shielded-exempt | gamma-dependent
     gamma_upper: Fraction | None  # strict upper bound from this subgraph
     case_b: bool  # renormalizable at the boundary (gamma-free subgraphs)
-    case_b_gamma_window: tuple[Fraction, Fraction] | None = None
 
     def describe(self) -> str:
         names = "{" + ", ".join(str(e) for e in self.edges) + "}"
@@ -489,7 +482,7 @@ class SubgraphVerdict:
         return f"{names}: a = {a}, codim = {codim} -> {tail}"
 
 
-def verdict(g: FeynmanGraph, edge_subset, gamma=None) -> SubgraphVerdict:
+def verdict(g: FeynmanGraph, edge_subset) -> SubgraphVerdict:
     """Power-counting verdict of one subgraph, gamma symbolic."""
     subset = tuple(edge_subset)
     tri_names, singles = _closure(g, subset)
@@ -520,14 +513,12 @@ def verdict(g: FeynmanGraph, edge_subset, gamma=None) -> SubgraphVerdict:
 
     gamma_upper = None
     case_b = False
-    case_b_window = None
     if shielded:
         label = "shielded-exempt"
     elif a2 is not None:
         # a2 + codim_marked > 0  <=>  gamma < (const + codim)/2
         gamma_upper = (a2.const + codim_marked) / 2
         label = "gamma-dependent"
-        case_b_window = (gamma_upper, gamma_upper + Fraction(1, 2))
         # the unmarked reading (probe of degree 0) must also converge
         margin_unmarked = a1 + codim_unmarked
         if margin_unmarked <= -1:
@@ -545,7 +536,7 @@ def verdict(g: FeynmanGraph, edge_subset, gamma=None) -> SubgraphVerdict:
         else:
             label = "superdivergent"
 
-    v = SubgraphVerdict(
+    return SubgraphVerdict(
         edges=subset,
         triples=tuple(sorted(tri_names)),
         singletons=tuple(sorted(singles)),
@@ -558,9 +549,7 @@ def verdict(g: FeynmanGraph, edge_subset, gamma=None) -> SubgraphVerdict:
         verdict=label,
         gamma_upper=gamma_upper,
         case_b=case_b,
-        case_b_gamma_window=case_b_window,
     )
-    return v
 
 
 @dataclass
@@ -578,13 +567,13 @@ class GammaRangeReport:
         return f"gamma < {self.gamma_max}"
 
 
-def gamma_range(g: FeynmanGraph, max_vertices: int = 14) -> GammaRangeReport:
+def gamma_range(g: FeynmanGraph) -> GammaRangeReport:
     """Intersect the verdicts of all relevant subgraphs: the admissible range
     is gamma < gamma_max, shielded subgraphs are exempt, gamma-free
     boundary subgraphs are flagged case-(b) renormalizable rather than
     failing."""
     verdicts = [
-        verdict(g, subset) for subset in enumerate_relevant_subgraphs(g, max_vertices)
+        verdict(g, subset) for subset in enumerate_relevant_subgraphs(g)
     ]
     gamma_max: Fraction | None = None
     admissible = True

@@ -94,6 +94,8 @@ def mode_sum(grid: Grid, r: float) -> float:
 def minimal_n_for(r: float, grid: Grid) -> int:
     """Smallest power-of-two N whose corner mode satisfies
     e^{-2 r lam} <= 1e-12."""
+    if not (r > 0):
+        raise ValueError(f"r must be positive, got {r}")
     lam_needed = -math.log(1e-12) / (2.0 * r)
     kmax_needed = math.sqrt(max(lam_needed - 1.0, 0.0) / grid.dim)
     n_needed = kmax_needed * grid.period / math.pi

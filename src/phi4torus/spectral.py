@@ -326,10 +326,11 @@ class Field:
     coefficients c = rfftn(values)/N^d, or both, and computes the missing
     one on first use (read-only thereafter).  A field built from
     coefficients (`from_half`) runs its inverse transform only when its
-    values are read.  +, - and multiplication by a scalar work on the values
-    when every operand has them and on the coefficients otherwise.  A field
-    times a field or an array raises TypeError: products of fields are
-    dealiased (`dealiased_product`).
+    values are read.  + and - of fields or of a field and a scalar, and
+    multiplication by a scalar, work on the values when every operand has
+    them and on the coefficients otherwise.  A field times a field raises
+    TypeError: products of fields are dealiased (`dealiased_product`).  So
+    does any arithmetic of a field with an array: wrap the array as a Field.
     """
 
     # an array operand defers to Field's own operators, so that
@@ -406,7 +407,7 @@ class Field:
 
     def _linear(self, other, op):
         """self op other for op = np.add or np.subtract, where other is a
-        Field, a scalar or an array of values."""
+        Field or a scalar."""
         if isinstance(other, Field):
             self._check(other)
             if self._values is None or other._values is None:
@@ -416,7 +417,7 @@ class Field:
                 half = op(self._half, other._half)
             return Field._of(self.grid, op(self._values, other._values), half)
         if np.ndim(other) != 0:
-            return Field(self.grid, op(self.values, other))
+            return NotImplemented
         half = None
         if self._half is not None:
             # a scalar moves only the k = 0 coefficient

@@ -62,7 +62,6 @@ class EnhancedNoise:
     v_ref: Field | None = None
     a: float = 0.0
     b: float = 0.0
-    counterterms: bool = True
 
     @classmethod
     def zero(cls, grid: Grid, r: float) -> "EnhancedNoise":
@@ -97,7 +96,6 @@ class TreeEvolver:
         grid: Grid,
         r: float,
         stream: NoiseStream,
-        counterterms: bool = True,
         track_vref: bool = True,
     ):
         if not (r > 0):
@@ -105,10 +103,9 @@ class TreeEvolver:
         self.grid = grid
         self.r = r
         self.stream = stream
-        self.counterterms = counterterms
         self.track_vref = track_vref
-        self.a = a_closed(r) if counterterms else 0.0
-        self.b = b_closed(r) if counterterms else 0.0
+        self.a = a_closed(r)
+        self.b = b_closed(r)
         self.time = 0.0
         self.X = sample_stationary(grid, r, stream)
         self.I2 = Field.zeros(grid)
@@ -168,7 +165,7 @@ class TreeEvolver:
         snap = EnhancedNoise(
             r=self.r, time=self.time, X=self.X, W2=W2, W3=W3,
             I2=self.I2, I3=self.I3, v_ref=self.v_ref,
-            a=self.a, b=self.b, counterterms=self.counterterms,
+            a=self.a, b=self.b,
         )
         if with_resonants:
             # R4 shares the blocks of I3 with R1 and the near sums of W2 with
@@ -197,7 +194,6 @@ def build_enhanced_noise(
     dt: float = 0.05,
     n_snapshots: int = 1,
     snapshot_stride: float = 1.0,
-    counterterms: bool = True,
     with_resonants: bool = True,
     track_vref: bool = False,
 ) -> TreeTrajectory:
@@ -209,7 +205,7 @@ def build_enhanced_noise(
         raise ValueError(
             "burn_in must cover at least 5 relaxation times of the slowest mode"
         )
-    ev = TreeEvolver(grid, r, stream, counterterms=counterterms, track_vref=track_vref)
+    ev = TreeEvolver(grid, r, stream, track_vref=track_vref)
     ev.burn_in(burn_in, dt)
     traj = TreeTrajectory(r=r, times=[])
     stride_steps = max(1, int(round(snapshot_stride / dt)))

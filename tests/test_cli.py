@@ -393,6 +393,15 @@ class TestRenormConstants:
         assert f"bad --n: n must be a power of two >= 2, got {n}" in res.output
         assert not (tmp_path / "renorm_constants.csv").exists()
 
+    @pytest.mark.parametrize("sweep", ["0", "0.02,-0.01"], ids=["zero", "negative"])
+    def test_non_positive_r_exits_3(self, runner, tmp_path, monkeypatch, sweep):
+        monkeypatch.setattr("phi4torus.cli.a_numeric", lambda *a: pytest.fail("ran"))
+        res = runner.invoke(main, ["renorm-constants", "--r", sweep,
+                                   "--output-dir", str(tmp_path)])
+        assert res.exit_code == 3
+        assert f"bad --r {sweep!r}: r must be positive" in res.output
+        assert not (tmp_path / "renorm_constants.csv").exists()
+
 
 class TestPowercount:
     def test_table_reports_gamma_max(self, runner):
@@ -438,6 +447,25 @@ class TestRegularity:
         assert payload["component"] == "X"
         assert isinstance(payload["gamma_hat"], float)
         assert len(payload["levels"]) == len(payload["log2_energy"])
+
+    def test_window_skips_the_empty_level(self, runner, tmp_path):
+        """Level 0 holds no mode: --j-min 0 fits levels 1 .. j_complete and
+        writes no non-finite number."""
+        res = invoke(runner, ["regularity", "--n", "32", "--r", "0.05", "--dt", "0.1",
+                              "--samples", "16", "--burn-in", "5.0", "--j-min", "0",
+                              "--output-dir", str(tmp_path)])
+        assert res.exit_code == 0
+        text = (tmp_path / "regularity_X.json").read_text()
+        assert "NaN" not in text and "Infinity" not in text
+        assert json.loads(text)["levels"] == [1, 2, 3, 4]
+
+    def test_too_few_held_levels_refused(self, runner, tmp_path):
+        res = runner.invoke(main, ["regularity", "--n", "16", "--r", "0.05", "--dt", "0.05",
+                                   "--samples", "16", "--burn-in", "5.0", "--j-min", "0",
+                                   "--output-dir", str(tmp_path)])
+        assert res.exit_code == 4
+        assert "only 3 usable levels" in res.output
+        assert not (tmp_path / "regularity_X.json").exists()
 
     def test_unknown_component_refused(self, runner, tmp_path):
         res = runner.invoke(main, ["regularity", *FAST_GRID, "--component", "Zed",

@@ -9,7 +9,7 @@ shows up at order one, since random fields carry O(1) Nyquist coefficients.
 import numpy as np
 import pytest
 
-from phi4torus.dynamics import SimConfig, counterterm_field, step_u
+from phi4torus.dynamics import SimConfig, counterterm, step_u
 from phi4torus.noise import NoiseStream, ou_noise_field, sample_stationary
 from phi4torus.paraproduct import resonant
 from phi4torus.renorm import a_closed, b_closed
@@ -122,7 +122,7 @@ class TestOperations:
     def test_twenty_u_steps(self, grid):
         cfg = SimConfig(n=grid.n, dim=grid.dim, r=0.05, dt=0.01, horizon=0.2, seed=4)
         stream = cfg.noise()
-        ct = counterterm_field(cfg)
+        ct = counterterm(cfg)
         (u,) = random_fields(grid, 1, 9)
         want = u.values
         for step in range(20):

@@ -33,7 +33,7 @@ import scipy.fft
 
 from phi4torus.dynamics import SimConfig, step_u
 from phi4torus.noise import NoiseStream
-from phi4torus.paraproduct import BlockDecomposition, resonant
+from phi4torus.paraproduct import BlockDecomposition, besov_norm, resonant
 from phi4torus.spectral import (
     Field,
     Grid,
@@ -205,6 +205,20 @@ def test_resonant(counts):
     # each for level 0; irfftn 2 * (j_max + 2) and rfftn 1 unpruned)
     levels = BlockDecomposition(GRID).j_max + 1
     assert counts == two_n(pads=2 * levels, truncations=1)
+
+
+@pytest.mark.parametrize("n, held", [(8, 4), (32, 6)])
+def test_besov_norm(counts, n, held):
+    grid = Grid(dim=3, n=n)
+    f = Field(grid, np.random.default_rng(9).normal(size=grid.shape))
+    f.half
+    counts.clear()
+    besov_norm(f, -0.55)
+    # one inverse transform per level that holds a mode, -1 and 1 .. j_max;
+    # the empty level 0 weighs 0.0 and is never built (earlier: one more
+    # transform, of zeros)
+    assert BlockDecomposition(grid).j_max + 1 == held
+    assert counts == {"irfftn": held}
 
 
 def test_field_from_coefficients_is_not_transformed_until_read(counts):

@@ -7,13 +7,14 @@ from phi4torus.paraproduct import (
     BlockDecomposition,
     besov_norm,
     block_fields,
+    block_norms,
     estimate_regularity,
     paraproduct,
     product_decomposition,
     resonant,
     resonants,
 )
-from phi4torus.spectral import Field, Grid, dealiased_product, half_cube
+from phi4torus.spectral import Field, Grid, dealiased_product, half_cube, lp_norm
 
 from oracles import full_eigenvalues, full_paraproduct, full_resonant, full_values
 
@@ -151,6 +152,12 @@ class TestBesovNorm:
         a, b = random_field(grid, 7), random_field(grid, 8)
         assert besov_norm(a + b, -0.5) <= besov_norm(a, -0.5) + besov_norm(b, -0.5) + 1e-12
 
+    def test_empty_level_weighs_zero(self):
+        f = random_field(Grid(dim=3, n=8), 12)
+        norms = block_norms(f)
+        assert norms[1] == 0.0  # level 0
+        assert norms == [lp_norm(b, np.inf) for b in block_fields(f)]
+
     def test_rejects_bad_exponents(self):
         grid = Grid(dim=1, n=16)
         with pytest.raises(ValueError):
@@ -187,6 +194,21 @@ class TestRegularityEstimate:
         grid = Grid(dim=1, n=64)
         with pytest.raises(ValueError, match="16 samples"):
             estimate_regularity([Field.zeros(grid)] * 4)
+
+    @pytest.mark.parametrize("j_min", [0, -1])
+    def test_fit_runs_over_levels_that_hold_a_mode(self, j_min):
+        """Level 0 holds no mode: a window from j_min <= 0 skips it, so
+        the fit stays finite and from 0 it is the fit from 1."""
+        grid = Grid(dim=2, n=64)
+        rng = np.random.default_rng(11)
+        samples = [Field(grid, rng.normal(size=grid.shape)) for _ in range(16)]
+        fit = estimate_regularity(samples, j_min=j_min)
+        from_one = estimate_regularity(samples, j_min=1)
+        assert 0 not in fit.levels
+        assert fit.levels == list(range(j_min, 0)) + from_one.levels
+        assert np.all(np.isfinite(fit.log2_energy)) and math.isfinite(fit.gamma_hat)
+        if j_min == 0:
+            assert fit == from_one
 
     def test_refuses_too_few_levels(self):
         grid = Grid(dim=1, n=16)

@@ -99,6 +99,11 @@ class TestANumeric:
         grid = Grid(dim=3, n=16)
         assert minimal_n_for(0.1, grid) <= minimal_n_for(0.001, grid)
 
+    @pytest.mark.parametrize("r", [0.0, -0.01])
+    def test_minimal_n_refuses_non_positive_r(self, r):
+        with pytest.raises(ValueError, match="r must be positive"):
+            minimal_n_for(r, Grid(dim=3, n=16))
+
 
 class TestSunset:
     def test_exact_value(self):

@@ -40,8 +40,6 @@ class TestEvolverBasics:
         ev = TreeEvolver(GRID, R, NoiseStream(0))
         assert ev.a == a_closed(R)
         assert ev.b == b_closed(R)
-        ev2 = TreeEvolver(GRID, R, NoiseStream(0), counterterms=False)
-        assert ev2.a == 0.0 and ev2.b == 0.0
 
     def test_wick_square_is_dealiased_square_minus_a(self):
         ev = TreeEvolver(GRID, R, NoiseStream(1))
