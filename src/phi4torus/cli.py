@@ -48,7 +48,7 @@ from .dynamics import (
     simulate_u,
 )
 from .noise import NoiseStream
-from .observables import birkhoff_sample, fourth_cumulant
+from .observables import MIN_CUMULANT_SAMPLES, birkhoff_sample, fourth_cumulant
 from .paraproduct import estimate_regularity
 from .powercount import GraphError, gamma_range, parse_graph
 from .renorm import a_closed, a_numeric, b_closed, b_numeric, minimal_n_for
@@ -290,7 +290,7 @@ def simulate(checkpoints, **params):
 
 @main.command()
 @_options(*_TREE_OPTIONS)
-@click.option("--snapshots", default=1)
+@click.option("--snapshots", default=1, type=click.IntRange(min=1))
 @click.option("--sweep", default=None,
               help="r sweep 'lo:hi:num' for the divergence report instead of fields")
 def trees(burn_in, snapshots, sweep, **params):
@@ -501,7 +501,7 @@ def comedown(sizes, p, **params):
 @main.command()
 @_options(*_TREE_OPTIONS, *_LANGEVIN_OPTIONS)
 @click.option("--stride", default=0.5)
-@click.option("--count", default=200)
+@click.option("--count", default=200, type=click.IntRange(min=1))
 @click.option("--probes", default="0.08:0.01:4", help="r_probe sweep 'hi:lo:num' or comma list")
 @click.option("--streams", default=1, type=click.IntRange(min=1),
               help="independent trajectories pooled for samples; must divide --count")
@@ -512,6 +512,9 @@ def cumulant(burn_in, stride, count, probes, streams, **params):
         raise InvalidConfig(f"--streams {streams} does not divide --count {count}")
     r_probes = _parse_sweep("--probes", probes)
     with _run() as (outdir, manifest):
+        if count < MIN_CUMULANT_SAMPLES:
+            raise Refused(f"need at least {MIN_CUMULANT_SAMPLES} decorrelated samples, "
+                          f"got --count {count}")
         fields, report = [], []
         for s in range(streams):
             scfg = dataclasses.replace(cfg, stream=cfg.stream + s)
@@ -540,7 +543,7 @@ def cumulant(burn_in, stride, count, probes, streams, **params):
 @main.command()
 @_options(*_TREE_OPTIONS, *_LANGEVIN_OPTIONS)
 @click.option("--stride", default=0.5)
-@click.option("--count", default=100)
+@click.option("--count", default=100, type=click.IntRange(min=1))
 @click.option("--save-fields/--no-save-fields", default=False)
 def sample(burn_in, stride, count, save_fields, **params):
     """Birkhoff-sample the invariant measure; report observable statistics."""

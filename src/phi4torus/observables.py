@@ -127,14 +127,19 @@ class CumulantEstimate:
         )
 
 
+# the fewest decorrelated samples that `fourth_cumulant` takes
+MIN_CUMULANT_SAMPLES = 200
+
+
 def fourth_cumulant(fields, r_probe: float) -> CumulantEstimate:
     """Jackknife estimate of C4 = E[w^4] - 3 E[w^2]^2 for the smoothed
     pointwise marginal w = (e^{-r_probe P} u)(x0), pooled over all x0 and
     over the sample fields."""
     fields = list(fields)
     n = len(fields)
-    if n < 200:
-        raise ValueError(f"need at least 200 decorrelated samples, got {n}")
+    if n < MIN_CUMULANT_SAMPLES:
+        raise ValueError(f"need at least {MIN_CUMULANT_SAMPLES} decorrelated samples, "
+                         f"got {n}")
     if not r_probe > 0:
         raise ValueError(f"r_probe must be positive, got {r_probe}")
     m2 = np.empty(n)

@@ -34,7 +34,6 @@ from .spectral import Field, Grid, dealiased_sum, dealiased_sums, half_cube, lp_
 __all__ = [
     "BlockDecomposition",
     "lp_block",
-    "block_fields",
     "paraproduct",
     "resonant",
     "resonants",
@@ -83,12 +82,6 @@ def lp_block(f: Field, j: int) -> Field:
     if j < -1:
         raise ValueError(f"block level must be >= -1, got {j}")
     return _band(f, j, j)
-
-
-def block_fields(f: Field) -> list[Field]:
-    """All blocks [Delta_{-1} f, Delta_0 f, ..., Delta_{j_max} f] covering
-    the grid, the empty Delta_0 f included."""
-    return [_band(f, j, j) for j in range(-1, BlockDecomposition(f.grid).j_max + 1)]
 
 
 def product_decomposition(a: Field, b: Field) -> tuple[Field, Field, Field]:

@@ -71,10 +71,11 @@ MAX_VERTICES = 14
 
 
 class GraphError(ValueError):
-    """Parse or validation error with a 1-based line position."""
+    """Parse or validation error with a 1-based line position, or with the
+    index in `FeynmanGraph.edges` of the edge that failed validation."""
 
-    def __init__(self, message: str, line: int | None = None):
-        self.line = line
+    def __init__(self, message: str, line: int | None = None, edge: int | None = None):
+        self.line, self.edge = line, edge
         where = f"line {line}: " if line is not None else ""
         super().__init__(where + message)
 
@@ -172,46 +173,44 @@ class FeynmanGraph:
             seen[t.name] = "triple"
         pairs: set[frozenset] = set()
         n_q = 0
-        for e in self.edges:
+        for i, e in enumerate(self.edges):
             for end in (e.a, e.b):
                 if end not in names:
                     raise GraphError(
-                        f"edge {e} references undeclared vertex {end!r}"
+                        f"edge {e} references undeclared vertex {end!r}", edge=i
                     )
             if e.a == e.b:
-                raise GraphError(f"edge {e} is a self-loop")
+                raise GraphError(f"edge {e} is a self-loop", edge=i)
             if e.pair in pairs:
-                raise GraphError(
-                    f"parallel edge between {e.a!r} and {e.b!r}"
-                )
+                raise GraphError(f"parallel edge between {e.a!r} and {e.b!r}", edge=i)
             pairs.add(e.pair)
             ta, tb = self.triple_of(e.a), self.triple_of(e.b)
             if ta is not None and ta is tb:
                 raise GraphError(
-                    f"edge {e} joins two members of triple {ta.name!r}"
+                    f"edge {e} joins two members of triple {ta.name!r}", edge=i
                 )
             if e.kind == "Q":
                 n_q += 1
                 if n_q > 1:
-                    raise GraphError("at most one Q edge is allowed")
+                    raise GraphError("at most one Q edge is allowed", edge=i)
                 for end in (e.a, e.b):
                     t = self.triple_of(end)
                     if t is not None:
                         if end != t.star:
                             raise GraphError(
                                 f"Q endpoint {end!r} must be the star of "
-                                f"triple {t.name!r}, not a distinguished leg"
+                                f"triple {t.name!r}, not a distinguished leg", edge=i
                             )
                     else:
                         vtx = next(v for v in self.vertices if v.name == end)
                         if not vtx.pinned:
                             raise GraphError(
-                                f"Q endpoint {end!r} must be time-pinned"
+                                f"Q endpoint {end!r} must be time-pinned", edge=i
                             )
             elif e.kind not in KERNEL_HOMOGENEITY:
                 raise GraphError(
                     f"unknown kernel kind {e.kind!r}; known: "
-                    f"{sorted(KERNEL_HOMOGENEITY)} and Q"
+                    f"{sorted(KERNEL_HOMOGENEITY)} and Q", edge=i
                 )
 
 
@@ -319,11 +318,9 @@ def parse_graph(text: str) -> FeynmanGraph:
     try:
         return FeynmanGraph(graph_vertices, tuple(triples), tuple(e for e, _ in edges))
     except GraphError as exc:
-        # attach the offending edge's line when identifiable
-        for e, lineno in edges:
-            if str(e) in str(exc) or (f"{e.a!r}" in str(exc) and f"{e.b!r}" in str(exc)):
-                raise GraphError(str(exc), lineno) from None
-        raise
+        if exc.edge is None:
+            raise
+        raise GraphError(str(exc), edges[exc.edge][1]) from None
 
 
 # ---------------------------------------------------------------------------

@@ -75,24 +75,13 @@ reads the retained rows.  Every pass is an n-d scipy.fft call over one
 axis, on a view of the half-cube, in place; in 3-d the pass over the first
 axis takes two calls, one per block of nonzero rows of the second axis.
 Working in place allocates no more than the full transforms did, which
-counts: each fresh array costs page faults when it is first written.  The
-results equal the full transforms of the padded half-cube, pads to the bit
-and truncations to rounding.  Per call in 3-d, on a 2-core machine
-(minimum over 3 rounds of the median of 15 to 200 calls):
-
-    2N grid    pad, full -> pruned    truncation, full -> pruned
-    32^3       0.40 -> 0.38 ms        0.50 -> 0.47 ms
-    64^3       2.3  -> 1.6 ms         2.1  -> 1.5 ms
-    128^3      35   -> 17 ms          27   -> 14 ms
-
-At 32^3 the difference is within the host's noise: another sample gave
-0.26 -> 0.30 ms and 0.28 -> 0.28 ms.  These times come from loops that
-keep each result until the next call, so that the allocator reuses the
-same heap memory.  A loop that drops each result, as the products do,
-measured 6.2 to 6.8 ms and 1 350 minor page faults per pad at 64^3: glibc
-returns a freed 2 MB array to the kernel, and the next one is faulted in
-page by page as it is written.  With the workspace below, the same loop
-took 1.5 to 2.8 ms per pad and faulted no page.
+counts: a fresh 2 MB array that glibc has just returned to the kernel is
+faulted in page by page as it is written.  The results equal the full
+transforms of the padded half-cube, pads to the bit and truncations to
+rounding.  Where the coefficients go is one index table per grid
+(`_pad_plan`): a pad scatters them into the 2N half-cube and a truncation
+gathers them back.  The CHANGES.md entries "Pruned 2N transforms" and "One
+reused 2N workspace" give the timings and page-fault counts.
 
 Workspace.  The 2N arrays of the products therefore live in buffers that
 this module keeps and reuses (the preallocated workspace of FFT libraries,
@@ -102,19 +91,15 @@ buffer serves a pad's spectrum, then a product or a sum, then a
 truncation's spectrum.  The real passes write into a buffer through
 numpy.fft's `out=`; products multiply and sums add in place.  A buffer
 goes back on a free list, one per 2N shape, after its last use, and a
-truncation copies the kept rows into a fresh N half-cube, so no field holds
-a buffer.  The list grows only when no buffer is free, so it holds at most
-as many as were in use at once: 2 for `cubic`, 3 for a tree step, 6 for a
-snapshot with resonants, which at N = 64 keep 102 MB.  The free lists hold
-one 2N shape at a time: a buffer of a shape that has no list drops the
-lists of the other shapes, so moving to another grid releases the buffers
-of the old one, and a run on one grid allocates none after its first
-products.  The free lists are module state: threads must not compute
-products at once.  Minor page faults of one `phi4` run in its own process
-(getrusage, 2-core machine), before -> after: `trees` (N = 32) 246 000 ->
-7 000 to 12 000, with system time 0.6 -> 0.03 s; `simulate` (N = 32)
-223 000 -> 65 000, the rest from arrays of the N grid; `comedown` (N = 16)
-160 000 to 175 000 -> under 600.
+truncation gathers the kept modes into a fresh N half-cube, so no field
+holds a buffer.  The list grows only when no buffer is free, so it holds
+at most as many as were in use at once: 2 for `cubic`, 3 for a tree step,
+6 for a snapshot with resonants, which at N = 64 keep 102 MB.  The free
+lists hold one 2N shape at a time: a buffer of a shape that has no list
+drops the lists of the other shapes, so moving to another grid releases
+the buffers of the old one, and a run on one grid allocates none after its
+first products.  The free lists are module state: threads must not
+compute products at once.
 """
 
 from __future__ import annotations
@@ -311,13 +296,6 @@ def _fft(name: str, x: np.ndarray, axes=None, out=None) -> np.ndarray:
     return y
 
 
-def _mirror(a: np.ndarray, axes) -> np.ndarray:
-    """a[-k mod n] along the given axes."""
-    for ax in axes:
-        a = np.roll(np.flip(a, ax), 1, ax)
-    return a
-
-
 class Field:
     """Real scalar function on a Grid with a cached half-cube spectrum.
 
@@ -505,52 +483,64 @@ def duhamel_step(u: Field, nonlinearity: Field, dt: float) -> Field:
     return Field.from_half(u.grid, decay * u.half + weight * nonlinearity.half)
 
 
-@dataclass(frozen=True)
-class _PadPlan:
-    """Slices that move half-cube coefficients between a grid and its 2N
-    refinement.
+class _PadPlan(NamedTuple):
+    """Where each coefficient of a grid's half-cube goes in the half-cube of
+    its 2N refinement, as flat indices, and the passes of the pruned 2N
+    transforms.
 
-    Each entry of `blocks` is (src, minus, plus, nyquist) over the leading
-    d-1 axes: `src` selects a block of the N half-cube, `minus` and `plus`
-    its images in the 2N half-cube with the block's Nyquist components at
-    -N/2 and at +N/2 (the same slices when it has none), and `nyquist` says
-    whether it has any.  `plus_plane` indexes the +N/2 images of the whole
-    plane of last-axis Nyquist coefficients.  The padded 2N half-cube is
-    zero outside its first N/2 + 1 columns and, along each leading axis,
-    outside the `rows` 0 .. N/2 and 2N - N/2 .. 2N - 1 of the frequencies
-    -N/2 .. N/2.
+    image : the 2N index of each N mode, in flat order: its image with every
+        Nyquist component at -N/2, except on the plane of last-axis Nyquist
+        modes, whose only image in the 2N half-cube has them all at +N/2
+        (the -N/2 one is the conjugate of a mirrored slot).
+    halved : the images of the modes with a Nyquist component, which get
+        half of the coefficient.
+    paired, twin : the N modes with a Nyquist component off that plane, and
+        their second image, every Nyquist component at +N/2.
+    edge, mirror : the N modes on that plane, and the N mode -k of each.
+    passes : the complex passes of a pruned inverse 2N transform, in order,
+        as (axis, index of the view to transform): one per leading axis,
+        first to last, over the nonzero columns and only the nonzero rows of
+        the leading axes not yet transformed.  Those rows form two blocks per
+        axis, so a pass takes one view per combination of blocks.  A pruned
+        forward transform runs the same passes in reverse.
     """
 
-    h: int
     shape: tuple[int, ...]  # the 2N grid
-    blocks: tuple
-    plus_plane: tuple
-    rows: tuple
-
-    @property
-    def half_shape(self) -> tuple[int, ...]:
-        """The 2N half-cube."""
-        return self.shape[:-1] + (self.shape[-1] // 2 + 1,)
+    half_shape: tuple[int, ...]  # its half-cube
+    image: np.ndarray
+    halved: np.ndarray
+    paired: np.ndarray
+    twin: np.ndarray
+    edge: np.ndarray
+    mirror: np.ndarray
+    passes: tuple
 
 
 @functools.cache
 def _pad_plan(grid: Grid) -> _PadPlan:
     n, dim = grid.n, grid.dim
     h, m = n // 2, 2 * n
-    classes = {
-        "low": (slice(0, h), slice(0, h), slice(0, h)),
-        "high": (slice(h + 1, n), slice(m - h + 1, m), slice(m - h + 1, m)),
-        "nyquist": (slice(h, h + 1), slice(m - h, m - h + 1), slice(h, h + 1)),
-    }
-    blocks = []
-    for combo in itertools.product(classes, repeat=dim - 1):
-        src, minus, plus = (tuple(classes[c][i] for c in combo) for i in range(3))
-        if all(s.start < s.stop for s in src):
-            blocks.append((src, minus, plus, "nyquist" in combo))
-    plus_index = np.concatenate([np.arange(h + 1), np.arange(m - h + 1, m)])
-    plus_plane = np.ix_(*([plus_index] * (dim - 1))) if dim > 1 else ()
+    shape = half_cube(grid).shape
+    big = (m,) * (dim - 1) + (n + 1,)  # the 2N half-cube
+    index = np.indices(shape).reshape(dim, -1)
+    lead, col = index[:-1], index[-1]
+    # the 2N rows of frequencies -N/2 .. N/2, with row N/2 at -N/2 or +N/2
+    minus = np.where(lead < h, lead, lead + n)
+    plus = np.where(lead <= h, lead, lead + n)
+    edge = col == h
+    nyquist = (lead == h).any(axis=0) | edge
+    image = np.ravel_multi_index((*np.where(edge, plus, minus), col), big)
+    paired = nyquist & ~edge
+    twin = np.ravel_multi_index((*plus, col), big)[paired]
+    mirror = np.ravel_multi_index((*(-lead % n), col), shape)[edge]
     rows = (slice(0, h + 1), slice(m - h, m))
-    return _PadPlan(h, (m,) * dim, tuple(blocks), plus_plane, rows)
+    passes = tuple(
+        (axis, (slice(None),) * (axis + 1) + block + (slice(0, h + 1),))
+        for axis in range(dim - 1)
+        for block in itertools.product(rows, repeat=dim - 2 - axis)
+    )
+    return _PadPlan((m,) * dim, big, image, image[nyquist], np.flatnonzero(paired), twin,
+                    np.flatnonzero(edge), mirror, passes)
 
 
 # the free 2N buffers of the last 2N grid shape used ("Workspace" in the
@@ -579,38 +569,19 @@ def _give(plan: _PadPlan, a: np.ndarray) -> None:
     _FREE[plan.shape].append(a.base)
 
 
-def _pruned_passes(plan: _PadPlan, ndim: int):
-    """The complex passes of a pruned inverse transform of a 2N half-cube
-    array, in order, as (axis, index of the view to transform): one pass per
-    leading axis, first to last, over the nonzero columns and only the
-    nonzero rows of the leading axes not yet transformed.  Those rows form
-    two blocks per axis, so a pass takes one view per combination of
-    blocks.  A pruned forward transform runs the same passes in reverse."""
-    cols = slice(0, plan.h + 1)
-    for axis in range(ndim - 1):
-        for rows in itertools.product(plan.rows, repeat=ndim - 2 - axis):
-            yield axis, (slice(None),) * (axis + 1) + rows + (cols,)
-
-
 def _padded_values(f: Field, plan: _PadPlan) -> np.ndarray:
     """Values of f on the 2N grid: its coefficients zero-padded, with each
     Nyquist coefficient split evenly between its two images.  The complex
-    passes of the inverse transform skip the zero rows (`_pruned_passes`)
-    and work in place; the real pass over the last axis ends it.  The
-    values lie in a 2N buffer, which the caller hands back (`_give`)."""
-    h = plan.h
-    half = f.half
+    passes of the inverse transform skip the zero rows (`plan.passes`) and
+    work in place; the real pass over the last axis ends it.  The values
+    lie in a 2N buffer, which the caller hands back (`_give`)."""
     out = _take(plan, "half")
-    out.fill(0)
-    low = slice(0, h)
-    for src, minus, plus, nyquist in plan.blocks:
-        block = half[src + (low,)]
-        if nyquist:
-            block = 0.5 * block
-            out[plus + (low,)] = block
-        out[minus + (low,)] = block
-    out[plan.plus_plane + (h,)] = 0.5 * half[..., h]
-    for axis, index in _pruned_passes(plan, out.ndim):
+    flat = out.reshape(-1)
+    flat.fill(0)
+    flat[plan.image] = f.half.reshape(-1)
+    flat[plan.halved] = 0.5 * flat[plan.halved]
+    flat[plan.twin] = flat[plan.image[plan.paired]]
+    for axis, index in plan.passes:
         _fft("ifftn", out[index], (axis,))
     vals = _fft("irfftn", out, (out.ndim - 1,), out=_take(plan, "real"))
     _give(plan, out)
@@ -621,62 +592,18 @@ def _truncated_field(grid: Grid, vals: np.ndarray, plan: _PadPlan) -> Field:
     """The field on `grid` whose coefficients are those of the 2N values
     restricted to N, with each Nyquist coefficient the mean of its two
     images.  After the real pass over the last axis, the complex passes of
-    `_pruned_passes` run in reverse and in place, computing only the rows
-    that are kept.  The spectrum lies in a 2N buffer, and the field gets a
-    copy of its kept rows."""
-    h = plan.h
+    `plan.passes` run in reverse and in place, computing only the rows that
+    are kept.  The spectrum lies in a 2N buffer, from which the field's
+    coefficients are gathered."""
     big = _fft("rfftn", vals, (vals.ndim - 1,), out=_take(plan, "half"))
-    for axis, index in reversed(list(_pruned_passes(plan, vals.ndim))):
+    for axis, index in reversed(plan.passes):
         _fft("fftn", big[index], (axis,))
-    out = np.empty(half_cube(grid).shape, dtype=complex)
-    low = slice(0, h)
-    for src, minus, plus, nyquist in plan.blocks:
-        block = big[minus + (low,)]
-        if nyquist:
-            block = 0.5 * (block + big[plus + (low,)])
-        out[src + (low,)] = block
-    plane = big[plan.plus_plane + (h,)]
-    out[..., h] = 0.5 * (plane + np.conj(_mirror(plane, range(plane.ndim))))
+    flat = big.reshape(-1)
+    out = flat[plan.image]
+    out[plan.paired] = 0.5 * (out[plan.paired] + flat[plan.twin])
+    out[plan.edge] = 0.5 * (out[plan.edge] + np.conj(out[plan.mirror]))
     _give(plan, big)
-    return Field.from_half(grid, out)
-
-
-def _padded_products(products):
-    """The 2N-grid values of each product of fields in turn, with their grid
-    and pad plan.  Each distinct factor is padded once across all products,
-    and its buffer is handed back after its last use.  Each product lies in
-    a 2N buffer of its own, which the caller hands back."""
-    grid = products[0][0].grid
-    for factors in products:
-        for f in factors:
-            if f.grid != grid:
-                raise ValueError("fields live on different grids")
-    plan = _pad_plan(grid)
-    uses = Counter(id(f) for factors in products for f in factors)
-    padded = {}
-
-    def product(factors):
-        vals = []
-        for f in factors:
-            key = id(f)
-            if key not in padded:
-                padded[key] = _padded_values(f, plan)
-            vals.append(padded[key])
-            uses[key] -= 1
-        prod = _take(plan, "real")
-        if len(vals) == 1:
-            np.copyto(prod, vals[0])
-        else:
-            np.multiply(vals[0], vals[1], out=prod)
-        for v in vals[2:]:
-            np.multiply(prod, v, out=prod)
-        # only now, once the product no longer reads them
-        for key in dict.fromkeys(map(id, factors)):
-            if not uses[key]:
-                _give(plan, padded.pop(key))
-        return prod
-
-    return grid, plan, (product(factors) for factors in products)
+    return Field.from_half(grid, out.reshape(half_cube(grid).shape))
 
 
 def dealiased_sums(*sums) -> list[Field]:
@@ -690,10 +617,33 @@ def dealiased_sums(*sums) -> list[Field]:
     # one round; each sum still adds its terms in order
     order = [(s, i) for i in range(max(map(len, sums), default=0))
              for s, terms in enumerate(sums) if i < len(terms)]
-    grid, plan, values = _padded_products([sums[s][i] for s, i in order])
-    totals, out = {}, [None] * len(sums)
+    fields = [f for s, i in order for f in sums[s][i]]
+    grid = fields[0].grid
+    if any(f.grid != grid for f in fields):
+        raise ValueError("fields live on different grids")
+    plan = _pad_plan(grid)
+    # a factor's 2N buffer goes back after its last use
+    uses = Counter(map(id, fields))
+    padded, totals, out = {}, {}, [None] * len(sums)
     for s, i in order:
-        prod = next(values)
+        factors = sums[s][i]
+        vals = []
+        for f in factors:
+            if id(f) not in padded:
+                padded[id(f)] = _padded_values(f, plan)
+            vals.append(padded[id(f)])
+            uses[id(f)] -= 1
+        prod = _take(plan, "real")
+        if len(vals) == 1:
+            np.copyto(prod, vals[0])
+        else:
+            np.multiply(vals[0], vals[1], out=prod)
+        for v in vals[2:]:
+            np.multiply(prod, v, out=prod)
+        # only now, once the product no longer reads them
+        for key in dict.fromkeys(map(id, factors)):
+            if not uses[key]:
+                _give(plan, padded.pop(key))
         if i:
             totals[s] += prod
             _give(plan, prod)

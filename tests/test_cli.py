@@ -252,10 +252,29 @@ class TestOptionSets:
         assert res.exception is None or isinstance(res.exception, SystemExit)
 
     @pytest.mark.parametrize("args", [["simulate", "--snapshot-stride", "0"],
-                                      ["cumulant", "--streams", "0"]])
+                                      ["cumulant", "--streams", "0"],
+                                      ["trees", "--snapshots", "0"],
+                                      ["trees", "--snapshots", "-1"],
+                                      ["sample", "--count", "-3"],
+                                      ["cumulant", "--count", "0"]])
     def test_zero_stride_or_streams_exits_2(self, runner, tmp_path, args):
+        """The stride, streams, snapshots and count options take only values >= 1."""
         res = runner.invoke(main, [*args, "--output-dir", str(tmp_path)])
         assert res.exit_code == 2
+        assert not (tmp_path / "manifest.json").exists()
+
+    def test_too_few_cumulant_samples_refused_before_sampling(self, runner, tmp_path,
+                                                             monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("sampled before checking --count")
+
+        monkeypatch.setattr("phi4torus.cli.birkhoff_sample", never)
+        res = runner.invoke(main, ["cumulant", "--count", "100",
+                                   "--output-dir", str(tmp_path)])
+        assert res.exit_code == 4
+        assert "need at least 200 decorrelated samples, got --count 100" in res.output
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["status"] == "refused"
 
     def test_streams_not_dividing_count_exits_3_before_sampling(self, runner, tmp_path,
                                                                 monkeypatch):

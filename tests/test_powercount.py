@@ -55,9 +55,19 @@ class TestParser:
         assert g.vertices[0].pinned
 
     def test_error_carries_line(self):
-        with pytest.raises(GraphError) as err:
-            parse_graph("vertex a\nedge L a a\n")
-        assert err.value.line == 2
+        cases = [
+            ("vertex a\nedge L a a\n", 2),
+            ("vertex a\nvertex b\nedge L a b\nedge G1 a b\n", 4),  # the duplicate
+            ("vertex a\nvertex b\nedge XX a b\n", 3),
+            ("vertex a time=t\nvertex b\nvertex c\nedge L a c\nedge Q a b\n", 5),
+            ("vertex a time=t\nvertex b time=t\nvertex c time=t\n"
+             "edge Q a b\nedge L a c\nedge Q b c\n", 6),
+        ]
+        for src, line in cases:
+            with pytest.raises(GraphError) as err:
+                parse_graph(src)
+            assert err.value.line == line, src
+            assert str(err.value).startswith(f"line {line}: ")
 
     def test_unknown_kernel(self):
         with pytest.raises(GraphError, match="kernel"):

@@ -328,7 +328,7 @@ class TestDealiasedProducts:
             np.testing.assert_array_equal(g.half, w.half)
 
 
-PRUNED_GRIDS = [Grid(dim, n) for dim in (1, 2, 3) for n in (8, 16)]
+PRUNED_GRIDS = [Grid(dim, n) for dim in (1, 2, 3) for n in (2, 4, 8, 16)]
 
 
 @pytest.mark.parametrize("grid", PRUNED_GRIDS, ids=lambda g: f"d{g.dim}n{g.n}")
