@@ -18,8 +18,8 @@ Paraproducts follow the standard frequency sorting
     a > b  = sum_{k < j-1} Delta_j a Delta_k b        (high-low)
 
 and a<b + a o b + a>b = a b exactly; all pairwise block products are
-dealiased by 2x zero padding, consistently with the plain product.  The
-sums run over the levels that hold a mode.
+dealiased on the product grid of two-factor products, consistently with the
+plain product.  The sums run over the levels that hold a mode.
 """
 
 from __future__ import annotations

@@ -27,9 +27,9 @@ already has values, so a field built from others is not transformed again.
 Workers.  The scipy.fft calls run with scipy's worker setting in the
 calling context, one worker unless the caller sets another
 (scipy.fft.set_workers), and `fft_workers()` reports it.  That setting
-reaches the transforms on the N grid and the complex passes of the 2N
-transforms below.  The real passes of the 2N transforms run through
-numpy.fft, which has no worker setting and runs on one thread.  The
+reaches the transforms on the N grid and the complex passes of the product
+grid transforms below.  The real passes of the product grid transforms run
+through numpy.fft, which has no worker setting and runs on one thread.  The
 package sets no workers: the fields here are small (16^3 to 64^3), and a
 thread pool costs more than it saves.
 
@@ -53,53 +53,62 @@ integrators set up their coefficients once per step size (Cox & Matthews
 a stiff substep takes a dt of its own, and a `comedown` run at N = 16,
 dt = 0.004 makes 1 943 Duhamel steps with 83 distinct dt, 81 used once.
 
-Dealiasing.  Products are formed on a 2N grid: each distinct factor is
-zero-padded once, the factors are multiplied pointwise, a sum of products
-is added up there, and the result is truncated back to N.  Padding stays at
-2N rather than the 3/2 rule: with 3N/2 the square aliases into the Nyquist
-planes and the cube into the retained modes.  On stationary X at N = 32,
-r = 0.01 that moves the square by about 1.6e-5 and the cube by about 5e-4
-of their sup norms, where the 2N results agree with the full-cube
-definition to rounding.
+Dealiasing.  Products are formed on a product grid of M > N points per
+axis: each distinct factor is zero-padded once, the factors are multiplied
+pointwise, a sum of products is added up there, and the result is truncated
+back to N.  Factors band-limited to N/2 per axis, Nyquist planes included,
+give a product truncated to N/2 that is alias-free on any M >= 3N/2 + 1 for
+two factors and M >= 2N + 1 for three (the 3/2 rule: Orszag 1971, J. Atmos.
+Sci. 28:1074): a kept mode takes aliases only from M - N/2 away, past the
+reach of the product.  A call whose terms all have at most two factors runs
+on the smallest even 5-smooth M >= 3N/2 + 1, at most 2N (`_product_size`:
+30, 50 and 100 at N = 16, 32 and 64, and 2N at N <= 8); FFTs of 5-smooth
+sizes are fast, and 98^3 took longer than 100^3.  A call with a three-factor
+term runs on 2N: the cube, and X padded once for both W2 and W3.  Three
+factors would need 2N + 1, and on 2N the modes +-3N/2 of a cube fold onto
+its Nyquist planes; nothing else aliases.  Two-factor products on M agree
+with those on 2N to rounding, while at M = 3N/2 the square of 3-d white
+noise at N = 16 would move by about 3% of its sup norm.
 
-Pruned 2N transforms.  The padded 2N half-cube is zero outside its first
-N/2 + 1 columns and, along each leading axis, outside the N + 1 rows of
-the frequencies -N/2 .. N/2, so the 2N transforms skip the zero rows (FFT
+Pruned transforms.  The padded M half-cube is zero outside its first N/2 + 1
+columns and, along each leading axis, outside the N + 1 rows of the
+frequencies -N/2 .. N/2, so the M transforms skip the zero rows (FFT
 pruning: Markel 1971, IEEE Trans. Audio Electroacoust. 19:305; Frigo &
-Johnson 2005, Proc. IEEE 93:216).  A pad fills the 2N half-cube, runs one
-complex pass per leading axis, first to last, each over the nonzero
-columns and only the nonzero rows of the leading axes not yet transformed,
-and ends with one real pass over the last axis.  A truncation runs the
-real pass over the last axis, then the same complex passes in reverse, and
-reads the retained rows.  Every pass is an n-d scipy.fft call over one
-axis, on a view of the half-cube, in place; in 3-d the pass over the first
-axis takes two calls, one per block of nonzero rows of the second axis.
-Working in place allocates no more than the full transforms did, which
-counts: a fresh 2 MB array that glibc has just returned to the kernel is
-faulted in page by page as it is written.  The results equal the full
-transforms of the padded half-cube, pads to the bit and truncations to
-rounding.  Where the coefficients go is one index table per grid
-(`_pad_plan`): a pad scatters them into the 2N half-cube and a truncation
-gathers them back.  The CHANGES.md entries "Pruned 2N transforms" and "One
-reused 2N workspace" give the timings and page-fault counts.
+Johnson 2005, Proc. IEEE 93:216).  A pad fills the M half-cube, runs one
+complex pass per leading axis, first to last, each over the nonzero columns
+and only the nonzero rows of the leading axes not yet transformed, and ends
+with one real pass over the last axis.  A truncation runs the real pass over
+the last axis, then the same complex passes in reverse, and reads the
+retained rows.  Every pass is an n-d FFT call over one axis, on a view of
+the half-cube, in place; in 3-d the pass over the first axis takes two
+calls, one per block of nonzero rows of the second axis.  Working in place
+allocates no more than the full transforms did, which counts: a fresh 2 MB
+array that glibc has just returned to the kernel is faulted in page by page
+as it is written.  The results equal the full transforms of the padded
+half-cube, pads to the bit and truncations to rounding.  Where the
+coefficients go is one index table per grid and M (`_pad_plan`): a pad
+scatters them into the M half-cube and a truncation gathers them back.  The
+CHANGES.md entries "Pruned 2N transforms" and "One reused 2N workspace" give
+the timings and page-fault counts.
 
-Workspace.  The 2N arrays of the products therefore live in buffers that
+Workspace.  The arrays of the product grids therefore live in buffers that
 this module keeps and reuses (the preallocated workspace of FFT libraries,
-Frigo & Johnson 2005).  A buffer is a flat complex array the size of the
-2N half-cube, viewed as that half-cube or as the real 2N values, so one
-buffer serves a pad's spectrum, then a product or a sum, then a
-truncation's spectrum.  The real passes write into a buffer through
-numpy.fft's `out=`; products multiply and sums add in place.  A buffer
-goes back on a free list, one per 2N shape, after its last use, and a
-truncation gathers the kept modes into a fresh N half-cube, so no field
-holds a buffer.  The list grows only when no buffer is free, so it holds
-at most as many as were in use at once: 2 for `cubic`, 3 for a tree step,
-6 for a snapshot with resonants, which at N = 64 keep 102 MB.  The free
-lists hold one 2N shape at a time: a buffer of a shape that has no list
-drops the lists of the other shapes, so moving to another grid releases
-the buffers of the old one, and a run on one grid allocates none after its
-first products.  The free lists are module state: threads must not
-compute products at once.
+Frigo & Johnson 2005).  A buffer is a flat complex array the size of an M
+half-cube, viewed as that half-cube or as the real M values, so one buffer
+serves a pad's spectrum, then a product or a sum, then a truncation's
+spectrum.  The real passes write into a buffer through numpy.fft's `out=`;
+products multiply and sums add in place.  A buffer goes back on a free list,
+one per M shape, after its last use, and a truncation gathers the kept modes
+into a fresh N half-cube, so no field holds a buffer.  A list grows only
+when no buffer of its shape is free, so it holds at most as many as were in
+use at once: 2 for `cubic`, 3 on 2N and 3 on M for a tree step, 6 on M
+for a snapshot with resonants, which at N = 64 keep 49 MB (102 MB on 2N).
+The free lists hold the product grids of one N grid at a time, both its 2N
+and its M: a tree step forms the Wick powers on 2N and the v_ref drift on M
+and reuses the buffers of both.  A product on another N grid drops every list, so moving
+to another grid releases the buffers of the old one, and a run on one grid
+allocates none after its first products.  The free lists are module state:
+threads must not compute products at once.
 """
 
 from __future__ import annotations
@@ -241,8 +250,8 @@ def half_cube(grid: Grid) -> HalfCube:
 def fft_workers() -> int:
     """scipy's worker setting in the calling context, 1 unless the caller
     set another: the workers of the N-grid transforms and of the complex
-    passes of the 2N transforms.  The real 2N passes run through numpy.fft
-    on one thread."""
+    passes of the product grid transforms.  Their real passes run through
+    numpy.fft on one thread."""
     return sfft.get_workers()
 
 
@@ -253,7 +262,7 @@ def transform_counts() -> dict[str, int]:
     """What this process has transformed so far.
 
     transforms : logical transforms: a field's values or coefficients, a pad
-        to or a truncation from the 2N grid.
+        to or a truncation from a product grid.
     passes : the scipy.fft calls they took.
     points : the values that the 1-d transforms of those passes take in or
         give out, on their longer side, summed over the transformed axes.
@@ -483,21 +492,41 @@ def duhamel_step(u: Field, nonlinearity: Field, dt: float) -> Field:
     return Field.from_half(u.grid, decay * u.half + weight * nonlinearity.half)
 
 
+def _product_size(n: int, factors: int) -> int:
+    """Points per axis of the grid on which products of up to `factors`
+    fields of an N grid are formed ("Dealiasing"): 2N for three factors,
+    and for two the smallest even 5-smooth M >= 3N/2 + 1, which is at most
+    2N since N is a power of two."""
+    if factors > 2:
+        return 2 * n
+    m = 3 * n // 2 + 1
+    while m % 2 or not _five_smooth(m):
+        m += 1
+    return m
+
+
+def _five_smooth(m: int) -> bool:
+    for p in (2, 3, 5):
+        while m % p == 0:
+            m //= p
+    return m == 1
+
+
 class _PadPlan(NamedTuple):
     """Where each coefficient of a grid's half-cube goes in the half-cube of
-    its 2N refinement, as flat indices, and the passes of the pruned 2N
-    transforms.
+    its refinement to M points per axis (M > 3N/2, even), as flat indices,
+    and the passes of the pruned M transforms.
 
-    image : the 2N index of each N mode, in flat order: its image with every
+    image : the M index of each N mode, in flat order: its image with every
         Nyquist component at -N/2, except on the plane of last-axis Nyquist
-        modes, whose only image in the 2N half-cube has them all at +N/2
+        modes, whose only image in the M half-cube has them all at +N/2
         (the -N/2 one is the conjugate of a mirrored slot).
     halved : the images of the modes with a Nyquist component, which get
         half of the coefficient.
     paired, twin : the N modes with a Nyquist component off that plane, and
         their second image, every Nyquist component at +N/2.
     edge, mirror : the N modes on that plane, and the N mode -k of each.
-    passes : the complex passes of a pruned inverse 2N transform, in order,
+    passes : the complex passes of a pruned inverse M transform, in order,
         as (axis, index of the view to transform): one per leading axis,
         first to last, over the nonzero columns and only the nonzero rows of
         the leading axes not yet transformed.  Those rows form two blocks per
@@ -505,7 +534,8 @@ class _PadPlan(NamedTuple):
         forward transform runs the same passes in reverse.
     """
 
-    shape: tuple[int, ...]  # the 2N grid
+    grid_shape: tuple[int, ...]  # the N grid
+    shape: tuple[int, ...]  # the M grid
     half_shape: tuple[int, ...]  # its half-cube
     image: np.ndarray
     halved: np.ndarray
@@ -517,16 +547,16 @@ class _PadPlan(NamedTuple):
 
 
 @functools.cache
-def _pad_plan(grid: Grid) -> _PadPlan:
+def _pad_plan(grid: Grid, m: int) -> _PadPlan:
     n, dim = grid.n, grid.dim
-    h, m = n // 2, 2 * n
+    h = n // 2
     shape = half_cube(grid).shape
-    big = (m,) * (dim - 1) + (n + 1,)  # the 2N half-cube
+    big = (m,) * (dim - 1) + (m // 2 + 1,)  # the M half-cube
     index = np.indices(shape).reshape(dim, -1)
     lead, col = index[:-1], index[-1]
-    # the 2N rows of frequencies -N/2 .. N/2, with row N/2 at -N/2 or +N/2
-    minus = np.where(lead < h, lead, lead + n)
-    plus = np.where(lead <= h, lead, lead + n)
+    # the M rows of frequencies -N/2 .. N/2, with row N/2 at -N/2 or +N/2
+    minus = np.where(lead < h, lead, lead + (m - n))
+    plus = np.where(lead <= h, lead, lead + (m - n))
     edge = col == h
     nyquist = (lead == h).any(axis=0) | edge
     image = np.ravel_multi_index((*np.where(edge, plus, minus), col), big)
@@ -539,24 +569,26 @@ def _pad_plan(grid: Grid) -> _PadPlan:
         for axis in range(dim - 1)
         for block in itertools.product(rows, repeat=dim - 2 - axis)
     )
-    return _PadPlan((m,) * dim, big, image, image[nyquist], np.flatnonzero(paired), twin,
-                    np.flatnonzero(edge), mirror, passes)
+    return _PadPlan(grid.shape, (m,) * dim, big, image, image[nyquist],
+                    np.flatnonzero(paired), twin, np.flatnonzero(edge), mirror, passes)
 
 
-# the free 2N buffers of the last 2N grid shape used ("Workspace" in the
-# module docstring)
+# the free buffers of the product grids of the N grid used last, one list
+# per shape ("Workspace" in the module docstring), and that N grid's shape
 _FREE: dict[tuple[int, ...], list[np.ndarray]] = {}
+_FREE_GRID = None
 
 
 def _take(plan: _PadPlan, view: str) -> np.ndarray:
-    """A free 2N buffer, as the 2N half-cube ("half") or the real 2N values
+    """A free M buffer, as the M half-cube ("half") or the real M values
     ("real"), its content undefined; a new one only if none is free, so
-    that the free list never holds more buffers than were in use at once.
-    The buffers of other 2N shapes are dropped when this shape has no list."""
-    free = _FREE.get(plan.shape)
-    if free is None:
+    that a free list never holds more buffers than were in use at once.
+    The buffers of the product grids of another N grid are dropped."""
+    global _FREE_GRID
+    if plan.grid_shape != _FREE_GRID:
         _FREE.clear()
-        free = _FREE[plan.shape] = []
+        _FREE_GRID = plan.grid_shape
+    free = _FREE.setdefault(plan.shape, [])
     buf = free.pop() if free else np.empty(math.prod(plan.half_shape), complex)
     if view == "half":
         return buf.reshape(plan.half_shape)
@@ -570,11 +602,11 @@ def _give(plan: _PadPlan, a: np.ndarray) -> None:
 
 
 def _padded_values(f: Field, plan: _PadPlan) -> np.ndarray:
-    """Values of f on the 2N grid: its coefficients zero-padded, with each
+    """Values of f on the M grid: its coefficients zero-padded, with each
     Nyquist coefficient split evenly between its two images.  The complex
     passes of the inverse transform skip the zero rows (`plan.passes`) and
     work in place; the real pass over the last axis ends it.  The values
-    lie in a 2N buffer, which the caller hands back (`_give`)."""
+    lie in an M buffer, which the caller hands back (`_give`)."""
     out = _take(plan, "half")
     flat = out.reshape(-1)
     flat.fill(0)
@@ -589,11 +621,11 @@ def _padded_values(f: Field, plan: _PadPlan) -> np.ndarray:
 
 
 def _truncated_field(grid: Grid, vals: np.ndarray, plan: _PadPlan) -> Field:
-    """The field on `grid` whose coefficients are those of the 2N values
+    """The field on `grid` whose coefficients are those of the M values
     restricted to N, with each Nyquist coefficient the mean of its two
     images.  After the real pass over the last axis, the complex passes of
     `plan.passes` run in reverse and in place, computing only the rows that
-    are kept.  The spectrum lies in a 2N buffer, from which the field's
+    are kept.  The spectrum lies in an M buffer, from which the field's
     coefficients are gathered."""
     big = _fft("rfftn", vals, (vals.ndim - 1,), out=_take(plan, "half"))
     for axis, index in reversed(plan.passes):
@@ -608,21 +640,30 @@ def _truncated_field(grid: Grid, vals: np.ndarray, plan: _PadPlan) -> Field:
 
 def dealiased_sums(*sums) -> list[Field]:
     """[sum_i prod_{f in terms[i]} f for terms in sums], each product
-    dealiased by 2x zero padding (aliasing-free for up to three factors).
-    Each sum is added up on the 2N grid and truncated back once, and each
-    distinct factor is padded once across all the sums."""
+    dealiased by zero padding to M points per axis ("Dealiasing"): M = 2N
+    when some term has three factors, else the smallest alias-free M for
+    two.  Each sum is added up on the M grid and truncated back once, and
+    each distinct factor is padded once across all the sums."""
     sums = [list(terms) for terms in sums]
+    if not sums:
+        raise ValueError("no sums to form")
+    for s, terms in enumerate(sums):
+        if not terms:
+            raise ValueError(f"sum {s} has no terms")
+        for i, factors in enumerate(terms):
+            if not factors:
+                raise ValueError(f"term {i} of sum {s} has no factors")
     # term i of every sum before term i + 1 of any, so that a factor which
     # several sums share at the same place is padded, used and dropped in
     # one round; each sum still adds its terms in order
-    order = [(s, i) for i in range(max(map(len, sums), default=0))
+    order = [(s, i) for i in range(max(map(len, sums)))
              for s, terms in enumerate(sums) if i < len(terms)]
     fields = [f for s, i in order for f in sums[s][i]]
     grid = fields[0].grid
     if any(f.grid != grid for f in fields):
         raise ValueError("fields live on different grids")
-    plan = _pad_plan(grid)
-    # a factor's 2N buffer goes back after its last use
+    plan = _pad_plan(grid, _product_size(grid.n, max(len(t) for terms in sums for t in terms)))
+    # a factor's M buffer goes back after its last use
     uses = Counter(map(id, fields))
     padded, totals, out = {}, {}, [None] * len(sums)
     for s, i in order:
@@ -665,18 +706,18 @@ def dealiased_products(*products) -> list[Field]:
 
 def dealiased_sum(*products) -> Field:
     """sum_i prod_{f in products[i]} f, dealiased as in dealiased_sums: the
-    products are summed on the 2N grid and truncated back once."""
+    products are summed on the M grid and truncated back once."""
     return dealiased_sums(products)[0]
 
 
 def dealiased_product(*fields: Field) -> Field:
-    """Pointwise product of fields with 2x zero padding; each distinct
-    factor is padded once."""
+    """Pointwise product of fields, dealiased as in dealiased_sums; each
+    distinct factor is padded once."""
     return dealiased_products(fields)[0]
 
 
 def cubic(f: Field) -> Field:
-    """Pointwise cube f^3 computed with full dealiasing (2x zero padding)."""
+    """Pointwise cube f^3, dealiased on the 2N grid."""
     return dealiased_products((f, f, f))[0]
 
 

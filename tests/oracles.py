@@ -188,8 +188,9 @@ def gaussian_field_1d(rng: np.random.Generator, n: int, variance_per_mode):
 # explicit split-and-average rule.  These references use the plain
 # definitions instead: complex numpy FFTs over the full cube, c = fftn(u)/N^d,
 # u = Re ifftn(c N^d), and padding by placing each coefficient at its signed
-# index (Nyquist at -N/2) in the 2N cube.  Taking the real part is what fixes
-# the Nyquist convention here.
+# index (Nyquist at -N/2) in the padded cube, of 2N points per axis unless a
+# function takes another m.  Taking the real part is what fixes the Nyquist
+# convention here.
 
 
 def full_coefficients(u: np.ndarray) -> np.ndarray:
@@ -214,10 +215,11 @@ def _signed_index(n: int, m: int, dim: int):
     return np.ix_(*([idx] * dim))
 
 
-def full_dealiased_product(*us: np.ndarray) -> np.ndarray:
-    """Product with 2x zero padding, every factor padded on its own."""
+def full_dealiased_product(*us: np.ndarray, m: int | None = None) -> np.ndarray:
+    """Product with zero padding to m points per axis (2N by default),
+    every factor padded on its own."""
     n, dim = us[0].shape[0], us[0].ndim
-    m = 2 * n
+    m = m or 2 * n
     index = _signed_index(n, m, dim)
     prod = None
     for u in us:
@@ -233,15 +235,16 @@ def _signed(idx, n):
     return tuple(i - n if i >= n // 2 else i for i in idx)
 
 
-def padded_half_cube(half: np.ndarray, n: int) -> np.ndarray:
-    """The 2N rfftn half-cube of the N half-cube `half` zero-padded, one
-    coefficient at a time: each goes to its signed index, and one with a
-    Nyquist component half to its image with every Nyquist component at
-    -N/2 and half to the one with every Nyquist component at +N/2.  The
-    -N/2 image of a last-axis Nyquist coefficient lies in the half of the
-    cube that the half-cube leaves out."""
-    m, h = 2 * n, n // 2
-    out = np.zeros((m,) * (half.ndim - 1) + (n + 1,), dtype=complex)
+def padded_half_cube(half: np.ndarray, n: int, m: int | None = None) -> np.ndarray:
+    """The rfftn half-cube of m points per axis (2N by default) of the N
+    half-cube `half` zero-padded, one coefficient at a time: each goes to
+    its signed index, and one with a Nyquist component half to its image
+    with every Nyquist component at -N/2 and half to the one with every
+    Nyquist component at +N/2.  The -N/2 image of a last-axis Nyquist
+    coefficient lies in the half of the cube that the half-cube leaves
+    out."""
+    m, h = m or 2 * n, n // 2
+    out = np.zeros((m,) * (half.ndim - 1) + (m // 2 + 1,), dtype=complex)
     for idx in np.ndindex(half.shape):
         minus = tuple(k % m for k in _signed(idx, n))
         if h not in idx:
@@ -253,13 +256,13 @@ def padded_half_cube(half: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def truncated_half_cube(big: np.ndarray, n: int) -> np.ndarray:
-    """The N half-cube read from the 2N rfftn half-cube `big`, one
-    coefficient at a time: each from its signed index, and one with a
-    Nyquist component as the mean of its images with every Nyquist
-    component at -N/2 and at +N/2.  An image outside the stored half is the
-    conjugate of its mirror image."""
-    m, h = 2 * n, n // 2
+def truncated_half_cube(big: np.ndarray, n: int, m: int | None = None) -> np.ndarray:
+    """The N half-cube read from the rfftn half-cube `big` of m points per
+    axis (2N by default), one coefficient at a time: each from its signed
+    index, and one with a Nyquist component as the mean of its images with
+    every Nyquist component at -N/2 and at +N/2.  An image outside the
+    stored half is the conjugate of its mirror image."""
+    m, h = m or 2 * n, n // 2
 
     def read(k):
         if k[-1] < 0:

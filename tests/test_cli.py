@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -303,6 +304,35 @@ class TestOptionSets:
         res = runner.invoke(main, [*args, "--output-dir", str(tmp_path)])
         assert res.exit_code == 3
         assert f"bad {option} {args[2]!r}" in res.output
+
+
+class TestByteStableOutputs:
+    """Two same-seed calls in one process write the same bytes to every
+    file, manifest.json included: no output carries a time, a process-wide
+    high-water mark or any other value of the run rather than of its inputs."""
+
+    @pytest.mark.parametrize("args", [
+        ["simulate", *FAST],
+        ["trees", *FAST_GRID, "--burn-in", "5.0", "--snapshots", "2"],
+        ["comedown", "--n", "8", "--r", "0.05", "--dt", "0.01", "--horizon", "0.2",
+         "--sizes", "3,30", "--p", "8"],
+    ], ids=lambda args: args[0])
+    def test_same_seed_gives_the_same_bytes(self, runner, tmp_path, args):
+        out = tmp_path / "out"
+        files = []
+        for _ in range(2):
+            if out.exists():
+                shutil.rmtree(out)
+            res = invoke(runner, [*args, "--seed", "5", "--output-dir", str(out)])
+            assert res.exit_code == 0
+            files.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+            # the process grows between the calls, as a benchmark's does
+            np.ones(8 << 20).sum()
+        assert "manifest.json" in files[0]
+        assert len(files[0]) > 1
+        assert files[0].keys() == files[1].keys()
+        for name in files[0]:
+            assert files[0][name] == files[1][name], name
 
 
 class TestSimulate:

@@ -7,6 +7,10 @@ exact numbers, including that every complex fftn/ifftn is a pass over one
 axis, never a full cube.  The counts depend only on the code path, not on
 the machine.
 
+On GRID (N = 8) the grid of two-factor products is 2N as well, so every
+product below runs on the 16^3 grid; the pins on Grid(3, 32) at the end
+cover the smaller grid of two-factor products.
+
 A pad to the 2N grid fills the padded half-cube and runs one-axis ifftn
 passes over its nonzero rows, then one irfftn over the last axis; a
 truncation runs one rfftn over the last axis, then the one-axis fftn passes
@@ -241,3 +245,41 @@ def test_mean_of_field_from_coefficients_runs_no_transform(counts):
     # relative to the field's sup norm: the mean of a random field is
     # near zero, and summing the values rounds at the scale of the values
     assert abs(mean - f.values.mean()) <= 1e-15 * np.abs(f.values).max()
+
+
+# On Grid(3, 32) the two-factor products run on M = 50 < 2N = 64.  A pruned
+# transform takes m^3 + m * 33 * 17 + m * m * 17 points: 195 550 on the 50^3
+# grid and 367 680 on the 64^3 grid; a transform on the 32^3 grid takes
+# 32768 + 2 * 32 * 32 * 17 = 67 584.
+GRID_32 = Grid(dim=3, n=32)
+M_32, TWO_N_32, ON_GRID_32 = 195_550, 367_680, 67_584
+
+
+def counted(call) -> dict:
+    before = transform_counts()
+    call()
+    after = transform_counts()
+    return {key: after[key] - before[key] for key in after}
+
+
+def test_tree_step_at_n32():
+    ev = TreeEvolver(GRID_32, 0.05, NoiseStream(0))
+    ev.step(0.05)
+    # W2 and W3 on 2N: one pad and two truncations; the v_ref drift on M:
+    # four pads and two truncations; three transforms on the 32^3 grid
+    # (every product on 2N: 3 511 872 points)
+    assert counted(lambda: ev.step(0.05)) == {
+        "transforms": 12, "passes": 39,
+        "points": 3 * TWO_N_32 + 6 * M_32 + 3 * ON_GRID_32}
+    assert 3 * TWO_N_32 + 6 * M_32 + 3 * ON_GRID_32 == 2_479_092
+
+
+def test_snapshot_with_resonants_at_n32():
+    ev = TreeEvolver(GRID_32, 0.05, NoiseStream(0))
+    ev.step(0.05)
+    ev.wick_powers()
+    # six levels hold a mode: 4 * 6 + 3 pads and 3 + 1 truncations, all on M
+    # (every product on 2N: 11 398 080 points)
+    assert counted(lambda: ev.snapshot(with_resonants=True)) == {
+        "transforms": 31, "passes": 124, "points": 31 * M_32}
+    assert 31 * M_32 == 6_062_050

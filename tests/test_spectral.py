@@ -7,12 +7,14 @@ import scipy.fft
 
 from phi4torus import spectral
 from phi4torus.noise import NoiseStream
+from phi4torus.paraproduct import resonant
 from phi4torus.spectral import (
     Field,
     Grid,
     apply_multiplier,
     _pad_plan,
     _padded_values,
+    _product_size,
     _truncated_field,
     cubic,
     dealiased_product,
@@ -29,7 +31,14 @@ from phi4torus.spectral import (
 )
 from phi4torus.trees import TreeEvolver
 
-from oracles import naive_convolution_product, padded_half_cube, truncated_half_cube
+from oracles import (
+    full_dealiased_product,
+    full_grad_dot,
+    full_resonant,
+    naive_convolution_product,
+    padded_half_cube,
+    truncated_half_cube,
+)
 
 
 def plane_wave(grid: Grid, k: tuple, phase: float = 0.0) -> Field:
@@ -327,28 +336,87 @@ class TestDealiasedProducts:
         for g, w in zip(got, want):
             np.testing.assert_array_equal(g.half, w.half)
 
+    @pytest.mark.parametrize("call, match", [
+        (lambda a: dealiased_sums([(a,)], []), "sum 1 has no terms"),
+        (lambda a: dealiased_sums([(a, a)], [(a,), ()]), "term 1 of sum 1 has no factors"),
+        (lambda a: dealiased_sum(), "sum 0 has no terms"),
+        (lambda a: dealiased_product(), "term 0 of sum 0 has no factors"),
+        (lambda a: dealiased_sums(), "no sums"),
+    ])
+    def test_empty_sum_or_term_rejected(self, call, match):
+        a = Field(Grid(1, 8), np.arange(8.0))
+        with pytest.raises(ValueError, match=match):
+            call(a)
 
-PRUNED_GRIDS = [Grid(dim, n) for dim in (1, 2, 3) for n in (2, 4, 8, 16)]
+
+class TestProductGrid:
+    """Two-factor products run on the smallest alias-free M, three-factor
+    ones on 2N."""
+
+    def test_sizes(self):
+        sizes = {n: _product_size(n, 2) for n in (2, 4, 8, 16, 32, 64)}
+        assert sizes == {2: 4, 4: 8, 8: 16, 16: 30, 32: 50, 64: 100}
+        assert all(_product_size(n, 3) == 2 * n for n in sizes)
+
+    @pytest.mark.parametrize("n", [16, 32])
+    def test_two_factor_products_at_m_match_the_2n_oracle(self, n):
+        # white noise fills every mode, the Nyquist planes included
+        grid = Grid(3, n)
+        rng = np.random.default_rng(n)
+        a, b = (Field(grid, rng.normal(size=grid.shape)) for _ in range(2))
+        cases = [
+            (lambda: dealiased_product(a, b), full_dealiased_product(a.values, b.values)),
+            (lambda: grad_dot(a, b), full_grad_dot(a.values, b.values, grid.period)),
+            (lambda: resonant(a, b), full_resonant(a.values, b.values, grid.period)),
+        ]
+        m = _product_size(n, 2)
+        assert m < 2 * n
+        for call, want in cases:
+            spectral._FREE.clear()
+            got = call().values
+            assert list(spectral._FREE) == [(m,) * 3]
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    def test_a_three_factor_term_puts_the_call_on_2n(self):
+        grid = Grid(3, 16)
+        rng = np.random.default_rng(2)
+        a, b = (Field(grid, rng.normal(size=grid.shape)) for _ in range(2))
+        spectral._FREE.clear()
+        square, _ = dealiased_products((a, b), (a, a, b))
+        assert list(spectral._FREE) == [(32,) * 3]
+        np.testing.assert_array_equal(square.half, dealiased_products((a, b), (b, b, b))[0].half)
 
 
-@pytest.mark.parametrize("grid", PRUNED_GRIDS, ids=lambda g: f"d{g.dim}n{g.n}")
+PRUNED_GRIDS = [Grid(dim, n) for dim in (1, 2, 3) for n in (2, 4, 8, 16, 32)]
+# each grid with its 2N product grid and, where it is smaller, the M of
+# two-factor products
+PRUNED_CASES = [(grid, m) for grid in PRUNED_GRIDS
+                for m in dict.fromkeys((2 * grid.n, _product_size(grid.n, 2)))]
+
+
+def pruned_id(case) -> str:
+    grid, m = case
+    return f"d{grid.dim}n{grid.n}" + ("" if m == 2 * grid.n else f"m{m}")
+
+
+@pytest.mark.parametrize("grid, m", PRUNED_CASES, ids=map(pruned_id, PRUNED_CASES))
 class TestPrunedTransforms:
-    """The pruned 2N transforms against full 2N transforms of the padded
+    """The pruned M transforms against full M transforms of the padded
     half-cube, built one coefficient at a time."""
 
-    def test_pad_equals_full_inverse(self, grid):
+    def test_pad_equals_full_inverse(self, grid, m):
         f = Field(grid, np.random.default_rng(grid.n).normal(size=grid.shape))
-        full = scipy.fft.irfftn(padded_half_cube(f.half, grid.n),
-                                s=(2 * grid.n,) * grid.dim, norm="forward")
-        got = _padded_values(f, _pad_plan(grid))
+        full = scipy.fft.irfftn(padded_half_cube(f.half, grid.n, m),
+                                s=(m,) * grid.dim, norm="forward")
+        got = _padded_values(f, _pad_plan(grid, m))
         assert got.shape == full.shape
         assert np.abs(got - full).max() == 0.0
 
-    def test_truncation_equals_full_forward(self, grid):
+    def test_truncation_equals_full_forward(self, grid, m):
         rng = np.random.default_rng(grid.n + 1)
-        vals = rng.normal(size=(2 * grid.n,) * grid.dim) ** 3
-        want = truncated_half_cube(scipy.fft.rfftn(vals, norm="forward"), grid.n)
-        got = _truncated_field(grid, vals, _pad_plan(grid)).half
+        vals = rng.normal(size=(m,) * grid.dim) ** 3
+        want = truncated_half_cube(scipy.fft.rfftn(vals, norm="forward"), grid.n, m)
+        got = _truncated_field(grid, vals, _pad_plan(grid, m)).half
         assert got.shape == want.shape
         assert np.abs(got - want).max() <= 1e-15
 
@@ -369,7 +437,7 @@ class TestWorkspace:
         for f, (half, values) in zip(first, kept):
             np.testing.assert_array_equal(f.half, half)
             np.testing.assert_array_equal(f.values, values)
-        pooled = spectral._FREE[_pad_plan(grid).shape]
+        pooled = spectral._FREE[_pad_plan(grid, 2 * grid.n).shape]
         assert pooled
         for f in first + again:
             for buf in pooled:
@@ -385,6 +453,19 @@ class TestWorkspace:
             cubic(Field(grid, rng.normal(size=grid.shape)))
         assert (32, 32, 32) not in spectral._FREE
         assert spectral._FREE[(16, 16, 16)]
+
+    def test_a_tree_step_keeps_both_product_grids_of_its_grid(self):
+        # the Wick powers run on 2N = 32 and the v_ref drift on M = 30: a
+        # step reuses the buffers of both, and another grid drops both
+        ev = TreeEvolver(Grid(3, 16), 0.05, NoiseStream(0))
+        ev.step(0.05)
+        buffers = {shape: {id(b) for b in free} for shape, free in spectral._FREE.items()}
+        assert set(buffers) == {(32, 32, 32), (30, 30, 30)}
+        ev.step(0.05)
+        assert {shape: {id(b) for b in free} for shape, free in spectral._FREE.items()} == buffers
+        grid = Grid(3, 8)
+        cubic(Field(grid, np.ones(grid.shape)))
+        assert set(spectral._FREE) == {(16, 16, 16)}
 
     @staticmethod
     def transient_peak(call) -> int:
