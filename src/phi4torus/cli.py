@@ -2,12 +2,13 @@
 
 Every subcommand writes its outputs plus a run manifest (manifest.json)
 holding every option the subcommand resolved, the seed, the package version,
-the numpy and scipy versions, the FFT worker count, the run's status and a
-sha256 checksum per output file, so a run can be reproduced and verified
-bit-for-bit.  A refused run still writes its manifest, with status
-"refused", the reason, and the files written before the refusal; a run that
-dies of an exception or an interrupt writes it with status "error" and the
-exception's type and text.
+the numpy and scipy versions, the FFT worker count, the transforms the run
+made (`spectral.transform_counts()`, which depend only on the inputs), the
+run's status and a sha256 checksum per output file, so a run can be
+reproduced and verified bit-for-bit.  A refused run still writes its
+manifest, with status "refused", the reason, and the files written before
+the refusal; a run that dies of an exception or an interrupt writes it with
+status "error" and the exception's type and text.
 
 Exit codes
     0  success
@@ -52,7 +53,7 @@ from .observables import MIN_CUMULANT_SAMPLES, birkhoff_sample, fourth_cumulant
 from .paraproduct import estimate_regularity
 from .powercount import GraphError, gamma_range, parse_graph
 from .renorm import a_closed, a_numeric, b_closed, b_numeric, minimal_n_for
-from .spectral import Grid, fft_workers, save_field
+from .spectral import Grid, fft_workers, save_field, transform_counts
 from .trees import build_enhanced_noise, tree_divergence_report
 
 EXIT_INVALID_CONFIG = 3
@@ -84,6 +85,7 @@ class RunManifest:
     numpy: str = np.__version__
     scipy: str = scipy.__version__
     fft_workers: int = field(default_factory=fft_workers)
+    transforms: dict[str, int] = field(default_factory=dict)  # made by the run
 
     def add(self, path: Path) -> None:
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
@@ -103,6 +105,7 @@ def _run():
     outdir = Path(config["output_dir"])
     outdir.mkdir(parents=True, exist_ok=True)
     manifest = RunManifest(ctx.command.name, config, config.get("seed"), __version__)
+    before = transform_counts()
     try:
         yield outdir, manifest
     except Refused as exc:
@@ -112,6 +115,7 @@ def _run():
         manifest.status, manifest.message = "error", f"{type(exc).__name__}: {exc}"
         raise
     finally:
+        manifest.transforms = {k: v - before[k] for k, v in transform_counts().items()}
         manifest.write(outdir)
 
 
@@ -555,7 +559,7 @@ def sample(burn_in, stride, count, save_fields, **params):
             raise Refused(str(exc))
         path = outdir / "samples.csv"
         rows = [
-            (t, f.mean(), float((f.values**2).mean()), float((f.values**4).mean()))
+            (t, f.mean(), float((f.values**2).mean()), float(((f.values**2) ** 2).mean()))
             for t, f in zip(sset.times, sset.fields)
         ]
         _write_csv(path, ["t", "mean", "m2", "m4"], rows)

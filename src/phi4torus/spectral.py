@@ -61,9 +61,11 @@ give a product truncated to N/2 that is alias-free on any M >= 3N/2 + 1 for
 two factors and M >= 2N + 1 for three (the 3/2 rule: Orszag 1971, J. Atmos.
 Sci. 28:1074): a kept mode takes aliases only from M - N/2 away, past the
 reach of the product.  A call whose terms all have at most two factors runs
-on the smallest even 5-smooth M >= 3N/2 + 1, at most 2N (`_product_size`:
-30, 50 and 100 at N = 16, 32 and 64, and 2N at N <= 8); FFTs of 5-smooth
-sizes are fast, and 98^3 took longer than 100^3.  A call with a three-factor
+on the smallest 5-smooth M >= 3N/2 + 1, odd or even, at most 2N
+(`_product_size`: 15, 25, 50 and 100 at N = 8, 16, 32 and 64, and 2N at
+N <= 4); FFTs of 5-smooth sizes are fast, and 98^3 took longer than 100^3.
+An odd M has no Nyquist plane of its own: column N/2 of its half-cube is an
+ordinary column, and row N/2 an ordinary row.  A call with a three-factor
 term runs on 2N: the cube, and X padded once for both W2 and W3.  Three
 factors would need 2N + 1, and on 2N the modes +-3N/2 of a cube fold onto
 its Nyquist planes; nothing else aliases.  Two-factor products on M agree
@@ -94,8 +96,9 @@ the timings and page-fault counts.
 Workspace.  The arrays of the product grids therefore live in buffers that
 this module keeps and reuses (the preallocated workspace of FFT libraries,
 Frigo & Johnson 2005).  A buffer is a flat complex array the size of an M
-half-cube, viewed as that half-cube or as the real M values, so one buffer
-serves a pad's spectrum, then a product or a sum, then a truncation's
+half-cube, viewed as that half-cube or as the real M values (its
+M^{d-1} (M//2 + 1) complex slots hold M^d floats, for odd M too), so one
+buffer serves a pad's spectrum, then a product or a sum, then a truncation's
 spectrum.  The real passes write into a buffer through numpy.fft's `out=`;
 products multiply and sums add in place.  A buffer goes back on a free list,
 one per M shape, after its last use, and a truncation gathers the kept modes
@@ -281,6 +284,8 @@ def _fft(name: str, x: np.ndarray, axes=None, out=None) -> np.ndarray:
     a scratch array or a view of one.  A real pass writes into `out` when
     one is given: scipy.fft has no `out=`, so that pass runs through
     numpy.fft (numpy >= 2.0), whose one-axis real passes give the same bits.
+    An irfftn into `out` takes its lengths from `out`: the half-cube alone
+    leaves the last one ambiguous, 2 (M // 2) for an odd M.
     Every logical transform maps real values to half-cube coefficients or
     back, and exactly one of its passes, the real one, crosses between
     them, so the real passes count the logical transforms.
@@ -289,7 +294,8 @@ def _fft(name: str, x: np.ndarray, axes=None, out=None) -> np.ndarray:
     if out is None:
         y = getattr(sfft, name)(x, axes=axes, norm="forward", overwrite_x=complex_pass)
     else:
-        y = getattr(np.fft, name)(x, axes=axes, norm="forward", out=out)
+        s = [out.shape[a] for a in axes] if name == "irfftn" else None
+        y = getattr(np.fft, name)(x, s=s, axes=axes, norm="forward", out=out)
     if complex_pass and not np.may_share_memory(x, y):
         x[...] = y  # scipy declined to work in place
         y = x
@@ -495,12 +501,12 @@ def duhamel_step(u: Field, nonlinearity: Field, dt: float) -> Field:
 def _product_size(n: int, factors: int) -> int:
     """Points per axis of the grid on which products of up to `factors`
     fields of an N grid are formed ("Dealiasing"): 2N for three factors,
-    and for two the smallest even 5-smooth M >= 3N/2 + 1, which is at most
-    2N since N is a power of two."""
+    and for two the smallest 5-smooth M >= 3N/2 + 1, odd or even, which is
+    at most 2N since N is a power of two."""
     if factors > 2:
         return 2 * n
     m = 3 * n // 2 + 1
-    while m % 2 or not _five_smooth(m):
+    while not _five_smooth(m):
         m += 1
     return m
 
@@ -514,8 +520,8 @@ def _five_smooth(m: int) -> bool:
 
 class _PadPlan(NamedTuple):
     """Where each coefficient of a grid's half-cube goes in the half-cube of
-    its refinement to M points per axis (M > 3N/2, even), as flat indices,
-    and the passes of the pruned M transforms.
+    its refinement to M points per axis (M > 3N/2, odd or even), as flat
+    indices, and the passes of the pruned M transforms.
 
     image : the M index of each N mode, in flat order: its image with every
         Nyquist component at -N/2, except on the plane of last-axis Nyquist

@@ -9,6 +9,7 @@ import scipy
 from click.testing import CliRunner
 
 from phi4torus.cli import main
+from phi4torus.spectral import transform_counts
 
 from oracles import GRAPHS
 
@@ -355,6 +356,15 @@ class TestSimulate:
         for name, digest in manifest["outputs"].items():
             got = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
             assert got == digest
+
+    def test_manifest_records_the_transforms_of_the_run(self, runner, tmp_path):
+        before = transform_counts()
+        res = invoke(runner, ["simulate", *FAST, "--output-dir", str(tmp_path)])
+        after = transform_counts()
+        assert res.exit_code == 0
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["transforms"] == {k: after[k] - before[k] for k in after}
+        assert manifest["transforms"]["transforms"] > 0
 
     def test_deterministic_across_runs(self, runner, tmp_path):
         digests = []

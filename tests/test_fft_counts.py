@@ -7,16 +7,17 @@ exact numbers, including that every complex fftn/ifftn is a pass over one
 axis, never a full cube.  The counts depend only on the code path, not on
 the machine.
 
-On GRID (N = 8) the grid of two-factor products is 2N as well, so every
-product below runs on the 16^3 grid; the pins on Grid(3, 32) at the end
-cover the smaller grid of two-factor products.
+On GRID (N = 8) products with a three-factor term run on the 16^3 grid
+and the others on M = 15, the smallest alias-free size for two factors;
+the pins on Grid(3, 16) and Grid(3, 32) at the end cover the larger grids.
 
-A pad to the 2N grid fills the padded half-cube and runs one-axis ifftn
+A pad to a product grid fills the padded half-cube and runs one-axis ifftn
 passes over its nonzero rows, then one irfftn over the last axis; a
 truncation runs one rfftn over the last axis, then the one-axis fftn passes
 in reverse.  On these 3-d grids the pass over axis 0 takes two calls, one
-per block of nonzero axis-1 rows, so one 2N transform is four calls, and
-each test derives its counts from the numbers of pads and truncations.
+per block of nonzero axis-1 rows, so one product grid transform is four
+calls, on 2N and on M alike, and each test derives its counts from the
+numbers of pads and truncations.
 Each comment gives the counts of earlier versions for comparison: one
 irfftn or rfftn per 2N transform before pruning, the half-cube code that
 transformed every field built from coefficients at once, and the
@@ -25,7 +26,8 @@ full-cube code.
 Points (`transform_counts()["points"]`) sum, over every pass and transformed
 axis, the values its 1-d transforms take in or give out on their longer
 side.  On GRID a 2N transform takes 4096 + 2 * 16 * 16 * 9 = 8704 points
-unpruned and 4096 + 16 * 16 * 5 + 16 * (5 + 4) * 5 = 6096 pruned; a
+unpruned and 4096 + 16 * 16 * 5 + 16 * (5 + 4) * 5 = 6096 pruned; a pruned
+transform on M = 15 takes 3375 + 15 * 15 * 5 + 15 * 9 * 5 = 5175; a
 transform on the 8^3 grid takes 512 + 2 * 8 * 8 * 5 = 1152.
 """
 
@@ -35,7 +37,7 @@ import numpy as np
 import pytest
 import scipy.fft
 
-from phi4torus.dynamics import SimConfig, step_u
+from phi4torus.dynamics import SimConfig, assemble_z, step_u
 from phi4torus.noise import NoiseStream
 from phi4torus.paraproduct import BlockDecomposition, besov_norm, resonant
 from phi4torus.spectral import (
@@ -51,12 +53,13 @@ from phi4torus.trees import TreeEvolver
 GRID = Grid(dim=3, n=8)
 PRUNED_2N = 6096
 UNPRUNED_2N = 8704
+PRUNED_M = 5175
 ON_GRID = 1152
 
 
-def two_n(pads: int, truncations: int) -> dict:
+def pruned(pads: int, truncations: int) -> dict:
     """The calls of `pads` pruned pads and `truncations` pruned truncations
-    on GRID."""
+    between GRID and a product grid."""
     return {"irfftn": pads, "ifftn": 3 * pads, "rfftn": truncations, "fftn": 3 * truncations}
 
 
@@ -111,7 +114,7 @@ def test_cubic(counts, points):
     # one pad of the single distinct factor and the product back; the
     # values wait for a reader (earlier: irfftn 1 and rfftn 1 unpruned, 3
     # with eager values, 6 complex transforms on a fresh field)
-    assert counts == two_n(pads=1, truncations=1)
+    assert counts == pruned(pads=1, truncations=1)
     assert points() == 2 * PRUNED_2N == 12192
     assert points() < 2 * UNPRUNED_2N
 
@@ -120,9 +123,9 @@ def test_product_of_two_fields(counts):
     a, b = cached_field(1), cached_field(2)
     counts.clear()
     dealiased_product(a, b)
-    # two pads and the product back (earlier: irfftn 2 and rfftn 1
+    # two pads and the product back, on M (earlier: irfftn 2 and rfftn 1
     # unpruned, 4 with eager values, 6 complex transforms)
-    assert counts == two_n(pads=2, truncations=1)
+    assert counts == pruned(pads=2, truncations=1)
 
 
 def test_step_u_on_previous_output(counts):
@@ -132,10 +135,11 @@ def test_step_u_on_previous_output(counts):
     counts.clear()
     step_u(u, cfg, stream)
     # the cube, a pad and a truncation; on the 8^3 grid, the noise
-    # coefficients (rfftn) and the values of the new u for the blow-up
-    # check (irfftn) (earlier: irfftn 2 and rfftn 2 unpruned, 6 with eager
+    # coefficients (rfftn).  The blow-up check bounds sup|u| by the sum of
+    # the coefficients' moduli and reads no values (earlier: one more
+    # irfftn for the check; irfftn 2 and rfftn 2 unpruned, 6 with eager
     # values, 10 complex)
-    assert counts == {"irfftn": 1 + 1, "ifftn": 3, "rfftn": 1 + 1, "fftn": 3}
+    assert counts == {"irfftn": 1, "ifftn": 3, "rfftn": 1 + 1, "fftn": 3}
 
 
 def test_tree_step(counts, points):
@@ -144,14 +148,15 @@ def test_tree_step(counts, points):
     counts.clear()
     points.clear()
     ev.step(0.05)
-    # W2 and W3: one pad of X, two truncations.  v_ref drift: pads of I3
-    # and W2, their product back, pads of e^{3 I2} and of the inner factor,
-    # the drift back.  That is 5 pads and 4 truncations.  On the 8^3 grid:
-    # the values of I2 (irfftn), the coefficients of e^{3 I2} and of the
-    # noise (rfftn).  (Earlier: irfftn 6 and rfftn 6 unpruned, 21 with
-    # eager values and one pad of X per Wick power, 33 complex.)
+    # W2 and W3 on 2N: one pad of X, two truncations.  v_ref drift on M:
+    # pads of I3 and W2, their product back, pads of e^{3 I2} and of the
+    # inner factor, the drift back.  That is 5 pads and 4 truncations.  On
+    # the 8^3 grid: the values of I2 (irfftn), the coefficients of e^{3 I2}
+    # and of the noise (rfftn).  (Earlier: 58 320 points with the drift on
+    # 2N; irfftn 6 and rfftn 6 unpruned, 21 with eager values and one pad
+    # of X per Wick power, 33 complex.)
     assert counts == {"irfftn": 5 + 1, "ifftn": 15, "rfftn": 4 + 2, "fftn": 12}
-    assert points() == 9 * PRUNED_2N + 3 * ON_GRID == 58320
+    assert points() == 3 * PRUNED_2N + 6 * PRUNED_M + 3 * ON_GRID == 52794
     assert points() < 9 * UNPRUNED_2N + 3 * ON_GRID  # 81792
 
 
@@ -184,7 +189,7 @@ def test_snapshot_resonants_share_blocks(counts):
     # and R4 each padded the blocks of I3, and R2 and R4 the near sums of W2.
     levels = BlockDecomposition(GRID).j_max + 1
     assert levels == 4
-    assert counts == two_n(pads=4 * levels + 3, truncations=3 + 1)
+    assert counts == pruned(pads=4 * levels + 3, truncations=3 + 1)
     assert after["transforms"] - before["transforms"] == 23
     assert after["passes"] - before["passes"] == sum(counts.values())
 
@@ -196,7 +201,7 @@ def test_grad_dot(counts):
     # the three gradients are built from coefficients and never read: one
     # pad each, and one truncation of the sum (earlier: irfftn 3 and rfftn
     # 1 unpruned)
-    assert counts == two_n(pads=3, truncations=1)
+    assert counts == pruned(pads=3, truncations=1)
 
 
 def test_resonant(counts):
@@ -208,7 +213,7 @@ def test_resonant(counts):
     # is never padded), one truncation of the sum (earlier: one more pad of
     # each for level 0; irfftn 2 * (j_max + 2) and rfftn 1 unpruned)
     levels = BlockDecomposition(GRID).j_max + 1
-    assert counts == two_n(pads=2 * levels, truncations=1)
+    assert counts == pruned(pads=2 * levels, truncations=1)
 
 
 @pytest.mark.parametrize("n, held", [(8, 4), (32, 6)])
@@ -247,10 +252,15 @@ def test_mean_of_field_from_coefficients_runs_no_transform(counts):
     assert abs(mean - f.values.mean()) <= 1e-15 * np.abs(f.values).max()
 
 
-# On Grid(3, 32) the two-factor products run on M = 50 < 2N = 64.  A pruned
-# transform takes m^3 + m * 33 * 17 + m * m * 17 points: 195 550 on the 50^3
-# grid and 367 680 on the 64^3 grid; a transform on the 32^3 grid takes
-# 32768 + 2 * 32 * 32 * 17 = 67 584.
+# A pruned transform between an N grid and M points per axis takes
+# m^3 + m * (N + 1) * (N/2 + 1) + m * m * (N/2 + 1) points.  On Grid(3, 16)
+# the two-factor products run on M = 25 < 2N = 32: 25 075 points on the
+# 25^3 grid and 46 880 on the 32^3 grid; a transform on the 16^3 grid takes
+# 4096 + 2 * 16 * 16 * 9 = 8704.  On Grid(3, 32), M = 50 < 2N = 64: 195 550
+# points on the 50^3 grid and 367 680 on the 64^3 grid; a transform on the
+# 32^3 grid takes 32768 + 2 * 32 * 32 * 17 = 67 584.
+GRID_16 = Grid(dim=3, n=16)
+M_16, TWO_N_16, ON_GRID_16 = 25_075, 46_880, 8704
 GRID_32 = Grid(dim=3, n=32)
 M_32, TWO_N_32, ON_GRID_32 = 195_550, 367_680, 67_584
 
@@ -260,6 +270,29 @@ def counted(call) -> dict:
     call()
     after = transform_counts()
     return {key: after[key] - before[key] for key in after}
+
+
+def test_tree_step_at_n16():
+    ev = TreeEvolver(GRID_16, 0.05, NoiseStream(0))
+    ev.step(0.05)
+    # as at N = 32 below (on M = 30: 404 892 points)
+    assert counted(lambda: ev.step(0.05)) == {
+        "transforms": 12, "passes": 39,
+        "points": 3 * TWO_N_16 + 6 * M_16 + 3 * ON_GRID_16}
+    assert 3 * TWO_N_16 + 6 * M_16 + 3 * ON_GRID_16 == 317_202
+
+
+def test_assemble_z_at_n16():
+    ev = TreeEvolver(GRID_16, 0.05, NoiseStream(0))
+    ev.step(0.05)
+    trees = ev.snapshot(with_resonants=False)
+    # |grad I2|^2 on M: three pads and a truncation; on the 16^3 grid the
+    # values of X, W2, I3 and v_ref, of I2's three and v_ref's three
+    # gradients and of |grad I2|^2 (I2 already has values) (on M = 30:
+    # 254 504 points)
+    assert counted(lambda: assemble_z(trees)) == {
+        "transforms": 15, "passes": 27, "points": 4 * M_16 + 11 * ON_GRID_16}
+    assert 4 * M_16 + 11 * ON_GRID_16 == 196_044
 
 
 def test_tree_step_at_n32():

@@ -14,6 +14,7 @@ from phi4torus.spectral import (
     apply_multiplier,
     _pad_plan,
     _padded_values,
+    _five_smooth,
     _product_size,
     _truncated_field,
     cubic,
@@ -324,17 +325,30 @@ class TestDealiasedProducts:
 
 
     def test_sums_share_factors_and_match_single_sums(self):
+        # every call below runs on M, so the sums agree bit for bit
         grid = Grid(dim=2, n=8)
         rng = np.random.default_rng(6)
         a, b, c = (Field(grid, rng.normal(size=grid.shape)) for _ in range(3))
-        got = dealiased_sums([(a, b), (c,)], [(b, c, c)], [(a,), (a, a)])
+        got = dealiased_sums([(a, b), (c,)], [(b, c)], [(a,), (a, a)])
         want = [
             dealiased_sum((a, b), (c,)),
-            dealiased_products((b, c, c))[0],
+            dealiased_products((b, c))[0],
             dealiased_sum((a,), (a, a)),
         ]
         for g, w in zip(got, want):
             np.testing.assert_array_equal(g.half, w.half)
+
+    def test_a_three_factor_term_moves_the_other_sums_to_2n(self):
+        # the three-factor sum runs on 2N in both calls and agrees bit for
+        # bit; the two-factor sums, alone on M, agree to rounding
+        grid = Grid(dim=2, n=8)
+        rng = np.random.default_rng(6)
+        a, b, c = (Field(grid, rng.normal(size=grid.shape)) for _ in range(3))
+        got = dealiased_sums([(a, b), (c,)], [(b, c, c)], [(a,), (a, a)])
+        np.testing.assert_array_equal(got[1].half, dealiased_products((b, c, c))[0].half)
+        for g, w in zip(got[::2], [dealiased_sum((a, b), (c,)), dealiased_sum((a,), (a, a))]):
+            assert not np.array_equal(g.half, w.half)
+            assert np.abs(g.values - w.values).max() <= 1e-15 * np.abs(w.values).max()
 
     @pytest.mark.parametrize("call, match", [
         (lambda a: dealiased_sums([(a,)], []), "sum 1 has no terms"),
@@ -355,10 +369,10 @@ class TestProductGrid:
 
     def test_sizes(self):
         sizes = {n: _product_size(n, 2) for n in (2, 4, 8, 16, 32, 64)}
-        assert sizes == {2: 4, 4: 8, 8: 16, 16: 30, 32: 50, 64: 100}
+        assert sizes == {2: 4, 4: 8, 8: 15, 16: 25, 32: 50, 64: 100}
         assert all(_product_size(n, 3) == 2 * n for n in sizes)
 
-    @pytest.mark.parametrize("n", [16, 32])
+    @pytest.mark.parametrize("n", [8, 16, 32])
     def test_two_factor_products_at_m_match_the_2n_oracle(self, n):
         # white noise fills every mode, the Nyquist planes included
         grid = Grid(3, n)
@@ -377,6 +391,18 @@ class TestProductGrid:
             assert list(spectral._FREE) == [(m,) * 3]
             assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
+    def test_one_point_fewer_aliases(self):
+        # the negative control: at M = 3N/2 = 24 the square of white noise
+        # at N = 16 takes aliases, so 25 is the smallest M that works
+        grid = Grid(3, 16)
+        a = Field(grid, np.random.default_rng(16).normal(size=grid.shape))
+        plan = _pad_plan(grid, 24)
+        vals = _padded_values(a, plan)
+        got = _truncated_field(grid, vals * vals, plan).values
+        spectral._give(plan, vals)
+        want = full_dealiased_product(a.values, a.values)
+        assert np.abs(got - want).max() > 1e-3 * np.abs(want).max()
+
     def test_a_three_factor_term_puts_the_call_on_2n(self):
         grid = Grid(3, 16)
         rng = np.random.default_rng(2)
@@ -387,11 +413,18 @@ class TestProductGrid:
         np.testing.assert_array_equal(square.half, dealiased_products((a, b), (b, b, b))[0].half)
 
 
+def smallest_product_sizes(n: int) -> list[int]:
+    """The smallest 5-smooth M > 3N/2 of each parity below 2N, among them
+    the M of two-factor products."""
+    sizes = [m for m in range(3 * n // 2 + 1, 2 * n) if _five_smooth(m)]
+    return [next(m for m in sizes if m % 2 == parity)
+            for parity in (0, 1) if any(m % 2 == parity for m in sizes)]
+
+
 PRUNED_GRIDS = [Grid(dim, n) for dim in (1, 2, 3) for n in (2, 4, 8, 16, 32)]
-# each grid with its 2N product grid and, where it is smaller, the M of
-# two-factor products
+# each grid with its 2N product grid and the smaller ones of either parity
 PRUNED_CASES = [(grid, m) for grid in PRUNED_GRIDS
-                for m in dict.fromkeys((2 * grid.n, _product_size(grid.n, 2)))]
+                for m in [2 * grid.n, *smallest_product_sizes(grid.n)]]
 
 
 def pruned_id(case) -> str:
@@ -455,12 +488,12 @@ class TestWorkspace:
         assert spectral._FREE[(16, 16, 16)]
 
     def test_a_tree_step_keeps_both_product_grids_of_its_grid(self):
-        # the Wick powers run on 2N = 32 and the v_ref drift on M = 30: a
+        # the Wick powers run on 2N = 32 and the v_ref drift on M = 25: a
         # step reuses the buffers of both, and another grid drops both
         ev = TreeEvolver(Grid(3, 16), 0.05, NoiseStream(0))
         ev.step(0.05)
         buffers = {shape: {id(b) for b in free} for shape, free in spectral._FREE.items()}
-        assert set(buffers) == {(32, 32, 32), (30, 30, 30)}
+        assert set(buffers) == {(32, 32, 32), (25, 25, 25)}
         ev.step(0.05)
         assert {shape: {id(b) for b in free} for shape, free in spectral._FREE.items()} == buffers
         grid = Grid(3, 8)
