@@ -253,6 +253,9 @@ class ZCoefficients:
     z2: np.ndarray
     z1: np.ndarray
     z0: np.ndarray
+    # (max e^{-6 I2}, max |z2|, max |z1|): the sup norms of the stiffness
+    # scale, reduced once per assembly for every substep
+    bounds: tuple
 
 
 def assemble_z(trees: EnhancedNoise) -> ZCoefficients:
@@ -293,7 +296,8 @@ def assemble_z(trees: EnhancedNoise) -> ZCoefficients:
         + zt2 * vref**2
         + zt1 * vref
     )
-    return ZCoefficients(grad_i2=grad_i2, em6=em6, z2=z2, z1=z1, z0=z0)
+    bounds = (float(em6.max()), float(np.abs(z2).max()), float(np.abs(z1).max()))
+    return ZCoefficients(grad_i2=grad_i2, em6=em6, z2=z2, z1=z1, z0=z0, bounds=bounds)
 
 
 def step_v(
@@ -329,13 +333,10 @@ def _stiff_substep(v: Field, z: ZCoefficients, cfg: SimConfig, time: float) -> F
     logarithmic in the initial size).  Coefficients stay frozen at the
     step's start."""
     remaining = cfg.dt
+    em6_max, z2_max, z1_max = z.bounds
     while remaining > 0:
         sup = float(np.abs(v.values).max())
-        scale = (
-            3.0 * float(z.em6.max()) * sup * sup
-            + float(np.abs(z.z2).max()) * sup
-            + float(np.abs(z.z1).max())
-        )
+        scale = 3.0 * em6_max * sup * sup + z2_max * sup + z1_max
         h = min(remaining, 0.5 / scale) if scale > 0.5 / remaining else remaining
         v = step_v(v, z, cfg, time=time, dt=h)
         time += h

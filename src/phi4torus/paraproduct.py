@@ -29,13 +29,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import Field, Grid, dealiased_sum, dealiased_sums, half_cube, lp_norm
+from .spectral import Field, Grid, dealiased_sums, half_cube, lp_norm
 
 __all__ = [
-    "BlockDecomposition",
-    "lp_block",
-    "paraproduct",
-    "resonant",
     "resonants",
     "product_decomposition",
     "besov_norm",
@@ -44,25 +40,6 @@ __all__ = [
     "estimate_regularity",
     "RegularityFit",
 ]
-
-
-@dataclass(frozen=True)
-class BlockDecomposition:
-    """Sharp-cutoff dyadic annuli on a grid's frequency set."""
-
-    grid: Grid
-
-    @property
-    def j_max(self) -> int:
-        """Largest level with a non-empty annulus on this grid (0 if none)."""
-        return max(0, int(half_cube(self.grid).levels.max()))
-
-    @property
-    def j_complete(self) -> int:
-        """Largest level whose annulus lies inside the axis Nyquist ball and
-        is therefore not truncated by the frequency cube's corners."""
-        k_nyquist = (self.grid.n / 2) * 2.0 * np.pi / self.grid.period
-        return int(math.floor(math.log2(k_nyquist)))
 
 
 def _held_levels(grid: Grid) -> list[int]:
@@ -77,13 +54,6 @@ def _band(f: Field, lo: int, hi: int) -> Field:
     return Field.from_half(f.grid, f.half * ((lo <= levels) & (levels <= hi)))
 
 
-def lp_block(f: Field, j: int) -> Field:
-    """Littlewood-Paley block Delta_j f (sharp annulus restriction)."""
-    if j < -1:
-        raise ValueError(f"block level must be >= -1, got {j}")
-    return _band(f, j, j)
-
-
 def product_decomposition(a: Field, b: Field) -> tuple[Field, Field, Field]:
     """(a<b, a o b, a>b) with dealiased block products, where
         a<b = sum_k (S_{k-2} a) (Delta_k b),   S_j = Delta_{-1} + ... + Delta_j,
@@ -94,19 +64,9 @@ def product_decomposition(a: Field, b: Field) -> tuple[Field, Field, Field]:
 
     def para(x, y):  # x < y
         terms = [(_band(x, -1, k - 2), _band(y, k, k)) for k in high]
-        return dealiased_sum(*terms) if terms else Field.zeros(x.grid)
+        return dealiased_sums(terms)[0] if terms else Field.zeros(x.grid)
 
-    return para(a, b), resonant(a, b), para(b, a)
-
-
-def paraproduct(a: Field, b: Field) -> Field:
-    """Low-high paraproduct a < b."""
-    return product_decomposition(a, b)[0]
-
-
-def resonant(a: Field, b: Field) -> Field:
-    """Resonant product a o b."""
-    return resonants((a, b))[0]
+    return para(a, b), resonants((a, b))[0], para(b, a)
 
 
 def resonants(*pairs) -> list[Field]:
@@ -132,11 +92,12 @@ def resonants(*pairs) -> list[Field]:
 
 def block_norms(f: Field, p: float = np.inf) -> list[float]:
     """[||Delta_j f||_{L^p} for j = -1, 0, 1, ..., j_max]: the block norms
-    every Besov norm of f with this p weighs.  A level that holds no mode
-    (level 0 always) gives 0.0 without building its block."""
+    every Besov norm of f with this p weighs, up to the largest level j_max
+    that holds a mode (0 if none does).  A level that holds no mode (level 0
+    always) gives 0.0 without building its block."""
     held = _held_levels(f.grid)
     return [lp_norm(_band(f, j, j), p) if j in held else 0.0
-            for j in range(-1, BlockDecomposition(f.grid).j_max + 1)]
+            for j in range(-1, max(held[-1], 0) + 1)]
 
 
 def weigh_blocks(norms, gamma: float) -> float:
@@ -158,7 +119,6 @@ class RegularityFit:
     stderr: float
     levels: list[int]
     log2_energy: list[float]
-    slope: float
 
     def __str__(self):
         return f"gamma_hat = {self.gamma_hat:+.3f} +/- {self.stderr:.3f} (levels {self.levels})"
@@ -172,6 +132,12 @@ def estimate_regularity(samples, j_min: int = 2) -> RegularityFit:
     averaging (the fields are stationary on the torus).  Reports
     gamma_hat = -slope/2 with the regression standard error.
 
+    By Parseval the spatial mean of (Delta_j u)^2 is the sum of |c_k|^2 over
+    the modes of level j, so the energies come from the half-cube
+    coefficients and the level table without a transform: a last-axis
+    column other than 0 and N/2 stands for itself and its conjugate mirror,
+    and weighs twice.
+
     The window holds the levels from j_min to j_complete that hold a mode
     (level 0 never does), excluding the top levels whose annuli are
     truncated by the corners of the frequency cube and therefore
@@ -181,16 +147,22 @@ def estimate_regularity(samples, j_min: int = 2) -> RegularityFit:
     if len(samples) < 16:
         raise ValueError(f"need at least 16 samples, got {len(samples)}")
     grid = samples[0].grid
-    j_hi = BlockDecomposition(grid).j_complete
+    # j_complete: the largest level whose annulus lies inside the axis
+    # Nyquist ball, so that the frequency cube's corners do not truncate it
+    j_hi = math.floor(math.log2((grid.n / 2) * 2.0 * np.pi / grid.period))
     levels = [j for j in _held_levels(grid) if j_min <= j <= j_hi]
     if len(levels) < 4:
         raise ValueError(
             f"only {len(levels)} usable levels on this grid; need at least 4"
         )
+    cube = half_cube(grid)
+    table = cube.levels.ravel() + 1
+    column = np.full(cube.shape[-1], 2.0)
+    column[[0, -1]] = 1.0  # columns 0 and N/2
+    picks = np.array(levels) + 1
     energies = np.zeros(len(levels))
     for f in samples:
-        for i, j in enumerate(levels):
-            energies[i] += (lp_block(f, j).values ** 2).mean()
+        energies += np.bincount(table, (np.abs(f.half) ** 2 * column).ravel())[picks]
     energies /= len(samples)
     y = np.log2(energies)
     x = np.array(levels, dtype=float)
@@ -210,5 +182,4 @@ def estimate_regularity(samples, j_min: int = 2) -> RegularityFit:
         stderr=stderr_slope / 2.0,
         levels=levels,
         log2_energy=[float(v) for v in y],
-        slope=slope,
     )

@@ -135,8 +135,6 @@ __all__ = [
     "semigroup",
     "cubic",
     "dealiased_product",
-    "dealiased_products",
-    "dealiased_sum",
     "dealiased_sums",
     "gradient",
     "grad_dot",
@@ -266,7 +264,9 @@ def transform_counts() -> dict[str, int]:
 
     transforms : logical transforms: a field's values or coefficients, a pad
         to or a truncation from a product grid.
-    passes : the scipy.fft calls they took.
+    passes : the FFT calls they took: scipy.fft for the transforms on the
+        N grid and the complex passes on a product grid, numpy.fft for the
+        real passes on a product grid.
     points : the values that the 1-d transforms of those passes take in or
         give out, on their longer side, summed over the transformed axes.
         A real pass transforms its last axis between real values and the
@@ -703,28 +703,15 @@ def dealiased_sums(*sums) -> list[Field]:
     return out
 
 
-def dealiased_products(*products) -> list[Field]:
-    """[prod_{f in factors} f for factors in products], each product
-    dealiased as in dealiased_sums; each distinct factor is padded once
-    across all the products."""
-    return dealiased_sums(*([factors] for factors in products))
-
-
-def dealiased_sum(*products) -> Field:
-    """sum_i prod_{f in products[i]} f, dealiased as in dealiased_sums: the
-    products are summed on the M grid and truncated back once."""
-    return dealiased_sums(products)[0]
-
-
 def dealiased_product(*fields: Field) -> Field:
     """Pointwise product of fields, dealiased as in dealiased_sums; each
     distinct factor is padded once."""
-    return dealiased_products(fields)[0]
+    return dealiased_sums([fields])[0]
 
 
 def cubic(f: Field) -> Field:
     """Pointwise cube f^3, dealiased on the 2N grid."""
-    return dealiased_products((f, f, f))[0]
+    return dealiased_sums([(f, f, f)])[0]
 
 
 def gradient(f: Field) -> list[Field]:
@@ -737,7 +724,7 @@ def grad_dot(a: Field, b: Field) -> Field:
     """grad a . grad b, with the products dealiased."""
     ga = gradient(a)
     gb = ga if b is a else gradient(b)
-    return dealiased_sum(*zip(ga, gb))
+    return dealiased_sums(zip(ga, gb))[0]
 
 
 def lp_norm(f: Field, p: float) -> float:

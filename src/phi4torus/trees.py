@@ -36,7 +36,7 @@ from .spectral import (
     Field,
     Grid,
     dealiased_product,
-    dealiased_products,
+    dealiased_sums,
     duhamel_step,
     grad_dot,
 )
@@ -120,7 +120,7 @@ class TreeEvolver:
         """(W2, W3) of the current X, from one pad of X."""
         X = self.X
         if self._wick[0] is not X:
-            square, cube = dealiased_products((X, X), (X, X, X))
+            square, cube = dealiased_sums([(X, X)], [(X, X, X)])
             self._wick = (X, square - self.a, cube - 3.0 * self.a * X)
         return self._wick[1:]
 

@@ -36,7 +36,7 @@ from phi4torus.paraproduct import (
     besov_norm,
     estimate_regularity,
     product_decomposition,
-    resonant,
+    resonants,
 )
 from phi4torus.powercount import gamma_range, parse_graph, verdict
 from phi4torus.renorm import (
@@ -404,7 +404,7 @@ class TestParaproduct:
             for seed in range(6):
                 rng = np.random.default_rng(100 + seed)
                 a, b = synth(grid, rng), synth(grid, rng)
-                num = besov_norm(resonant(a, b), g1 + g2)
+                num = besov_norm(resonants((a, b))[0], g1 + g2)
                 cs.append(num / (besov_norm(a, g1) * besov_norm(b, g2)))
             constants[n] = float(np.mean(cs))
         ratio = constants[64] / constants[32]

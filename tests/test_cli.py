@@ -307,17 +307,21 @@ class TestOptionSets:
         assert f"bad {option} {args[2]!r}" in res.output
 
 
+# small configs of the subcommands that evolve fields
+STABLE_RUNS = [
+    ["simulate", *FAST],
+    ["trees", *FAST_GRID, "--burn-in", "5.0", "--snapshots", "2"],
+    ["comedown", "--n", "8", "--r", "0.05", "--dt", "0.01", "--horizon", "0.2",
+     "--sizes", "3,30", "--p", "8"],
+]
+
+
 class TestByteStableOutputs:
     """Two same-seed calls in one process write the same bytes to every
     file, manifest.json included: no output carries a time, a process-wide
     high-water mark or any other value of the run rather than of its inputs."""
 
-    @pytest.mark.parametrize("args", [
-        ["simulate", *FAST],
-        ["trees", *FAST_GRID, "--burn-in", "5.0", "--snapshots", "2"],
-        ["comedown", "--n", "8", "--r", "0.05", "--dt", "0.01", "--horizon", "0.2",
-         "--sizes", "3,30", "--p", "8"],
-    ], ids=lambda args: args[0])
+    @pytest.mark.parametrize("args", STABLE_RUNS, ids=lambda args: args[0])
     def test_same_seed_gives_the_same_bytes(self, runner, tmp_path, args):
         out = tmp_path / "out"
         files = []
@@ -334,6 +338,27 @@ class TestByteStableOutputs:
         assert files[0].keys() == files[1].keys()
         for name in files[0]:
             assert files[0][name] == files[1][name], name
+
+
+class TestTransformPins:
+    """The manifest's transform counts of each subcommand at seed 5: they
+    depend on the code path alone, not on the machine, so a change that
+    moves one shows here exactly."""
+
+    @pytest.mark.parametrize("args, transforms, passes, points", [
+        (STABLE_RUNS[0], 59, 119, 166_848),
+        (STABLE_RUNS[1], 1_508, 4_895, 6_613_506),
+        (STABLE_RUNS[2], 2_132, 5_612, 7_454_304),
+        (["regularity", "--n", "32", "--r", "0.05", "--dt", "0.1", "--samples", "16",
+          "--j-min", "0"], 504, 1_638, 147_498_624),
+    ], ids=["simulate", "trees", "comedown", "regularity"])
+    def test_transforms(self, runner, tmp_path, args, transforms, passes, points):
+        res = invoke(runner, [*args, "--seed", "5", "--output-dir", str(tmp_path)])
+        assert res.exit_code == 0
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["transforms"] == {
+            "transforms": transforms, "passes": passes, "points": points,
+        }
 
 
 class TestSimulate:
@@ -508,7 +533,8 @@ class TestRegularity:
         assert len(payload["levels"]) == len(payload["log2_energy"])
 
     def test_window_skips_the_empty_level(self, runner, tmp_path):
-        """Level 0 holds no mode: --j-min 0 fits levels 1 .. j_complete and
+        """Level 0 holds no mode: --j-min 0 fits levels 1 to 4, the last
+        level whose annulus lies inside the axis Nyquist ball at N = 32, and
         writes no non-finite number."""
         res = invoke(runner, ["regularity", "--n", "32", "--r", "0.05", "--dt", "0.1",
                               "--samples", "16", "--burn-in", "5.0", "--j-min", "0",

@@ -11,7 +11,7 @@ import pytest
 
 from phi4torus.dynamics import SimConfig, counterterm, step_u
 from phi4torus.noise import NoiseStream, ou_noise_field, sample_stationary
-from phi4torus.paraproduct import resonant
+from phi4torus.paraproduct import resonants
 from phi4torus.renorm import a_closed, b_closed
 from phi4torus.spectral import (
     Field,
@@ -89,7 +89,7 @@ class TestOperations:
 
     def test_resonant(self, grid):
         a, b = random_fields(grid, 2, 5)
-        assert_close(resonant(a, b).values, full_resonant(a.values, b.values, grid.period))
+        assert_close(resonants((a, b))[0].values, full_resonant(a.values, b.values, grid.period))
 
     def test_duhamel_step(self, grid):
         u, f = random_fields(grid, 2, 6)

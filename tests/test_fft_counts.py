@@ -39,13 +39,14 @@ import scipy.fft
 
 from phi4torus.dynamics import SimConfig, assemble_z, step_u
 from phi4torus.noise import NoiseStream
-from phi4torus.paraproduct import BlockDecomposition, besov_norm, resonant
+from phi4torus.paraproduct import besov_norm, estimate_regularity, resonants
 from phi4torus.spectral import (
     Field,
     Grid,
     cubic,
     dealiased_product,
     grad_dot,
+    half_cube,
     transform_counts,
 )
 from phi4torus.trees import TreeEvolver
@@ -96,6 +97,11 @@ def points():
     p = Points()
     p.clear()
     return p
+
+
+def held_levels(grid):
+    """How many levels hold a mode of the grid: -1 and 1 .. j_max."""
+    return np.unique(half_cube(grid).levels).size
 
 
 def cached_field(seed=0):
@@ -187,7 +193,7 @@ def test_snapshot_resonants_share_blocks(counts):
     # never padded, so the levels are -1, 1 .. j_max.  That is 23 logical
     # transforms, down from 27 when level 0 was padded and from 37 when R1
     # and R4 each padded the blocks of I3, and R2 and R4 the near sums of W2.
-    levels = BlockDecomposition(GRID).j_max + 1
+    levels = held_levels(GRID)
     assert levels == 4
     assert counts == pruned(pads=4 * levels + 3, truncations=3 + 1)
     assert after["transforms"] - before["transforms"] == 23
@@ -207,13 +213,12 @@ def test_grad_dot(counts):
 def test_resonant(counts):
     a, b = cached_field(5), cached_field(6)
     counts.clear()
-    resonant(a, b)
+    resonants((a, b))
     # one pad per block of a and per near-diagonal sum of blocks of b at
     # each level that holds a mode, -1 and 1 .. j_max (level 0 is empty and
     # is never padded), one truncation of the sum (earlier: one more pad of
     # each for level 0; irfftn 2 * (j_max + 2) and rfftn 1 unpruned)
-    levels = BlockDecomposition(GRID).j_max + 1
-    assert counts == pruned(pads=2 * levels, truncations=1)
+    assert counts == pruned(pads=2 * held_levels(GRID), truncations=1)
 
 
 @pytest.mark.parametrize("n, held", [(8, 4), (32, 6)])
@@ -226,8 +231,24 @@ def test_besov_norm(counts, n, held):
     # one inverse transform per level that holds a mode, -1 and 1 .. j_max;
     # the empty level 0 weighs 0.0 and is never built (earlier: one more
     # transform, of zeros)
-    assert BlockDecomposition(grid).j_max + 1 == held
+    assert held_levels(grid) == held
     assert counts == {"irfftn": held}
+
+
+def test_estimate_regularity_transforms_nothing(counts):
+    # the level energies come from the coefficients by Parseval (earlier:
+    # one irfftn per sample and level of the window, 16 * 4 here)
+    grid = Grid(dim=3, n=32)
+    rng = np.random.default_rng(10)
+    samples = [Field.from_half(grid, Field(grid, rng.normal(size=grid.shape)).half)
+               for _ in range(16)]
+    counts.clear()
+    before = transform_counts()
+    fit = estimate_regularity(samples, j_min=1)
+    after = transform_counts()
+    assert fit.levels == [1, 2, 3, 4]
+    assert counts == {}
+    assert after == before
 
 
 def test_field_from_coefficients_is_not_transformed_until_read(counts):

@@ -4,19 +4,21 @@ import numpy as np
 import pytest
 
 from phi4torus.paraproduct import (
-    BlockDecomposition,
     besov_norm,
     block_norms,
     estimate_regularity,
-    lp_block,
-    paraproduct,
     product_decomposition,
-    resonant,
     resonants,
 )
 from phi4torus.spectral import Field, Grid, dealiased_product, half_cube, lp_norm
 
-from oracles import full_eigenvalues, full_paraproduct, full_resonant, full_values
+from oracles import (
+    full_blocks,
+    full_eigenvalues,
+    full_paraproduct,
+    full_resonant,
+    full_values,
+)
 
 
 def random_field(grid, seed):
@@ -24,10 +26,17 @@ def random_field(grid, seed):
     return Field(grid, rng.normal(size=grid.shape))
 
 
+def j_max(grid):
+    """The largest level that holds a mode of the grid (0 if none does)."""
+    return max(int(half_cube(grid).levels.max()), 0)
+
+
 def all_blocks(f):
-    """[Delta_{-1} f, Delta_0 f, ..., Delta_{j_max} f], the empty Delta_0 f
-    included."""
-    return [lp_block(f, j) for j in range(-1, BlockDecomposition(f.grid).j_max + 1)]
+    """[Delta_{-1} f, Delta_0 f, ..., Delta_{j_max} f] from the level table,
+    the empty Delta_0 f included."""
+    levels = half_cube(f.grid).levels
+    return [Field.from_half(f.grid, f.half * (levels == j))
+            for j in range(-1, j_max(f.grid) + 1)]
 
 
 class TestBlocks:
@@ -48,8 +57,8 @@ class TestBlocks:
         f = random_field(grid, 1)
         kmag = np.sqrt(half_cube(grid).k_squared)
         blocks = all_blocks(f)
-        assert len(blocks) == BlockDecomposition(grid).j_max + 2
-        assert kmag.max() <= 2.0 ** BlockDecomposition(grid).j_max
+        assert len(blocks) == j_max(grid) + 2
+        assert kmag.max() <= 2.0 ** j_max(grid)
         for j, b in enumerate(blocks, start=-1):
             if j == -1:
                 annulus = kmag <= 1.0
@@ -67,10 +76,12 @@ class TestBlocks:
         assert np.all(total == 1)
 
     def test_j_complete(self):
-        # axis Nyquist n/2; the last annulus fully inside the cube has
-        # 2^{j+1} <= n/2
-        assert BlockDecomposition(Grid(dim=3, n=32)).j_complete == 4 - 1 + 1  # = 4
-        assert BlockDecomposition(Grid(dim=3, n=64)).j_complete == 5
+        """The regularity window ends at j_complete, the last level whose
+        annulus lies inside the axis Nyquist ball |k| <= N/2: 2^j <= N/2."""
+        for n, j_complete in ((32, 4), (64, 5)):
+            grid = Grid(dim=3, n=n)
+            samples = [random_field(grid, seed) for seed in range(16)]
+            assert estimate_regularity(samples, j_min=1).levels[-1] == j_complete
 
 
 class TestParaproducts:
@@ -91,11 +102,11 @@ class TestParaproducts:
         grid = Grid(dim=2, n=16)
         a, b = random_field(grid, 4), random_field(grid, 5)
         lo, res, hi = product_decomposition(a, b)
-        np.testing.assert_allclose(paraproduct(a, b).values, lo.values, atol=1e-12)
-        np.testing.assert_allclose(paraproduct(b, a).values, hi.values, atol=1e-12)
-        np.testing.assert_allclose(resonant(a, b).values, res.values, atol=1e-12)
-        np.testing.assert_allclose(resonant(a, b).values, resonant(b, a).values,
+        np.testing.assert_allclose(product_decomposition(b, a)[0].values, hi.values,
                                    atol=1e-12)
+        np.testing.assert_allclose(product_decomposition(b, a)[2].values, lo.values,
+                                   atol=1e-12)
+        np.testing.assert_allclose(resonants((b, a))[0].values, res.values, atol=1e-12)
 
     def test_resonants_with_shared_factors_match_the_full_cube(self):
         grid = Grid(dim=3, n=8)
@@ -215,6 +226,20 @@ class TestRegularityEstimate:
         assert np.all(np.isfinite(fit.log2_energy)) and math.isfinite(fit.gamma_hat)
         if j_min == 0:
             assert fit == from_one
+
+    @pytest.mark.parametrize("grid", [
+        Grid(dim=1, n=64), Grid(dim=2, n=64), Grid(dim=3, n=16),
+        Grid(dim=2, n=64, period=20.0),
+    ], ids=["1d", "2d", "3d", "2d-period-20"])
+    def test_energies_are_the_mean_block_energies(self, grid):
+        """The Parseval energies of the fit against the mean squares of the
+        full-cube oracle's blocks, over the levels of the window."""
+        samples = [random_field(grid, seed) for seed in range(16)]
+        fit = estimate_regularity(samples, j_min=-1)
+        blocks = [full_blocks(f.values, grid.period) for f in samples]
+        want = [math.log2(np.mean([(b[j + 1] ** 2).mean() for b in blocks]))
+                for j in fit.levels]
+        np.testing.assert_allclose(fit.log2_energy, want, rtol=0, atol=1e-13)
 
     def test_refuses_too_few_levels(self):
         grid = Grid(dim=1, n=16)

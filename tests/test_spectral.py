@@ -7,7 +7,7 @@ import scipy.fft
 
 from phi4torus import spectral
 from phi4torus.noise import NoiseStream
-from phi4torus.paraproduct import resonant
+from phi4torus.paraproduct import resonants
 from phi4torus.spectral import (
     Field,
     Grid,
@@ -19,8 +19,6 @@ from phi4torus.spectral import (
     _truncated_field,
     cubic,
     dealiased_product,
-    dealiased_products,
-    dealiased_sum,
     dealiased_sums,
     duhamel_step,
     grad_dot,
@@ -331,9 +329,9 @@ class TestDealiasedProducts:
         a, b, c = (Field(grid, rng.normal(size=grid.shape)) for _ in range(3))
         got = dealiased_sums([(a, b), (c,)], [(b, c)], [(a,), (a, a)])
         want = [
-            dealiased_sum((a, b), (c,)),
-            dealiased_products((b, c))[0],
-            dealiased_sum((a,), (a, a)),
+            dealiased_sums([(a, b), (c,)])[0],
+            dealiased_sums([(b, c)])[0],
+            dealiased_sums([(a,), (a, a)])[0],
         ]
         for g, w in zip(got, want):
             np.testing.assert_array_equal(g.half, w.half)
@@ -345,15 +343,16 @@ class TestDealiasedProducts:
         rng = np.random.default_rng(6)
         a, b, c = (Field(grid, rng.normal(size=grid.shape)) for _ in range(3))
         got = dealiased_sums([(a, b), (c,)], [(b, c, c)], [(a,), (a, a)])
-        np.testing.assert_array_equal(got[1].half, dealiased_products((b, c, c))[0].half)
-        for g, w in zip(got[::2], [dealiased_sum((a, b), (c,)), dealiased_sum((a,), (a, a))]):
+        np.testing.assert_array_equal(got[1].half, dealiased_sums([(b, c, c)])[0].half)
+        singles = [dealiased_sums([(a, b), (c,)])[0], dealiased_sums([(a,), (a, a)])[0]]
+        for g, w in zip(got[::2], singles):
             assert not np.array_equal(g.half, w.half)
             assert np.abs(g.values - w.values).max() <= 1e-15 * np.abs(w.values).max()
 
     @pytest.mark.parametrize("call, match", [
         (lambda a: dealiased_sums([(a,)], []), "sum 1 has no terms"),
         (lambda a: dealiased_sums([(a, a)], [(a,), ()]), "term 1 of sum 1 has no factors"),
-        (lambda a: dealiased_sum(), "sum 0 has no terms"),
+        (lambda a: dealiased_sums([]), "sum 0 has no terms"),
         (lambda a: dealiased_product(), "term 0 of sum 0 has no factors"),
         (lambda a: dealiased_sums(), "no sums"),
     ])
@@ -381,7 +380,7 @@ class TestProductGrid:
         cases = [
             (lambda: dealiased_product(a, b), full_dealiased_product(a.values, b.values)),
             (lambda: grad_dot(a, b), full_grad_dot(a.values, b.values, grid.period)),
-            (lambda: resonant(a, b), full_resonant(a.values, b.values, grid.period)),
+            (lambda: resonants((a, b))[0], full_resonant(a.values, b.values, grid.period)),
         ]
         m = _product_size(n, 2)
         assert m < 2 * n
@@ -408,9 +407,10 @@ class TestProductGrid:
         rng = np.random.default_rng(2)
         a, b = (Field(grid, rng.normal(size=grid.shape)) for _ in range(2))
         spectral._FREE.clear()
-        square, _ = dealiased_products((a, b), (a, a, b))
+        square, _ = dealiased_sums([(a, b)], [(a, a, b)])
         assert list(spectral._FREE) == [(32,) * 3]
-        np.testing.assert_array_equal(square.half, dealiased_products((a, b), (b, b, b))[0].half)
+        np.testing.assert_array_equal(square.half,
+                                      dealiased_sums([(a, b)], [(b, b, b)])[0].half)
 
 
 def smallest_product_sizes(n: int) -> list[int]:
@@ -461,11 +461,11 @@ class TestWorkspace:
         grid = Grid(3, 8)
         rng = np.random.default_rng(3)
         a, b = (Field(grid, rng.normal(size=grid.shape)) for _ in range(2))
-        first = [cubic(a), *dealiased_products((a, b), (b,), (a, a, b))]
+        first = [cubic(a), *dealiased_sums([(a, b)], [(b,)], [(a, a, b)])]
         kept = [(f.half.copy(), f.values.copy()) for f in first]
         # later calls that take, overwrite and hand back the same buffers
         for _ in range(2):
-            again = [cubic(b), *dealiased_products((b, a), (a,), (b, b, a))]
+            again = [cubic(b), *dealiased_sums([(b, a)], [(a,)], [(b, b, a)])]
             dealiased_sums([(a, b), (b,)], [(a, a, a)])
         for f, (half, values) in zip(first, kept):
             np.testing.assert_array_equal(f.half, half)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from phi4torus.noise import NoiseStream, ou_noise_field
-from phi4torus.paraproduct import resonant
+from phi4torus.paraproduct import resonants
 from phi4torus.renorm import a_closed, b_closed, mode_sum
 from phi4torus.spectral import (
     Field,
@@ -125,16 +125,16 @@ class TestSnapshots:
         snap = ev.snapshot()
         b = b_closed(R)
         np.testing.assert_allclose(
-            snap.R1.values, resonant(ev.I3, ev.X).values, atol=1e-12
+            snap.R1.values, resonants((ev.I3, ev.X))[0].values, atol=1e-12
         )
         np.testing.assert_allclose(
             snap.R2.values,
-            (resonant(ev.I2, snap.W2) - b / 3.0).values,
+            (resonants((ev.I2, snap.W2))[0] - b / 3.0).values,
             atol=1e-12,
         )
         np.testing.assert_allclose(
             snap.R4.values,
-            (resonant(ev.I3, snap.W2) - b * ev.X).values,
+            (resonants((ev.I3, snap.W2))[0] - b * ev.X).values,
             atol=1e-12,
         )
 
