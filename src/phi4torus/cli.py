@@ -50,7 +50,7 @@ from .dynamics import (
 )
 from .noise import NoiseStream
 from .observables import MIN_CUMULANT_SAMPLES, birkhoff_sample, fourth_cumulant
-from .paraproduct import estimate_regularity
+from .paraproduct import estimate_regularity, regularity_window
 from .powercount import GraphError, gamma_range, parse_graph
 from .renorm import a_closed, a_numeric, b_closed, b_numeric, minimal_n_for
 from .spectral import Grid, fft_workers, save_field, transform_counts
@@ -192,7 +192,7 @@ def _sim_config(params: dict) -> SimConfig:
     fields = {f.name for f in dataclasses.fields(SimConfig)}
     try:
         cfg = SimConfig(**{"horizon": 1.0, **{k: v for k, v in params.items() if k in fields}})
-        cfg.grid  # validates n, dim and period
+        cfg.grid  # validates n and period
     except (ValueError, TypeError) as exc:
         raise InvalidConfig(str(exc))
     return cfg
@@ -204,7 +204,6 @@ _OPTIONS = {
     "r": click.option("--r", default=0.01, help="noise regularization scale"),
     "dt": click.option("--dt", default=0.01, help="time step"),
     "horizon": click.option("--horizon", default=1.0, help="final time"),
-    "dim": click.option("--dim", default=3, help="torus dimension"),
     "period": click.option("--period", default=2 * math.pi, help="torus period L"),
     "coupling": click.option("--coupling", default=1.0, help="coupling constant"),
     "counterterm_a": click.option("--counterterm-a/--no-counterterm-a", default=True),
@@ -220,7 +219,7 @@ _OPTIONS = {
     "output_dir": click.option("--output-dir", envvar="PHI4_OUTPUT_DIR", default=".",
                                show_envvar=True, help="output directory"),
 }
-_TREE_OPTIONS = ("n", "r", "dt", "dim", "period", "seed", "stream", "burn_in")
+_TREE_OPTIONS = ("n", "r", "dt", "period", "seed", "stream", "burn_in")
 _LANGEVIN_OPTIONS = ("coupling", "counterterm_a", "counterterm_b")
 
 
@@ -254,7 +253,7 @@ def main():
 
 
 @main.command()
-@_options("n", "r", "dt", "horizon", "dim", "period", *_LANGEVIN_OPTIONS, "seed", "stream",
+@_options("n", "r", "dt", "horizon", "period", *_LANGEVIN_OPTIONS, "seed", "stream",
           "snapshot_stride")
 @click.option("--checkpoints/--no-checkpoints", default=True,
               help="save field snapshots in the binary Field format")
@@ -437,7 +436,7 @@ def powercount(path, as_json, output_dir):
 @_options(*_TREE_OPTIONS)
 @click.option("--component", default="X", help="tree component to estimate (X, W2, W3, I2, I3)")
 @click.option("--samples", default=32)
-@click.option("--j-min", default=2)
+@click.option("--j-min", default=1)
 def regularity(component, samples, burn_in, j_min, **params):
     """Estimate the Besov regularity exponent of a tree component."""
     cfg = _sim_config(params)
@@ -445,6 +444,7 @@ def regularity(component, samples, burn_in, j_min, **params):
         if component not in ("X", "W2", "W3", "I2", "I3"):
             raise Refused(f"unknown component {component!r}; choose X, W2, W3, I2 or I3")
         try:
+            regularity_window(cfg.grid, samples, j_min)
             traj = build_enhanced_noise(
                 NoiseStream(cfg.seed, cfg.stream), cfg.grid, cfg.r,
                 burn_in=burn_in, dt=cfg.dt, n_snapshots=samples,
@@ -471,7 +471,7 @@ def regularity(component, samples, burn_in, j_min, **params):
 
 
 @main.command()
-@_options("n", "r", "dt", "horizon", "dim", "period", "seed", "stream")
+@_options("n", "r", "dt", "horizon", "period", "seed", "stream")
 @click.option("--sizes", default="3,30,300",
               help="initial Besov sizes, comma list or 'lo:hi:num'")
 @click.option("--p", default=8, help="even L^p exponent >= 8")
@@ -515,6 +515,8 @@ def cumulant(burn_in, stride, count, probes, streams, **params):
     if count % streams:
         raise InvalidConfig(f"--streams {streams} does not divide --count {count}")
     r_probes = _parse_sweep("--probes", probes)
+    if not all(rp > 0 for rp in r_probes):
+        raise InvalidConfig(f"bad --probes {probes!r}: every probe scale must be positive")
     with _run() as (outdir, manifest):
         if count < MIN_CUMULANT_SAMPLES:
             raise Refused(f"need at least {MIN_CUMULANT_SAMPLES} decorrelated samples, "

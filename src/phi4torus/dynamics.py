@@ -32,6 +32,10 @@ in which every occurrence of a_r cancels and the dangerous product
     Z0 = Zt0 - g_ref - 6 grad I2 . grad v_ref - E^{-2} v_ref^3
          + Zt2 v_ref^2 + Zt1 v_ref.
 
+The W2 terms of Zt0 and g_ref cancel, so the assembly reads no W2:
+
+    Zt0 - g_ref = E I3 (I3^2 - 3 X I3 + 6 b_r).
+
 Correctness of this assembly is gated on cross-validation against the
 u-equation on frozen noise (the terminal gap halves when dt halves).
 """
@@ -137,21 +141,15 @@ class Trajectory:
     # every C^gamma = B^gamma_{inf,inf} norm of it follows
     block_sups: list[list[float]] = field(default_factory=list)
 
-    def record(self, t: float, u: Field, extra: dict | None = None) -> None:
+    def record(self, t: float, u: Field) -> None:
         if self.times and t <= self.times[-1]:
             raise ValueError("snapshot times must be strictly increasing")
         self.times.append(t)
         self.snapshots.append(u)
         sups = block_norms(u)
         self.block_sups.append(sups)
-        rows = {
-            "L2": lp_norm(u, 2),
-            "L8": lp_norm(u, 8),
-            "besov_proxy": weigh_blocks(sups, -0.55),
-        }
-        if extra:
-            rows.update(extra)
-        for key, val in rows.items():
+        for key, val in (("L2", lp_norm(u, 2)), ("L8", lp_norm(u, 8)),
+                         ("besov_proxy", weigh_blocks(sups, -0.55))):
             self.diagnostics.setdefault(key, []).append(val)
 
 
@@ -264,7 +262,6 @@ def assemble_z(trees: EnhancedNoise) -> ZCoefficients:
     if trees.v_ref is None:
         raise ValueError("Z-assembly needs v_ref; rebuild trees with track_vref")
     X = trees.X.values
-    W2 = trees.W2.values
     I2 = trees.I2.values
     I3 = trees.I3.values
     vref = trees.v_ref.values
@@ -276,8 +273,6 @@ def assemble_z(trees: EnhancedNoise) -> ZCoefficients:
 
     zt2 = -3.0 * em3 * (X - I3)
     zt1 = 6.0 * X * I3 - 3.0 * I3**2 - 3.0 * I2 + 9.0 * grad_sq - 3.0 * b
-    zt0 = e3 * (3.0 * W2 * I3 - 3.0 * X * I3**2 + I3 * I3 * I3 - 3.0 * b * (X - I3))
-    g_ref = 3.0 * e3 * (I3 * W2 - b * (X + I3))
 
     grid = trees.X.grid
     grad_i2 = gradient(trees.I2)
@@ -289,8 +284,7 @@ def assemble_z(trees: EnhancedNoise) -> ZCoefficients:
     z2 = zt2 - 3.0 * em6 * vref
     z1 = zt1 + 2.0 * zt2 * vref - 3.0 * em6 * vref**2
     z0 = (
-        zt0
-        - g_ref
+        e3 * I3 * (I3 * I3 - 3.0 * X * I3 + 6.0 * b)  # Zt0 - g_ref
         - 6.0 * transport_vref
         - em6 * (vref * vref * vref)
         + zt2 * vref**2
@@ -437,7 +431,7 @@ class ComparisonResult:
         return self.admissible
 
 
-def comparison_test(times, values, lam: float, c: float, T: float | None = None) -> ComparisonResult:
+def comparison_test(times, values, lam: float, c: float) -> ComparisonResult:
     """Run the comparison-test partition on a sampled function F.
 
     First verifies the integral hypothesis int_s^t F^lam <= c (F(s) + 1) on
@@ -448,7 +442,8 @@ def comparison_test(times, values, lam: float, c: float, T: float | None = None)
         t*_{n+1} = t_n + c 2^lam (1 + F(t_n))^{1-lam},
         t_{n+1}  = argmin of F on (t_n, t*_{n+1}],
 
-    and asserts at each point the explicit decay bound
+    up to the last sample time, and asserts at each point the explicit
+    decay bound
 
         F(t_n) <= 1 + 2^{lam/(lam-1)} (c / (1 - 2^{-(lam-1)}))^{1/(lam-1)}
                       t_{n+1}^{-1/(lam-1)}.
@@ -463,8 +458,6 @@ def comparison_test(times, values, lam: float, c: float, T: float | None = None)
         raise ValueError("times and values must be matching 1-d samples")
     if np.any(np.diff(t) <= 0):
         raise ValueError("times must be strictly increasing")
-    if T is None:
-        T = float(t[-1])
 
     # hypothesis check on the sampled grid
     cumint = np.concatenate([[0.0], np.cumsum(
@@ -494,7 +487,7 @@ def comparison_test(times, values, lam: float, c: float, T: float | None = None)
         tn = partition[-1]
         fn = vals[-1]
         t_star = tn + c * 2.0**lam * (1.0 + fn) ** (1.0 - lam)
-        if t_star > T:
+        if t_star > t[-1]:
             break
         window = t[(t > tn) & (t <= t_star)]
         candidates = np.append(window, t_star)

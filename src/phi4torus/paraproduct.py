@@ -38,6 +38,7 @@ __all__ = [
     "block_norms",
     "weigh_blocks",
     "estimate_regularity",
+    "regularity_window",
     "RegularityFit",
 ]
 
@@ -124,6 +125,26 @@ class RegularityFit:
         return f"gamma_hat = {self.gamma_hat:+.3f} +/- {self.stderr:.3f} (levels {self.levels})"
 
 
+def regularity_window(grid: Grid, n_samples: int, j_min: int) -> list[int]:
+    """The levels that estimate_regularity fits for n_samples fields on the
+    grid: those from j_min to j_complete that hold a mode (level 0 never
+    does), excluding the top levels whose annuli are truncated by the
+    corners of the frequency cube and therefore contaminated by the grid
+    cutoff.  Raises ValueError for fewer than 16 samples or 4 levels, so
+    that a caller can refuse before it builds the samples."""
+    if n_samples < 16:
+        raise ValueError(f"need at least 16 samples, got {n_samples}")
+    # j_complete: the largest level whose annulus lies inside the axis
+    # Nyquist ball, so that the frequency cube's corners do not truncate it
+    j_hi = math.floor(math.log2((grid.n / 2) * 2.0 * np.pi / grid.period))
+    levels = [j for j in _held_levels(grid) if j_min <= j <= j_hi]
+    if len(levels) < 4:
+        raise ValueError(
+            f"only {len(levels)} usable levels on this grid; need at least 4"
+        )
+    return levels
+
+
 def estimate_regularity(samples, j_min: int = 2) -> RegularityFit:
     """Estimate the Holder-Besov exponent of a stationary random field.
 
@@ -136,25 +157,12 @@ def estimate_regularity(samples, j_min: int = 2) -> RegularityFit:
     the modes of level j, so the energies come from the half-cube
     coefficients and the level table without a transform: a last-axis
     column other than 0 and N/2 stands for itself and its conjugate mirror,
-    and weighs twice.
-
-    The window holds the levels from j_min to j_complete that hold a mode
-    (level 0 never does), excluding the top levels whose annuli are
-    truncated by the corners of the frequency cube and therefore
-    contaminated by the grid cutoff.
+    and weighs twice.  The levels are those of regularity_window.
     """
     samples = list(samples)
-    if len(samples) < 16:
-        raise ValueError(f"need at least 16 samples, got {len(samples)}")
-    grid = samples[0].grid
-    # j_complete: the largest level whose annulus lies inside the axis
-    # Nyquist ball, so that the frequency cube's corners do not truncate it
-    j_hi = math.floor(math.log2((grid.n / 2) * 2.0 * np.pi / grid.period))
-    levels = [j for j in _held_levels(grid) if j_min <= j <= j_hi]
-    if len(levels) < 4:
-        raise ValueError(
-            f"only {len(levels)} usable levels on this grid; need at least 4"
-        )
+    # the sample floor refuses an empty list before the grid is read
+    grid = samples[0].grid if samples else None
+    levels = regularity_window(grid, len(samples), j_min)
     cube = half_cube(grid)
     table = cube.levels.ravel() + 1
     column = np.full(cube.shape[-1], 2.0)

@@ -335,21 +335,6 @@ class Affine:
     const: Fraction
     gamma_coeff: Fraction = Fraction(0)
 
-    def __add__(self, other):
-        if isinstance(other, Affine):
-            return Affine(self.const + other.const, self.gamma_coeff + other.gamma_coeff)
-        return Affine(self.const + Fraction(other), self.gamma_coeff)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, Affine):
-            return Affine(self.const - other.const, self.gamma_coeff - other.gamma_coeff)
-        return Affine(self.const - Fraction(other), self.gamma_coeff)
-
-    def __neg__(self):
-        return Affine(-self.const, -self.gamma_coeff)
-
     @property
     def is_constant(self) -> bool:
         return self.gamma_coeff == 0

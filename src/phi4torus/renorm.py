@@ -105,24 +105,22 @@ def minimal_n_for(r: float, grid: Grid) -> int:
     return n
 
 
-def a_numeric(grid: Grid, r: float, require_converged: bool = True) -> float:
-    """Exact lattice mode sum for E[X_r(x)^2] on the grid.
-
-    With require_converged the corner mode's heat weight must be below
-    1e-12, i.e. the grid resolves the continuum sum at this r; otherwise the
-    minimal sufficient N is reported.  Disable the check to compare against
-    Monte Carlo statistics on the same (possibly coarse) grid.
+def a_numeric(grid: Grid, r: float) -> float:
+    """Exact lattice mode sum for E[X_r(x)^2] on a grid that resolves the
+    continuum sum at this r: the corner mode's heat weight must be below
+    1e-12, or the minimal sufficient N is reported.  mode_sum gives the sum
+    on any grid, e.g. to compare against Monte Carlo statistics on the same
+    coarse grid.
     """
     if not (r > 0):
         raise ValueError(f"r must be positive, got {r}")
-    if require_converged:
-        kmax = (grid.n / 2) * 2.0 * math.pi / grid.period
-        lam_corner = 1.0 + grid.dim * kmax**2
-        if math.exp(-2.0 * r * lam_corner) > 1e-12:
-            raise ValueError(
-                f"grid too coarse for r={r}: need N >= {minimal_n_for(r, grid)} "
-                f"for the heat weight to decay below 1e-12 at the cutoff"
-            )
+    kmax = (grid.n / 2) * 2.0 * math.pi / grid.period
+    lam_corner = 1.0 + grid.dim * kmax**2
+    if math.exp(-2.0 * r * lam_corner) > 1e-12:
+        raise ValueError(
+            f"grid too coarse for r={r}: need N >= {minimal_n_for(r, grid)} "
+            f"for the heat weight to decay below 1e-12 at the cutoff"
+        )
     return mode_sum(grid, r)
 
 

@@ -20,9 +20,10 @@ Every transform maps real values to the half-cube or back, and one private
 helper runs and counts them all (`transform_counts`).  Physical values are
 computed on first read: a field built from coefficients (a product, a
 Duhamel step, a block, a gradient, a noise increment) runs its irfftn only
-when some caller reads its values, and keeps the result.  Linear
-operations (+, -, scalar *) work on the coefficients unless every operand
-already has values, so a field built from others is not transformed again.
+when some caller reads its values, and keeps the result.  A sum or
+difference of two fields works on their coefficients, and a field with a
+scalar (+, -, *) on what the field holds, so a field built from others is
+not transformed again.
 
 Workers.  The scipy.fft calls run with scipy's worker setting in the
 calling context, one worker unless the caller sets another
@@ -319,11 +320,12 @@ class Field:
     coefficients c = rfftn(values)/N^d, or both, and computes the missing
     one on first use (read-only thereafter).  A field built from
     coefficients (`from_half`) runs its inverse transform only when its
-    values are read.  + and - of fields or of a field and a scalar, and
-    multiplication by a scalar, work on the values when every operand has
-    them and on the coefficients otherwise.  A field times a field raises
-    TypeError: products of fields are dealiased (`dealiased_product`).  So
-    does any arithmetic of a field with an array: wrap the array as a Field.
+    values are read.  + and - of two fields work on their coefficients;
+    + and - of a field and a scalar, and multiplication by a scalar, work
+    on what the field holds, values, coefficients or both.  A field times
+    a field raises TypeError: products of fields are dealiased
+    (`dealiased_product`).  So does any arithmetic of a field with an
+    array: wrap the array as a Field.
     """
 
     # an array operand defers to Field's own operators, so that
@@ -403,12 +405,7 @@ class Field:
         Field or a scalar."""
         if isinstance(other, Field):
             self._check(other)
-            if self._values is None or other._values is None:
-                return Field._of(self.grid, None, op(self.half, other.half))
-            half = None
-            if self._half is not None and other._half is not None:
-                half = op(self._half, other._half)
-            return Field._of(self.grid, op(self._values, other._values), half)
+            return Field._of(self.grid, None, op(self.half, other.half))
         if np.ndim(other) != 0:
             return NotImplemented
         half = None

@@ -228,7 +228,7 @@ IGNORED_FLAGS = [
 
 class TestOptionSets:
     def test_option_count(self):
-        assert sum(len(c.params) for c in main.commands.values()) == 92
+        assert sum(len(c.params) for c in main.commands.values()) == 86
 
     @pytest.mark.parametrize("sub,flag", IGNORED_FLAGS,
                              ids=[f"{c}{f[0]}" for c, f in IGNORED_FLAGS])
@@ -247,11 +247,21 @@ class TestOptionSets:
         assert set(manifest["config"]) == {p.name for p in main.commands[sub].params}
         assert manifest["config"]["burn_in"] == 1.0
 
-    @pytest.mark.parametrize("flag", [["--n", "12"], ["--dim", "4"], ["--r", "0"]])
+    @pytest.mark.parametrize("flag", [["--n", "12"], ["--period", "0"], ["--r", "0"]])
     def test_invalid_grid_or_config_exits_3(self, runner, tmp_path, flag):
         res = runner.invoke(main, ["simulate", *flag, "--output-dir", str(tmp_path)])
         assert res.exit_code == 3
         assert res.exception is None or isinstance(res.exception, SystemExit)
+
+    @pytest.mark.parametrize("sub", ["simulate", "trees", "regularity", "comedown",
+                                     "cumulant", "sample"])
+    def test_dim_is_not_an_option(self, runner, tmp_path, sub):
+        """The subcommands run the 3-d model, whose constants a_r and b_r
+        they apply, so they take no torus dimension."""
+        res = runner.invoke(main, [sub, "--dim", "4", "--output-dir", str(tmp_path)])
+        assert res.exit_code == 2
+        assert "No such option" in res.output
+        assert not (tmp_path / "manifest.json").exists()
 
     @pytest.mark.parametrize("args", [["simulate", "--snapshot-stride", "0"],
                                       ["cumulant", "--streams", "0"],
@@ -348,10 +358,12 @@ class TestTransformPins:
     @pytest.mark.parametrize("args, transforms, passes, points", [
         (STABLE_RUNS[0], 59, 119, 166_848),
         (STABLE_RUNS[1], 1_508, 4_895, 6_613_506),
-        (STABLE_RUNS[2], 2_132, 5_612, 7_454_304),
+        (STABLE_RUNS[2], 2_112, 5_592, 7_431_264),
         (["regularity", "--n", "32", "--r", "0.05", "--dt", "0.1", "--samples", "16",
           "--j-min", "0"], 504, 1_638, 147_498_624),
-    ], ids=["simulate", "trees", "comedown", "regularity"])
+        (["trees", "--n", "16", "--dt", "0.1", "--sweep", "0.3,0.1,0.03,0.005"],
+         2_192, 6_836, 76_082_336),
+    ], ids=["simulate", "trees", "comedown", "regularity", "trees-sweep"])
     def test_transforms(self, runner, tmp_path, args, transforms, passes, points):
         res = invoke(runner, [*args, "--seed", "5", "--output-dir", str(tmp_path)])
         assert res.exit_code == 0
@@ -552,6 +564,23 @@ class TestRegularity:
         assert "only 3 usable levels" in res.output
         assert not (tmp_path / "regularity_X.json").exists()
 
+    @pytest.mark.parametrize("args", [["--n", "8"], ["--samples", "8"]],
+                             ids=["coarse-grid", "few-samples"])
+    def test_window_checked_before_building_trees(self, runner, tmp_path, args):
+        """Too few usable levels (N = 8 holds levels 1 and 2 below
+        j_complete) or samples refuse the run before it transforms."""
+        res = runner.invoke(main, ["regularity", *args, "--output-dir", str(tmp_path)])
+        assert res.exit_code == 4
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["status"] == "refused"
+        assert manifest["transforms"] == {"transforms": 0, "passes": 0, "points": 0}
+
+    def test_default_j_min_runs(self, runner, tmp_path):
+        res = invoke(runner, ["regularity", "--n", "32", "--dt", "0.1", "--samples", "16",
+                              "--output-dir", str(tmp_path)])
+        assert res.exit_code == 0
+        assert json.loads((tmp_path / "regularity_X.json").read_text())["levels"] == [1, 2, 3, 4]
+
     def test_unknown_component_refused(self, runner, tmp_path):
         res = runner.invoke(main, ["regularity", *FAST_GRID, "--component", "Zed",
                                    "--burn-in", "5.0",
@@ -623,6 +652,15 @@ class TestCumulantAndSample:
             assert s["stride_adequate"] == (0.5 >= s["tau_int"])
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert "cumulant_report.json" in manifest["outputs"]
+
+    @pytest.mark.parametrize("probes", ["0", "0.02,-0.01"], ids=["zero", "negative"])
+    def test_non_positive_probe_exits_3(self, runner, tmp_path, monkeypatch, probes):
+        monkeypatch.setattr("phi4torus.cli.birkhoff_sample", lambda *a: pytest.fail("sampled"))
+        res = runner.invoke(main, ["cumulant", "--probes", probes,
+                                   "--output-dir", str(tmp_path)])
+        assert res.exit_code == 3
+        assert f"bad --probes {probes!r}: every probe scale must be positive" in res.output
+        assert not (tmp_path / "cumulant.csv").exists()
 
     def test_sample_outputs(self, runner, tmp_path):
         res = invoke(runner, ["sample", "--n", "8", "--r", "0.05",

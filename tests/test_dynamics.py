@@ -22,7 +22,7 @@ from phi4torus.dynamics import (
 from phi4torus.noise import NoiseStream, ou_noise_field
 from phi4torus.paraproduct import besov_norm
 from phi4torus.renorm import a_closed, b_closed
-from phi4torus.spectral import Field, Grid, semigroup
+from phi4torus.spectral import Field, Grid, grad_dot, gradient, semigroup
 from phi4torus.trees import EnhancedNoise, TreeEvolver
 
 
@@ -214,6 +214,31 @@ class TestStepV:
         got = step_v(v0, assemble_z(trees), cfg)
         want = step_u(v0, cfg, cfg.noise(), Field.zeros(grid))
         np.testing.assert_allclose(got.values, want.values, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [8, 16])
+    def test_z0_equals_the_expanded_formula(self, n):
+        """Z0, formed without the W2 terms that cancel, equals the module
+        docstring's Zt0 - g_ref - 6 grad I2 . grad v_ref - E^{-2} v_ref^3
+        + Zt2 v_ref^2 + Zt1 v_ref written out term by term."""
+        ev = TreeEvolver(Grid(dim=3, n=n), 0.05, NoiseStream(11))
+        ev.burn_in(5.0, 0.05)
+        trees = ev.snapshot(with_resonants=False)
+        X, W2, I2, I3, vref = (f.values for f in (trees.X, trees.W2, trees.I2,
+                                                  trees.I3, trees.v_ref))
+        b = trees.b
+        e3 = np.exp(3.0 * I2)
+        em6 = 1.0 / (e3 * e3)
+        zt2 = -3.0 * (X - I3) / e3
+        zt1 = (6.0 * X * I3 - 3.0 * I3**2 - 3.0 * I2
+               + 9.0 * grad_dot(trees.I2, trees.I2).values - 3.0 * b)
+        zt0 = e3 * (3.0 * W2 * I3 - 3.0 * X * I3**2 + I3**3 - 3.0 * b * (X - I3))
+        g_ref = 3.0 * e3 * (I3 * W2 - b * (X + I3))
+        transport = sum(gi.values * gv.values
+                        for gi, gv in zip(gradient(trees.I2), gradient(trees.v_ref)))
+        want = (zt0 - g_ref - 6.0 * transport - em6 * vref**3
+                + zt2 * vref**2 + zt1 * vref)
+        got = assemble_z(trees).z0
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_assemble_z_requires_vref(self):
         grid = Grid(dim=3, n=8)

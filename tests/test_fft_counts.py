@@ -308,12 +308,11 @@ def test_assemble_z_at_n16():
     ev.step(0.05)
     trees = ev.snapshot(with_resonants=False)
     # |grad I2|^2 on M: three pads and a truncation; on the 16^3 grid the
-    # values of X, W2, I3 and v_ref, of I2's three and v_ref's three
-    # gradients and of |grad I2|^2 (I2 already has values) (on M = 30:
-    # 254 504 points)
+    # values of X, I3 and v_ref, of I2's three and v_ref's three gradients
+    # and of |grad I2|^2 (I2 already has values, and W2 is not read)
     assert counted(lambda: assemble_z(trees)) == {
-        "transforms": 15, "passes": 27, "points": 4 * M_16 + 11 * ON_GRID_16}
-    assert 4 * M_16 + 11 * ON_GRID_16 == 196_044
+        "transforms": 14, "passes": 26, "points": 4 * M_16 + 10 * ON_GRID_16}
+    assert 4 * M_16 + 10 * ON_GRID_16 == 187_340
 
 
 def test_tree_step_at_n32():

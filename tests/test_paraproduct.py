@@ -98,6 +98,17 @@ class TestParaproducts:
             worst = max(worst, float(np.abs(recon - ref).max()))
         assert worst < 1e-10
 
+    @pytest.mark.parametrize("grid", [Grid(dim=3, n=8), Grid(dim=3, n=16),
+                                      Grid(dim=2, n=16, period=5.0)],
+                             ids=["3d-8", "3d-16", "2d-period-5"])
+    def test_resonant_mean_is_the_product_mean(self, grid):
+        """The mean of a product pairs each mode k of a with the mode -k of
+        b, and k and -k lie in one level, which the resonant sum keeps: a o b
+        and a b have the same mean (the divergence sweep reads it so)."""
+        a, b = random_field(grid, 31), random_field(grid, 32)
+        want = resonants((a, b))[0].mean()
+        assert dealiased_product(a, b).mean() == pytest.approx(want, rel=1e-13)
+
     def test_paraproduct_asymmetry(self):
         grid = Grid(dim=2, n=16)
         a, b = random_field(grid, 4), random_field(grid, 5)
