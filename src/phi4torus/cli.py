@@ -2,9 +2,9 @@
 
 Every subcommand writes its outputs plus a run manifest (manifest.json)
 holding every option the subcommand resolved, the seed, the package version,
-the numpy and scipy versions, the FFT worker count, the transforms the run
-made (`spectral.transform_counts()`, which depend only on the inputs), the
-run's status and a sha256 checksum per output file, so a run can be
+the numpy and scipy versions, the transforms the run made
+(`spectral.transform_counts()`, which depend only on the inputs), the run's
+status and a sha256 checksum per output file, so a run can be
 reproduced and verified bit-for-bit.  A refused run still writes its
 manifest, with status "refused", the reason, and the files written before
 the refusal; a run that dies of an exception or an interrupt writes it with
@@ -53,7 +53,7 @@ from .observables import MIN_CUMULANT_SAMPLES, birkhoff_sample, fourth_cumulant
 from .paraproduct import estimate_regularity, regularity_window
 from .powercount import GraphError, gamma_range, parse_graph
 from .renorm import a_closed, a_numeric, b_closed, b_numeric, minimal_n_for
-from .spectral import Grid, fft_workers, save_field, transform_counts
+from .spectral import Grid, save_field, transform_counts
 from .trees import build_enhanced_noise, tree_divergence_report
 
 EXIT_INVALID_CONFIG = 3
@@ -84,7 +84,6 @@ class RunManifest:
     outputs: dict[str, str] = field(default_factory=dict)  # file -> sha256
     numpy: str = np.__version__
     scipy: str = scipy.__version__
-    fft_workers: int = field(default_factory=fft_workers)
     transforms: dict[str, int] = field(default_factory=dict)  # made by the run
 
     def add(self, path: Path) -> None:

@@ -55,6 +55,7 @@ from .spectral import (
     Grid,
     cubic,
     duhamel_step,
+    evaluate,
     grad_dot,
     gradient,
     lp_norm,
@@ -261,6 +262,10 @@ def assemble_z(trees: EnhancedNoise) -> ZCoefficients:
     the module docstring."""
     if trees.v_ref is None:
         raise ValueError("Z-assembly needs v_ref; rebuild trees with track_vref")
+    grad_sq = grad_dot(trees.I2, trees.I2)
+    grad_i2 = gradient(trees.I2)
+    grad_vref = gradient(trees.v_ref)
+    evaluate(trees.X, trees.I2, trees.I3, trees.v_ref, grad_sq, *grad_i2, *grad_vref)
     X = trees.X.values
     I2 = trees.I2.values
     I3 = trees.I3.values
@@ -269,14 +274,9 @@ def assemble_z(trees: EnhancedNoise) -> ZCoefficients:
     e3 = np.exp(3.0 * I2)
     em3 = 1.0 / e3
     em6 = em3 * em3
-    grad_sq = grad_dot(trees.I2, trees.I2).values
 
     zt2 = -3.0 * em3 * (X - I3)
-    zt1 = 6.0 * X * I3 - 3.0 * I3**2 - 3.0 * I2 + 9.0 * grad_sq - 3.0 * b
-
-    grid = trees.X.grid
-    grad_i2 = gradient(trees.I2)
-    grad_vref = gradient(trees.v_ref)
+    zt1 = 6.0 * X * I3 - 3.0 * I3**2 - 3.0 * I2 + 9.0 * grad_sq.values - 3.0 * b
     transport_vref = sum(
         gi.values * gv.values for gi, gv in zip(grad_i2, grad_vref)
     )
@@ -306,6 +306,7 @@ def step_v(
     tree slice assemble once; dt overrides cfg.dt for substepping the stiff
     cubic transient."""
     grad_v = gradient(v)
+    evaluate(v, *grad_v)
     transport = sum(gi.values * gv.values for gi, gv in zip(z.grad_i2, grad_v))
     vv = v.values
     drift = (
@@ -383,6 +384,7 @@ def coming_down_experiment(
         ev.step(cfg.dt)
         t = (i + 1) * cfg.dt
         times.append(t)
+        evaluate(*(v for v, exc in zip(vs, blew_up) if exc is None))
         for j, v in enumerate(vs):
             norms[j].append(
                 lp_norm(v, p) if blew_up[j] is None else float("nan")

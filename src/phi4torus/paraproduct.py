@@ -145,7 +145,7 @@ def regularity_window(grid: Grid, n_samples: int, j_min: int) -> list[int]:
     return levels
 
 
-def estimate_regularity(samples, j_min: int = 2) -> RegularityFit:
+def estimate_regularity(samples, j_min: int) -> RegularityFit:
     """Estimate the Holder-Besov exponent of a stationary random field.
 
     Fits the least-squares slope of log2 E[(Delta_j u)(x)^2] against j over

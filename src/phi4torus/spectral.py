@@ -19,20 +19,20 @@ shape (N, ..., N, N/2 + 1); the other half follows from c_{-k} = conj(c_k).
 Every transform maps real values to the half-cube or back, and one private
 helper runs and counts them all (`transform_counts`).  Physical values are
 computed on first read: a field built from coefficients (a product, a
-Duhamel step, a block, a gradient, a noise increment) runs its irfftn only
-when some caller reads its values, and keeps the result.  A sum or
-difference of two fields works on their coefficients, and a field with a
-scalar (+, -, *) on what the field holds, so a field built from others is
-not transformed again.
+Duhamel step, a block, a gradient, a noise increment) runs its inverse
+transform only when some caller reads its values, and keeps the result.
+A sum or difference of two fields works on their coefficients, and a field
+with a scalar (+, -, *) on what the field holds, so a field built from
+others is not transformed again.
 
-Workers.  The scipy.fft calls run with scipy's worker setting in the
-calling context, one worker unless the caller sets another
-(scipy.fft.set_workers), and `fft_workers()` reports it.  That setting
-reaches the transforms on the N grid and the complex passes of the product
-grid transforms below.  The real passes of the product grid transforms run
-through numpy.fft, which has no worker setting and runs on one thread.  The
-package sets no workers: the fields here are small (16^3 to 64^3), and a
-thread pool costs more than it saves.
+Transforms.  Every transform is a chain of one-axis numpy.fft calls
+(`_fft`), one per axis: a real pass over the last axis, between real
+values and the half-cube, and a complex pass over each leading axis, in
+place.  numpy.fft runs on one thread; the fields here are small (16^3 to
+64^3), and a thread pool costs more than it saves.  An N-grid inverse
+takes d calls whatever the number of fields it transforms, so a caller
+that reads the values of several fields at once hands them to `evaluate`,
+which stacks their coefficients and transforms them together.
 
 Nyquist convention.  Index N/2 of an axis is the frequency -N/2, which is
 also +N/2.  A coefficient whose index has a Nyquist component is treated as
@@ -82,12 +82,12 @@ complex pass per leading axis, first to last, each over the nonzero columns
 and only the nonzero rows of the leading axes not yet transformed, and ends
 with one real pass over the last axis.  A truncation runs the real pass over
 the last axis, then the same complex passes in reverse, and reads the
-retained rows.  Every pass is an n-d FFT call over one axis, on a view of
-the half-cube, in place; in 3-d the pass over the first axis takes two
-calls, one per block of nonzero rows of the second axis.  Working in place
-allocates no more than the full transforms did, which counts: a fresh 2 MB
-array that glibc has just returned to the kernel is faulted in page by page
-as it is written.  The results equal the full transforms of the padded
+retained rows.  Every complex pass runs on a view of the half-cube, in
+place; in 3-d the pass over the first axis takes two calls, one per block
+of nonzero rows of the second axis.  Working in place allocates no more
+than the full transforms did, which counts: a fresh 2 MB array that glibc
+has just returned to the kernel is faulted in page by page as it is
+written.  The results equal the full transforms of the padded
 half-cube, pads to the bit and truncations to rounding.  Where the
 coefficients go is one index table per grid and M (`_pad_plan`): a pad
 scatters them into the M half-cube and a truncation gathers them back.  The
@@ -126,11 +126,11 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy import fft as sfft
 
 __all__ = [
     "Grid",
     "Field",
+    "evaluate",
     "apply_multiplier",
     "duhamel_step",
     "semigroup",
@@ -198,7 +198,9 @@ class Grid:
 
     def axis_frequencies(self) -> np.ndarray:
         """Physical frequencies 2*pi*k/L along one axis, FFT-ordered."""
-        return sfft.fftfreq(self.n, d=1.0 / self.n) * (2.0 * np.pi / self.period)
+        k = np.arange(self.n)
+        k[self.n // 2:] -= self.n
+        return k * (2.0 * np.pi / self.period)
 
 
 @dataclass(frozen=True)
@@ -226,7 +228,7 @@ class HalfCube:
 def half_cube(grid: Grid) -> HalfCube:
     n, dim = grid.n, grid.dim
     axes = [grid.axis_frequencies()] * (dim - 1)
-    axes.append(sfft.rfftfreq(n, d=1.0 / n) * (2.0 * np.pi / grid.period))
+    axes.append(np.arange(n // 2 + 1) * (2.0 * np.pi / grid.period))
     shape = (n,) * (dim - 1) + (n // 2 + 1,)
     ksq = np.zeros(shape)
     ik = []
@@ -249,14 +251,6 @@ def half_cube(grid: Grid) -> HalfCube:
     return HalfCube(shape, ksq, lam, tuple(ik), levels)
 
 
-def fft_workers() -> int:
-    """scipy's worker setting in the calling context, 1 unless the caller
-    set another: the workers of the N-grid transforms and of the complex
-    passes of the product grid transforms.  Their real passes run through
-    numpy.fft on one thread."""
-    return sfft.get_workers()
-
-
 _COUNTS = Counter()
 
 
@@ -265,50 +259,38 @@ def transform_counts() -> dict[str, int]:
 
     transforms : logical transforms: a field's values or coefficients, a pad
         to or a truncation from a product grid.
-    passes : the FFT calls they took: scipy.fft for the transforms on the
-        N grid and the complex passes on a product grid, numpy.fft for the
-        real passes on a product grid.
+    passes : the numpy.fft calls they took, each over one axis.  A
+        transform on the N grid takes d of them, one per axis, and so does
+        a stacked inverse of several fields (`evaluate`).
     points : the values that the 1-d transforms of those passes take in or
-        give out, on their longer side, summed over the transformed axes.
-        A real pass transforms its last axis between real values and the
-        half-cube, and its other axes on the half-cube.
+        give out, on their longer side, summed over the passes.  A real
+        pass transforms its last axis between real values and the
+        half-cube, a complex pass one axis of the half-cube.
     """
     return {key: _COUNTS[key] for key in ("transforms", "passes", "points")}
 
 
-def _fft(name: str, x: np.ndarray, axes=None, out=None) -> np.ndarray:
-    """The n-d transform `name` (rfftn, irfftn, fftn or ifftn) of x over
-    `axes` (all by default), scaled by 1/n on the forward side.  This is the
-    one place of the package that transforms, and it counts each pass.
+def _fft(name: str, x: np.ndarray, axis: int, out=None, fields: int = 1) -> np.ndarray:
+    """The one-axis transform `name` (rfft, irfft, fft or ifft) of x along
+    `axis`, scaled by 1/n on the forward side, into `out` when one is given
+    (out=x runs a complex pass in place).  This is the one place of the
+    package that transforms, and it counts each pass.
 
-    A complex pass (fftn, ifftn) overwrites x with its result, so x must be
-    a scratch array or a view of one.  A real pass writes into `out` when
-    one is given: scipy.fft has no `out=`, so that pass runs through
-    numpy.fft (numpy >= 2.0), whose one-axis real passes give the same bits.
-    An irfftn into `out` takes its lengths from `out`: the half-cube alone
-    leaves the last one ambiguous, 2 (M // 2) for an odd M.
-    Every logical transform maps real values to half-cube coefficients or
-    back, and exactly one of its passes, the real one, crosses between
-    them, so the real passes count the logical transforms.
+    An irfft into `out` takes its length from `out`: the half-cube alone
+    leaves it ambiguous, 2 (M // 2) for an odd M; without `out` it is
+    2 (m - 1) for m half-cube columns, the even N grid.  Every logical
+    transform maps real values to half-cube coefficients or back, and
+    exactly one of its passes, the real one, crosses between them, so the
+    real passes count the logical transforms: `fields` of them for a pass
+    over fields stacked along a first axis.
     """
-    complex_pass = name in ("fftn", "ifftn")
-    if out is None:
-        y = getattr(sfft, name)(x, axes=axes, norm="forward", overwrite_x=complex_pass)
-    else:
-        s = [out.shape[a] for a in axes] if name == "irfftn" else None
-        y = getattr(np.fft, name)(x, s=s, axes=axes, norm="forward", out=out)
-    if complex_pass and not np.may_share_memory(x, y):
-        x[...] = y  # scipy declined to work in place
-        y = x
-    naxes = x.ndim if axes is None else len(axes)
-    if complex_pass:
-        points = naxes * x.size
-    else:
-        real, half = (x, y) if name == "rfftn" else (y, x)
-        points = real.size + (naxes - 1) * half.size
+    n = out.shape[axis] if name == "irfft" and out is not None else None
+    y = getattr(np.fft, name)(x, n=n, axis=axis, norm="forward", out=out)
     _COUNTS["passes"] += 1
-    _COUNTS["points"] += points
-    _COUNTS["transforms"] += not complex_pass
+    # a real pass's longer side is its real one; a complex pass keeps its size
+    _COUNTS["points"] += (x if name == "rfft" else y).size
+    if name in ("rfft", "irfft"):
+        _COUNTS["transforms"] += fields
     return y
 
 
@@ -381,16 +363,16 @@ class Field:
     def values(self) -> np.ndarray:
         """Physical values on the grid, irfftn(c) N^d."""
         if self._values is None:
-            values = _fft("irfftn", self._half)
-            values.setflags(write=False)
-            self._values = values
+            evaluate(self)
         return self._values
 
     @property
     def half(self) -> np.ndarray:
         """Half-cube coefficients c = rfftn(values) / N^d."""
         if self._half is None:
-            half = _fft("rfftn", self._values)
+            half = _fft("rfft", self._values, -1)
+            for axis in range(self.grid.dim - 1):
+                _fft("fft", half, axis, out=half)
             half.setflags(write=False)
             self._half = half
         return self._half
@@ -451,6 +433,29 @@ class Field:
         if self._half is not None:
             return float(self._half.flat[0].real)
         return float(self._values.mean())
+
+
+def evaluate(*fields: Field) -> None:
+    """Compute the values of those of `fields` that hold only coefficients,
+    all at once: their half-cubes are stacked, and one complex pass per
+    leading axis and one real pass over the last transform the stack in
+    place, d numpy.fft calls for any number of fields.  It counts one
+    logical transform per field, and the points of one transform each, as
+    reading their values one by one would.  A field that holds values, or
+    one given twice, is transformed once at most.  The fields must share
+    one grid.  Their values are views of one array, which stays allocated
+    while any of them lives."""
+    if any(f.grid != fields[0].grid for f in fields):
+        raise ValueError("fields live on different grids")
+    todo = list(dict.fromkeys(f for f in fields if f._values is None))
+    if not todo:
+        return
+    stack = np.array([f._half for f in todo])
+    for axis in range(1, stack.ndim - 1):
+        _fft("ifft", stack, axis, out=stack)
+    for f, values in zip(todo, _fft("irfft", stack, -1, fields=len(todo))):
+        values.setflags(write=False)
+        f._values = values
 
 
 def apply_multiplier(f: Field, symbol) -> Field:
@@ -617,8 +622,9 @@ def _padded_values(f: Field, plan: _PadPlan) -> np.ndarray:
     flat[plan.halved] = 0.5 * flat[plan.halved]
     flat[plan.twin] = flat[plan.image[plan.paired]]
     for axis, index in plan.passes:
-        _fft("ifftn", out[index], (axis,))
-    vals = _fft("irfftn", out, (out.ndim - 1,), out=_take(plan, "real"))
+        rows = out[index]
+        _fft("ifft", rows, axis, out=rows)
+    vals = _fft("irfft", out, -1, out=_take(plan, "real"))
     _give(plan, out)
     return vals
 
@@ -630,9 +636,10 @@ def _truncated_field(grid: Grid, vals: np.ndarray, plan: _PadPlan) -> Field:
     `plan.passes` run in reverse and in place, computing only the rows that
     are kept.  The spectrum lies in an M buffer, from which the field's
     coefficients are gathered."""
-    big = _fft("rfftn", vals, (vals.ndim - 1,), out=_take(plan, "half"))
+    big = _fft("rfft", vals, -1, out=_take(plan, "half"))
     for axis, index in reversed(plan.passes):
-        _fft("fftn", big[index], (axis,))
+        rows = big[index]
+        _fft("fft", rows, axis, out=rows)
     flat = big.reshape(-1)
     out = flat[plan.image]
     out[plan.paired] = 0.5 * (out[plan.paired] + flat[plan.twin])

@@ -1,23 +1,25 @@
 """Exact transform counts of the hot paths.
 
-The test wraps the n-d transforms of `scipy.fft` and `numpy.fft` that the
-spectral core calls (the real passes of the 2N transforms write into a
-reused buffer through `numpy.fft`), counts the calls by kind and asserts the
-exact numbers, including that every complex fftn/ifftn is a pass over one
-axis, never a full cube.  The counts depend only on the code path, not on
-the machine.
+The test wraps the one-axis transforms of `numpy.fft` that the spectral
+core calls (fft, ifft, rfft, irfft), counts the calls by kind and asserts
+the exact numbers.  It also wraps the n-d transforms of `numpy.fft` and
+`scipy.fft`, which the core must not call: a call to one shows up as a key
+of its own, so every pinned count also pins them at zero.  The counts
+depend only on the code path, not on the machine.
 
 On GRID (N = 8) products with a three-factor term run on the 16^3 grid
 and the others on M = 15, the smallest alias-free size for two factors;
 the pins on Grid(3, 16) and Grid(3, 32) at the end cover the larger grids.
 
-A pad to a product grid fills the padded half-cube and runs one-axis ifftn
-passes over its nonzero rows, then one irfftn over the last axis; a
-truncation runs one rfftn over the last axis, then the one-axis fftn passes
-in reverse.  On these 3-d grids the pass over axis 0 takes two calls, one
-per block of nonzero axis-1 rows, so one product grid transform is four
-calls, on 2N and on M alike, and each test derives its counts from the
-numbers of pads and truncations.
+A pad to a product grid fills the padded half-cube and runs ifft passes
+over its nonzero rows, then one irfft over the last axis; a truncation runs
+one rfft over the last axis, then the fft passes in reverse.  On these 3-d
+grids the pass over axis 0 takes two calls, one per block of nonzero axis-1
+rows, so one product grid transform is four calls, on 2N and on M alike.
+A transform on the N grid is three calls: an inverse runs an ifft over
+axes 0 and 1 and an irfft over the last, a forward an rfft and then the two
+ffts, and a stacked inverse of several fields (`evaluate`) the same three.
+Each test derives its counts from these numbers (`calls`).
 Each comment gives the counts of earlier versions for comparison: one
 irfftn or rfftn per 2N transform before pruning, the half-cube code that
 transformed every field built from coefficients at once, and the
@@ -37,7 +39,7 @@ import numpy as np
 import pytest
 import scipy.fft
 
-from phi4torus.dynamics import SimConfig, assemble_z, step_u
+from phi4torus.dynamics import SimConfig, assemble_z, step_u, step_v
 from phi4torus.noise import NoiseStream
 from phi4torus.paraproduct import besov_norm, estimate_regularity, resonants
 from phi4torus.spectral import (
@@ -58,27 +60,36 @@ PRUNED_M = 5175
 ON_GRID = 1152
 
 
-def pruned(pads: int, truncations: int) -> dict:
-    """The calls of `pads` pruned pads and `truncations` pruned truncations
-    between GRID and a product grid."""
-    return {"irfftn": pads, "ifftn": 3 * pads, "rfftn": truncations, "fftn": 3 * truncations}
+def calls(pads=0, truncations=0, inverses=0, forwards=0) -> dict:
+    """The numpy.fft calls of `pads` pruned pads and `truncations` pruned
+    truncations between GRID and a product grid, and of `inverses` and
+    `forwards` transforms on GRID, with the kinds that no call takes left
+    out."""
+    out = {"irfft": pads + inverses, "ifft": 3 * pads + 2 * inverses,
+           "rfft": truncations + forwards, "fft": 3 * truncations + 2 * forwards}
+    return {name: count for name, count in out.items() if count}
+
+
+ONE_AXIS = ("fft", "ifft", "rfft", "irfft")
+N_D = ("fftn", "ifftn", "rfftn", "irfftn")
 
 
 @pytest.fixture
 def counts(monkeypatch):
+    """Calls by kind: the one-axis numpy.fft transforms under their names,
+    every n-d transform of numpy.fft and scipy.fft as "module.name"."""
     calls = Counter()
-    for module in (scipy.fft, np.fft):
-        for name in ("fftn", "ifftn", "rfftn", "irfftn"):
-            original = getattr(module, name)
+    wrapped = [(np.fft, name, name) for name in ONE_AXIS]
+    wrapped += [(module, name, f"{module.__name__}.{name}")
+                for module in (np.fft, scipy.fft) for name in N_D]
+    for module, name, key in wrapped:
+        original = getattr(module, name)
 
-            def counted(x, *args, _name=name, _fn=original, **kwargs):
-                calls[_name] += 1
-                axes = kwargs.get("axes")
-                if _name in ("fftn", "ifftn") and (axes is None or len(axes) != 1):
-                    calls["complex over several axes"] += 1
-                return _fn(x, *args, **kwargs)
+        def counted(*args, _key=key, _fn=original, **kwargs):
+            calls[_key] += 1
+            return _fn(*args, **kwargs)
 
-            monkeypatch.setattr(module, name, counted)
+        monkeypatch.setattr(module, name, counted)
     return calls
 
 
@@ -120,7 +131,7 @@ def test_cubic(counts, points):
     # one pad of the single distinct factor and the product back; the
     # values wait for a reader (earlier: irfftn 1 and rfftn 1 unpruned, 3
     # with eager values, 6 complex transforms on a fresh field)
-    assert counts == pruned(pads=1, truncations=1)
+    assert counts == calls(pads=1, truncations=1)
     assert points() == 2 * PRUNED_2N == 12192
     assert points() < 2 * UNPRUNED_2N
 
@@ -131,7 +142,7 @@ def test_product_of_two_fields(counts):
     dealiased_product(a, b)
     # two pads and the product back, on M (earlier: irfftn 2 and rfftn 1
     # unpruned, 4 with eager values, 6 complex transforms)
-    assert counts == pruned(pads=2, truncations=1)
+    assert counts == calls(pads=2, truncations=1)
 
 
 def test_step_u_on_previous_output(counts):
@@ -141,11 +152,11 @@ def test_step_u_on_previous_output(counts):
     counts.clear()
     step_u(u, cfg, stream)
     # the cube, a pad and a truncation; on the 8^3 grid, the noise
-    # coefficients (rfftn).  The blow-up check bounds sup|u| by the sum of
+    # coefficients (a forward transform).  The blow-up check bounds sup|u| by the sum of
     # the coefficients' moduli and reads no values (earlier: one more
     # irfftn for the check; irfftn 2 and rfftn 2 unpruned, 6 with eager
     # values, 10 complex)
-    assert counts == {"irfftn": 1, "ifftn": 3, "rfftn": 1 + 1, "fftn": 3}
+    assert counts == calls(pads=1, truncations=1, forwards=1)
 
 
 def test_tree_step(counts, points):
@@ -157,11 +168,11 @@ def test_tree_step(counts, points):
     # W2 and W3 on 2N: one pad of X, two truncations.  v_ref drift on M:
     # pads of I3 and W2, their product back, pads of e^{3 I2} and of the
     # inner factor, the drift back.  That is 5 pads and 4 truncations.  On
-    # the 8^3 grid: the values of I2 (irfftn), the coefficients of e^{3 I2}
-    # and of the noise (rfftn).  (Earlier: 58 320 points with the drift on
+    # the 8^3 grid: the values of I2 (an inverse), the coefficients of
+    # e^{3 I2} and of the noise (two forwards).  (Earlier: 58 320 points with the drift on
     # 2N; irfftn 6 and rfftn 6 unpruned, 21 with eager values and one pad
     # of X per Wick power, 33 complex.)
-    assert counts == {"irfftn": 5 + 1, "ifftn": 15, "rfftn": 4 + 2, "fftn": 12}
+    assert counts == calls(pads=5, truncations=4, inverses=1, forwards=2)
     assert points() == 3 * PRUNED_2N + 6 * PRUNED_M + 3 * ON_GRID == 52794
     assert points() < 9 * UNPRUNED_2N + 3 * ON_GRID  # 81792
 
@@ -175,7 +186,7 @@ def test_snapshot_shares_wick_powers_with_next_step(counts):
     # the step reuses W2 and W3 of the snapshot, one pad and two
     # truncations fewer: 4 pads and 2 truncations (earlier: irfftn 5 and
     # rfftn 4 unpruned, 15 with eager values)
-    assert counts == {"irfftn": 4 + 1, "ifftn": 12, "rfftn": 2 + 2, "fftn": 6}
+    assert counts == calls(pads=4, truncations=2, inverses=1, forwards=2)
 
 
 def test_snapshot_resonants_share_blocks(counts):
@@ -195,7 +206,7 @@ def test_snapshot_resonants_share_blocks(counts):
     # and R4 each padded the blocks of I3, and R2 and R4 the near sums of W2.
     levels = held_levels(GRID)
     assert levels == 4
-    assert counts == pruned(pads=4 * levels + 3, truncations=3 + 1)
+    assert counts == calls(pads=4 * levels + 3, truncations=3 + 1)
     assert after["transforms"] - before["transforms"] == 23
     assert after["passes"] - before["passes"] == sum(counts.values())
 
@@ -207,7 +218,7 @@ def test_grad_dot(counts):
     # the three gradients are built from coefficients and never read: one
     # pad each, and one truncation of the sum (earlier: irfftn 3 and rfftn
     # 1 unpruned)
-    assert counts == pruned(pads=3, truncations=1)
+    assert counts == calls(pads=3, truncations=1)
 
 
 def test_resonant(counts):
@@ -218,7 +229,7 @@ def test_resonant(counts):
     # each level that holds a mode, -1 and 1 .. j_max (level 0 is empty and
     # is never padded), one truncation of the sum (earlier: one more pad of
     # each for level 0; irfftn 2 * (j_max + 2) and rfftn 1 unpruned)
-    assert counts == pruned(pads=2 * held_levels(GRID), truncations=1)
+    assert counts == calls(pads=2 * held_levels(GRID), truncations=1)
 
 
 @pytest.mark.parametrize("n, held", [(8, 4), (32, 6)])
@@ -232,7 +243,7 @@ def test_besov_norm(counts, n, held):
     # the empty level 0 weighs 0.0 and is never built (earlier: one more
     # transform, of zeros)
     assert held_levels(grid) == held
-    assert counts == {"irfftn": held}
+    assert counts == calls(inverses=held)
 
 
 def test_estimate_regularity_transforms_nothing(counts):
@@ -251,6 +262,19 @@ def test_estimate_regularity_transforms_nothing(counts):
     assert after == before
 
 
+def test_hot_paths_call_one_axis_transforms_only(counts):
+    # a tree step and a snapshot with resonants, the Z assembly, a v step
+    # and a u step: every call is a one-axis numpy.fft transform, and no
+    # n-d transform of numpy.fft or scipy.fft is called
+    cfg = SimConfig(n=GRID.n, dim=GRID.dim, r=0.05, dt=0.01, horizon=1.0)
+    ev = TreeEvolver(GRID, cfg.r, NoiseStream(0), track_vref=True)
+    ev.step(0.05)
+    z = assemble_z(ev.snapshot(with_resonants=True))
+    step_v(cached_field(11), z, cfg)
+    step_u(cached_field(12), cfg, NoiseStream(1))
+    assert set(counts) == set(ONE_AXIS)
+
+
 def test_field_from_coefficients_is_not_transformed_until_read(counts):
     half = cached_field(7).half * 0.5
     counts.clear()
@@ -260,7 +284,7 @@ def test_field_from_coefficients_is_not_transformed_until_read(counts):
     g.half
     assert counts == {}
     g.values
-    assert counts == {"irfftn": 1}
+    assert counts == calls(inverses=1)
 
 
 def test_mean_of_field_from_coefficients_runs_no_transform(counts):
@@ -298,7 +322,7 @@ def test_tree_step_at_n16():
     ev.step(0.05)
     # as at N = 32 below (on M = 30: 404 892 points)
     assert counted(lambda: ev.step(0.05)) == {
-        "transforms": 12, "passes": 39,
+        "transforms": 12, "passes": 45,
         "points": 3 * TWO_N_16 + 6 * M_16 + 3 * ON_GRID_16}
     assert 3 * TWO_N_16 + 6 * M_16 + 3 * ON_GRID_16 == 317_202
 
@@ -307,11 +331,13 @@ def test_assemble_z_at_n16():
     ev = TreeEvolver(GRID_16, 0.05, NoiseStream(0))
     ev.step(0.05)
     trees = ev.snapshot(with_resonants=False)
-    # |grad I2|^2 on M: three pads and a truncation; on the 16^3 grid the
-    # values of X, I3 and v_ref, of I2's three and v_ref's three gradients
-    # and of |grad I2|^2 (I2 already has values, and W2 is not read)
+    # |grad I2|^2 on M: three pads and a truncation, 16 passes; on the 16^3
+    # grid the values of X, I3 and v_ref, of I2's three and v_ref's three
+    # gradients and of |grad I2|^2 (I2 already has values, and W2 is not
+    # read), ten inverses stacked into three passes (earlier: 26 passes,
+    # one scipy irfftn each)
     assert counted(lambda: assemble_z(trees)) == {
-        "transforms": 14, "passes": 26, "points": 4 * M_16 + 10 * ON_GRID_16}
+        "transforms": 14, "passes": 19, "points": 4 * M_16 + 10 * ON_GRID_16}
     assert 4 * M_16 + 10 * ON_GRID_16 == 187_340
 
 
@@ -319,10 +345,11 @@ def test_tree_step_at_n32():
     ev = TreeEvolver(GRID_32, 0.05, NoiseStream(0))
     ev.step(0.05)
     # W2 and W3 on 2N: one pad and two truncations; the v_ref drift on M:
-    # four pads and two truncations; three transforms on the 32^3 grid
-    # (every product on 2N: 3 511 872 points)
+    # four pads and two truncations; 36 passes.  Three transforms on the
+    # 32^3 grid, three passes each (earlier: one scipy call each, 39 passes
+    # in all; every product on 2N: 3 511 872 points)
     assert counted(lambda: ev.step(0.05)) == {
-        "transforms": 12, "passes": 39,
+        "transforms": 12, "passes": 45,
         "points": 3 * TWO_N_32 + 6 * M_32 + 3 * ON_GRID_32}
     assert 3 * TWO_N_32 + 6 * M_32 + 3 * ON_GRID_32 == 2_479_092
 

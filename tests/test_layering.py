@@ -12,11 +12,13 @@ FFT_MODULES = {"scipy.fft", "numpy.fft"}
 
 
 def fft_imports(path: Path) -> set[str]:
-    """The FFT modules a source file imports, as `import a.b`, `from a.b
-    import c` or `from a import b`."""
+    """The FFT modules a source file reaches: imported as `import a.b`,
+    `from a.b import c` or `from a import b`, or used as `np.fft`."""
     found = set()
     for node in ast.walk(ast.parse(path.read_text())):
         found |= fft_imports_of(node)
+        if is_np_fft(node):
+            found.add("numpy.fft")
     return found
 
 
@@ -31,20 +33,20 @@ def fft_imports_of(node: ast.AST) -> set[str]:
     return {name for name in names if name in FFT_MODULES}
 
 
+def is_np_fft(node: ast.AST) -> bool:
+    return (isinstance(node, ast.Attribute) and node.attr == "fft"
+            and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy"))
+
+
 def test_only_spectral_imports_an_fft():
     sources = sorted(Path(phi4torus.__file__).parent.glob("*.py"))
     importers = {path.name for path in sources if fft_imports(path)}
     assert importers == {"spectral.py"}
 
 
-# scipy.fft functions that transform nothing
-NON_TRANSFORMS = {"fftfreq", "rfftfreq", "get_workers"}
-
-
 def fft_uses(source: str) -> list[tuple[str | None, str]]:
-    """(enclosing function, name) of each use of `sfft` (scipy.fft in the
-    spectral core) other than a non-transform function, and of each use of
-    `np.fft`."""
+    """(enclosing function, "np.fft") of each use of `np.fft`, transform or
+    not: the spectral core builds its frequencies without numpy.fft."""
     uses = []
 
     def visit(node, func):
@@ -52,15 +54,8 @@ def fft_uses(source: str) -> list[tuple[str | None, str]]:
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 visit(child, child.name)
                 continue
-            if isinstance(child, ast.Attribute) and isinstance(child.value, ast.Name):
-                if child.value.id == "sfft":
-                    if child.attr not in NON_TRANSFORMS:
-                        uses.append((func, "sfft." + child.attr))
-                    continue
-                if child.value.id == "np" and child.attr == "fft":
-                    uses.append((func, "np.fft"))
-            elif isinstance(child, ast.Name) and child.id == "sfft":
-                uses.append((func, "sfft"))
+            if is_np_fft(child):
+                uses.append((func, "np.fft"))
             visit(child, func)
 
     visit(ast.parse(source), None)
@@ -68,30 +63,35 @@ def fft_uses(source: str) -> list[tuple[str | None, str]]:
 
 
 def test_one_helper_makes_every_transform():
+    # numpy.fft through `np` is the one FFT library: the core imports no
+    # FFT module, and scipy not at all (scipy.fft costs most of the import)
     path = Path(phi4torus.__file__).parent / "spectral.py"
     source = path.read_text()
-    imports = [node for node in ast.walk(ast.parse(source))
-               if isinstance(node, (ast.Import, ast.ImportFrom))
-               and fft_imports_of(node)]
-    assert [ast.unparse(node) for node in imports] == ["from scipy import fft as sfft"]
+    imports = [ast.unparse(node) for node in ast.walk(ast.parse(source))
+               if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert imports and not [line for line in imports if "scipy" in line or "fft" in line]
     uses = fft_uses(source)
     assert uses and {func for func, _ in uses} == {"_fft"}
 
 
 def test_transform_outside_the_helper_is_caught():
-    source = ("def _fft(x):\n    return getattr(sfft, 'rfftn')(x)\n"
-              "def values(x):\n    return sfft.irfftn(x) + np.fft.fft(x)\n"
-              "def freqs(n):\n    return sfft.rfftfreq(n)\n")
-    assert fft_uses(source) == [("_fft", "sfft"), ("values", "sfft.irfftn"),
-                                ("values", "np.fft")]
+    source = ("def _fft(x):\n    return getattr(np.fft, 'rfft')(x)\n"
+              "def values(x):\n    return np.fft.irfftn(x)\n"
+              "def freqs(n):\n    return numpy.fft.rfftfreq(n)\n"
+              "K = np.fft.fftfreq(8)\n")
+    assert fft_uses(source) == [("_fft", "np.fft"), ("values", "np.fft"),
+                                ("freqs", "np.fft"), (None, "np.fft")]
 
 
 def test_cli_import_leaves_out_scipy_integrate():
     # only the renorm quadratures need scipy.integrate, which loads
-    # scipy.optimize, scipy.linalg and scipy.sparse; starting the CLI must not
+    # scipy.optimize, scipy.linalg and scipy.sparse, and only the tests'
+    # oracles need scipy.fft, which loads scipy.special; starting the CLI
+    # must load neither
     src = Path(phi4torus.__file__).resolve().parent.parent
     code = (f"import sys; sys.path.insert(0, {str(src)!r}); import phi4torus.cli; "
-            "print(sorted(m for m in sys.modules if m.startswith('scipy.integrate')))")
+            "print(sorted(m for m in sys.modules "
+            "if m.startswith(('scipy.integrate', 'scipy.fft'))))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, timeout=120)
     assert out.stdout.strip() == "[]"

@@ -221,7 +221,7 @@ class TestRegularityEstimate:
     def test_refuses_too_few_samples(self):
         grid = Grid(dim=1, n=64)
         with pytest.raises(ValueError, match="16 samples"):
-            estimate_regularity([Field.zeros(grid)] * 4)
+            estimate_regularity([Field.zeros(grid)] * 4, j_min=1)
 
     @pytest.mark.parametrize("j_min", [0, -1])
     def test_fit_runs_over_levels_that_hold_a_mode(self, j_min):

@@ -161,6 +161,65 @@ class TestField:
             Field(Grid(dim=2, n=8), np.zeros((8,)))
 
 
+def coefficient_fields(grid: Grid, k: int, seed: int = 0) -> list[Field]:
+    """k random fields built from coefficients, whose values are not read."""
+    rng = np.random.default_rng(seed)
+    return [Field.from_half(grid, Field(grid, rng.normal(size=grid.shape)).half)
+            for _ in range(k)]
+
+
+def counted(call) -> dict:
+    before = spectral.transform_counts()
+    call()
+    after = spectral.transform_counts()
+    return {key: after[key] - before[key] for key in after}
+
+
+NOTHING = {"transforms": 0, "passes": 0, "points": 0}
+EVALUATE_GRIDS = [Grid(dim=1, n=16), Grid(dim=2, n=16), Grid(dim=3, n=8)]
+
+
+@pytest.mark.parametrize("grid", EVALUATE_GRIDS, ids=["1d", "2d", "3d"])
+class TestEvaluate:
+    def test_values_equal_those_read_one_by_one(self, grid):
+        fields = coefficient_fields(grid, 4)
+        alone = [Field.from_half(grid, f.half).values for f in fields]
+        spectral.evaluate(*fields)
+        for f, want in zip(fields, alone):
+            assert np.array_equal(f.values, want)
+            assert np.array_equal(f.values, scipy.fft.irfftn(f.half, s=grid.shape,
+                                                             norm="forward"))
+            assert not f.values.flags.writeable
+
+    def test_k_transforms_in_d_passes(self, grid):
+        fields = coefficient_fields(grid, 3)
+        one = counted(lambda: Field.from_half(grid, fields[0].half).values)
+        assert one == {"transforms": 1, "passes": grid.dim,
+                       "points": grid.cell_count + (grid.dim - 1) * fields[0].half.size}
+        assert counted(lambda: spectral.evaluate(*fields)) == {
+            "transforms": 3, "passes": grid.dim, "points": 3 * one["points"]}
+
+    def test_skips_fields_with_values_and_repeats(self, grid):
+        a, b, c = coefficient_fields(grid, 3)
+        held = b.values
+        given = Field(grid, held.copy())
+        assert counted(lambda: spectral.evaluate(a, b, a, given, c, c)) == {
+            "transforms": 2, "passes": grid.dim, "points": 2 * counted(
+                lambda: Field.from_half(grid, a.half).values)["points"]}
+        assert b.values is held
+        assert counted(lambda: spectral.evaluate(a, b, given, c)) == NOTHING
+        assert counted(spectral.evaluate) == NOTHING
+
+    def test_rejects_fields_of_different_grids(self, grid):
+        (a,) = coefficient_fields(grid, 1)
+        for other in (Grid(grid.dim, 2 * grid.n), Grid(grid.dim, grid.n, period=1.0)):
+            (b,) = coefficient_fields(other, 1)
+            with pytest.raises(ValueError, match="different grids"):
+                counted(lambda: spectral.evaluate(a, b))
+        assert counted(lambda: spectral.evaluate(a)) == counted(
+            lambda: Field.from_half(grid, a.half).values)
+
+
 def P(lam):
     return lam
 
