@@ -5,17 +5,20 @@ holding every option the subcommand resolved, the seed, the package version,
 the numpy and scipy versions, the transforms the run made
 (`spectral.transform_counts()`, which depend only on the inputs), the run's
 status and a sha256 checksum per output file, so a run can be
-reproduced and verified bit-for-bit.  A refused run still writes its
-manifest, with status "refused", the reason, and the files written before
-the refusal; a run that dies of an exception or an interrupt writes it with
-status "error" and the exception's type and text.
+reproduced and verified bit-for-bit.  One context, `_run()`, decides how a
+run ends, and the manifest itself writes and checksums every output.  A
+refused run still writes its manifest, with status "refused", the reason,
+and the files written before the refusal; a run that dies of any other
+exception or an interrupt writes it with status "error" and the exception's
+type and text.
 
 Exit codes
     0  success
     2  usage error (unknown flags / malformed arguments; raised by click)
     3  invalid configuration or input file
-    4  experiment precondition refused (e.g. too few samples, grid too
-       coarse, comparison-test hypothesis violated)
+    4  experiment precondition refused: any precondition the library checks
+       during the run (a ValueError, reported with its own text, e.g. too
+       few samples, grid too coarse, burn-in too short) or a blow-up
 
 Each subcommand takes only the options its code reads.  A config file
 (--config) is flat `key = value` text ('#' comments) or a JSON object; a key
@@ -86,19 +89,40 @@ class RunManifest:
     scipy: str = scipy.__version__
     transforms: dict[str, int] = field(default_factory=dict)  # made by the run
 
-    def add(self, path: Path) -> None:
-        digest = hashlib.sha256(path.read_bytes()).hexdigest()
-        self.outputs[path.name] = digest
+    def add(self, path: Path) -> Path:
+        self.outputs[path.name] = hashlib.sha256(path.read_bytes()).hexdigest()
+        return path
 
-    def write(self, directory: Path) -> Path:
-        return _write_json(directory / "manifest.json", asdict(self))
+    def write_csv(self, path: Path, header: list[str], rows) -> Path:
+        with path.open("w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(header)
+            w.writerows(rows)
+        return self.add(path)
+
+    def write_json(self, path: Path, payload) -> Path:
+        _dump_json(path, payload)
+        return self.add(path)
+
+    def write_field(self, path: Path, f) -> Path:
+        save_field(f, path)
+        return self.add(path)
+
+    def write(self, directory: Path) -> None:
+        _dump_json(directory / "manifest.json", asdict(self))
+
+
+def _dump_json(path: Path, payload) -> None:
+    path.write_text(json.dumps(payload, indent=2, default=str) + "\n")
 
 
 @contextlib.contextmanager
 def _run():
     """Yield (output directory, manifest) for the running subcommand, and write
     the manifest, recording every option the subcommand resolved, when the
-    block exits, also when the run is refused or dies of an error."""
+    block exits, also when the run is refused or dies of an error.  A
+    ValueError (a precondition the library checks) or a BlowUpError that
+    leaves the block refuses the run (exit 4) with its own text."""
     ctx = click.get_current_context()
     config = {p.name: ctx.params[p.name] for p in ctx.command.params}
     outdir = Path(config["output_dir"])
@@ -110,6 +134,9 @@ def _run():
     except Refused as exc:
         manifest.status, manifest.message = "refused", exc.message
         raise
+    except (ValueError, BlowUpError) as exc:
+        manifest.status, manifest.message = "refused", str(exc)
+        raise Refused(str(exc)) from exc
     except BaseException as exc:
         manifest.status, manifest.message = "error", f"{type(exc).__name__}: {exc}"
         raise
@@ -158,18 +185,6 @@ def _apply_config_file(ctx: click.Context, param: click.Parameter, path: str | N
         except click.BadParameter as exc:
             raise InvalidConfig(f"{path}: {key} = {value!r}: {exc.message}")
     ctx.default_map = defaults
-    return path
-
-
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    with path.open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        w.writerows(rows)
-
-
-def _write_json(path: Path, payload) -> Path:
-    path.write_text(json.dumps(payload, indent=2, default=str) + "\n")
     return path
 
 
@@ -260,15 +275,11 @@ def simulate(checkpoints, **params):
     """Integrate the renormalized u-equation and stream diagnostics."""
     cfg = _sim_config(params)
     with _run() as (outdir, manifest):
-        try:
-            traj = simulate_u(cfg)
-        except BlowUpError as exc:
-            raise Refused(f"trajectory blew up: {exc}")
-        csv_path = outdir / "diagnostics.csv"
+        traj = simulate_u(cfg)
         wnorms = running_weighted_norm(traj.times, traj.snapshots, 0.5, 0.25,
                                        traj.block_sups)
-        _write_csv(
-            csv_path,
+        csv_path = manifest.write_csv(
+            outdir / "diagnostics.csv",
             ["t", "L2", "L8", "besov_proxy", "weighted_norm"],
             [
                 (t, traj.diagnostics["L2"][i], traj.diagnostics["L8"][i],
@@ -276,12 +287,9 @@ def simulate(checkpoints, **params):
                 for i, t in enumerate(traj.times)
             ],
         )
-        manifest.add(csv_path)
         if checkpoints:
             for t, snap in zip(traj.times, traj.snapshots):
-                p = outdir / f"u_t{t:.6f}.field"
-                save_field(snap, p)
-                manifest.add(p)
+                manifest.write_field(outdir / f"u_t{t:.6f}.field", snap)
     click.echo(f"wrote {csv_path} ({len(traj.times)} rows)")
 
 
@@ -307,29 +315,20 @@ def trees(burn_in, snapshots, sweep, **params):
     cfg = _sim_config(params)
     with _run() as (outdir, manifest):
         if sweep:
-            try:
-                rows = tree_divergence_report(cfg.grid, r_values, seed=cfg.seed,
-                                              dt=cfg.dt, burn_in=burn_in)
-            except ValueError as exc:
-                raise Refused(str(exc))
-            path = outdir / "tree_divergence.csv"
+            rows = tree_divergence_report(cfg.grid, r_values, seed=cfg.seed,
+                                          dt=cfg.dt, burn_in=burn_in)
             header = list(rows[0].keys())
-            _write_csv(path, header, [[row[k] for k in header] for row in rows])
-            manifest.add(path)
+            path = manifest.write_csv(outdir / "tree_divergence.csv", header,
+                                      [[row[k] for k in header] for row in rows])
             click.echo(f"wrote {path} ({len(rows)} rows)")
         else:
-            try:
-                traj = build_enhanced_noise(
-                    NoiseStream(cfg.seed, cfg.stream), cfg.grid, cfg.r,
-                    burn_in=burn_in, dt=cfg.dt, n_snapshots=snapshots, track_vref=True,
-                )
-            except ValueError as exc:
-                raise Refused(str(exc))
+            traj = build_enhanced_noise(
+                NoiseStream(cfg.seed, cfg.stream), cfg.grid, cfg.r,
+                burn_in=burn_in, dt=cfg.dt, n_snapshots=snapshots, track_vref=True,
+            )
             for i, snap in enumerate(traj.snapshots):
                 for name, f in snap.components().items():
-                    p = outdir / f"tree_{name}_{i}.field"
-                    save_field(f, p)
-                    manifest.add(p)
+                    manifest.write_field(outdir / f"tree_{name}_{i}.field", f)
             click.echo(f"wrote {len(manifest.outputs)} component fields")
 
 
@@ -359,16 +358,11 @@ def renorm_constants(sweep, n, with_b_numeric, output_dir):
     with _run() as (outdir, manifest):
         rows = []
         for r, n_min in zip(r_values, minimal):
-            grid = fixed or Grid(dim=3, n=n_min)
-            try:
-                a_num = a_numeric(grid, r)
-            except ValueError as exc:
-                raise Refused(str(exc))
+            a_num = a_numeric(fixed or Grid(dim=3, n=n_min), r)
             b_num = b_numeric(r) if with_b_numeric else float("nan")
             rows.append((r, a_closed(r), a_num, b_closed(r), b_num))
-        path = outdir / "renorm_constants.csv"
-        _write_csv(path, ["r", "a_closed", "a_numeric", "b_closed", "b_numeric"], rows)
-        manifest.add(path)
+        path = manifest.write_csv(outdir / "renorm_constants.csv",
+                                  ["r", "a_closed", "a_numeric", "b_closed", "b_numeric"], rows)
     click.echo(f"wrote {path} ({len(rows)} rows)")
 
 
@@ -412,7 +406,7 @@ def powercount(path, as_json, output_dir):
             ],
         }
         with _run() as (outdir, manifest):
-            manifest.add(_write_json(outdir / f"{Path(path).stem}_verdicts.json", payload))
+            manifest.write_json(outdir / f"{Path(path).stem}_verdicts.json", payload)
         click.echo(json.dumps(payload, indent=2))
     else:
         for v in report.verdicts:
@@ -442,17 +436,14 @@ def regularity(component, samples, burn_in, j_min, **params):
     with _run() as (outdir, manifest):
         if component not in ("X", "W2", "W3", "I2", "I3"):
             raise Refused(f"unknown component {component!r}; choose X, W2, W3, I2 or I3")
-        try:
-            regularity_window(cfg.grid, samples, j_min)
-            traj = build_enhanced_noise(
-                NoiseStream(cfg.seed, cfg.stream), cfg.grid, cfg.r,
-                burn_in=burn_in, dt=cfg.dt, n_snapshots=samples,
-                snapshot_stride=0.5, with_resonants=False,
-            )
-            fields = [getattr(s, component) for s in traj.snapshots]
-            fit = estimate_regularity(fields, j_min=j_min)
-        except ValueError as exc:
-            raise Refused(str(exc))
+        regularity_window(cfg.grid, samples, j_min)
+        traj = build_enhanced_noise(
+            NoiseStream(cfg.seed, cfg.stream), cfg.grid, cfg.r,
+            burn_in=burn_in, dt=cfg.dt, n_snapshots=samples,
+            snapshot_stride=0.5, with_resonants=False,
+        )
+        fit = estimate_regularity([getattr(s, component) for s in traj.snapshots],
+                                  j_min=j_min)
         payload = {
             "component": component,
             "gamma_hat": fit.gamma_hat,
@@ -460,7 +451,7 @@ def regularity(component, samples, burn_in, j_min, **params):
             "levels": fit.levels,
             "log2_energy": fit.log2_energy,
         }
-        manifest.add(_write_json(outdir / f"regularity_{component}.json", payload))
+        manifest.write_json(outdir / f"regularity_{component}.json", payload)
     click.echo(f"{component}: {fit}")
 
 
@@ -479,20 +470,15 @@ def comedown(sizes, p, **params):
     initial = _parse_sweep("--sizes", sizes)
     cfg = _sim_config(params)
     with _run() as (outdir, manifest):
-        try:
-            report = coming_down_experiment(cfg, initial, p=p)
-        except ValueError as exc:
-            raise Refused(str(exc))
-        path = outdir / "comedown.csv"
+        report = coming_down_experiment(cfg, initial, p=p)
         header = ["t"] + [f"Lp_size_{s:g}" for s in initial]
         rows = [
             [t] + [report["norms"][j][i] for j in range(len(initial))]
             for i, t in enumerate(report["times"])
         ]
-        _write_csv(path, header, rows)
+        manifest.write_csv(outdir / "comedown.csv", header, rows)
         summary = {k: v for k, v in report.items() if k not in ("times", "norms")}
-        manifest.add(path)
-        manifest.add(_write_json(outdir / "comedown.json", summary))
+        manifest.write_json(outdir / "comedown.json", summary)
     click.echo(json.dumps(summary, indent=2))
 
 
@@ -529,19 +515,16 @@ def cumulant(burn_in, stride, count, probes, streams, **params):
             fields.extend(sset.fields)
             report.append({"stream": scfg.stream, "tau_int": sset.autocorrelation_time,
                            "stride_adequate": sset.stride_adequate})
-        manifest.add(_write_json(outdir / "cumulant_report.json",
-                                 {"stride": stride, "streams": report}))
+        manifest.write_json(outdir / "cumulant_report.json",
+                            {"stride": stride, "streams": report})
         rows = []
-        try:
-            for rp in r_probes:
-                est = fourth_cumulant(fields, rp)
-                rows.append((rp, est.c4, est.stderr, est.significance, est.n_samples))
-                click.echo(str(est))
-        except ValueError as exc:
-            raise Refused(str(exc))
-        path = outdir / "cumulant.csv"
-        _write_csv(path, ["r_probe", "c4", "stderr", "significance", "n_samples"], rows)
-        manifest.add(path)
+        for rp in r_probes:
+            est = fourth_cumulant(fields, rp)
+            rows.append((rp, est.c4, est.stderr, est.significance, est.n_samples))
+            click.echo(str(est))
+        path = manifest.write_csv(outdir / "cumulant.csv",
+                                  ["r_probe", "c4", "stderr", "significance", "n_samples"],
+                                  rows)
     click.echo(f"wrote {path}")
 
 
@@ -554,22 +537,15 @@ def sample(burn_in, stride, count, save_fields, **params):
     """Birkhoff-sample the invariant measure; report observable statistics."""
     cfg = _sim_config(params)
     with _run() as (outdir, manifest):
-        try:
-            sset = birkhoff_sample(cfg, burn_in, stride, count)
-        except ValueError as exc:
-            raise Refused(str(exc))
-        path = outdir / "samples.csv"
+        sset = birkhoff_sample(cfg, burn_in, stride, count)
         rows = [
             (t, f.mean(), float((f.values**2).mean()), float(((f.values**2) ** 2).mean()))
             for t, f in zip(sset.times, sset.fields)
         ]
-        _write_csv(path, ["t", "mean", "m2", "m4"], rows)
-        manifest.add(path)
+        manifest.write_csv(outdir / "samples.csv", ["t", "mean", "m2", "m4"], rows)
         if save_fields:
             for i, f in enumerate(sset.fields):
-                p = outdir / f"sample_{i:04d}.field"
-                save_field(f, p)
-                manifest.add(p)
+                manifest.write_field(outdir / f"sample_{i:04d}.field", f)
         summary = {
             "count": len(sset),
             "autocorrelation_time": sset.autocorrelation_time,
@@ -577,7 +553,7 @@ def sample(burn_in, stride, count, save_fields, **params):
             "stride_adequate": sset.stride_adequate,
             "blew_up": sset.blew_up,
         }
-        manifest.add(_write_json(outdir / "sample_report.json", summary))
+        manifest.write_json(outdir / "sample_report.json", summary)
     click.echo(json.dumps(summary, indent=2))
 
 

@@ -355,10 +355,17 @@ def coming_down_experiment(
 
     Returns a report with per-run norm tables, the fitted C for each run
     over t in [0.05, horizon], and the relative spread of ||v(t)||_{L^p}
-    across runs at t = 0.5 and t = 1.
+    across runs at t = 0.5 and t = 1.  An odd or small p, or a horizon
+    whose last step ends before t = 0.05, is refused (ValueError) before
+    the burn-in.
     """
     if p < 8 or p % 2:
         raise ValueError(f"p must be even and >= 8, got {p}")
+    fit_from = 0.05
+    n_steps = int(round(cfg.horizon / cfg.dt))
+    if n_steps * cfg.dt < fit_from:
+        raise ValueError(f"horizon {cfg.horizon:g} ends at t = {n_steps * cfg.dt:g}, "
+                         f"before the fit window t >= {fit_from:g}")
     grid = cfg.grid
     stream = cfg.noise()
     ev = TreeEvolver(grid, cfg.r, stream, track_vref=True)
@@ -368,7 +375,6 @@ def coming_down_experiment(
     base_norm = besov_norm(base, -0.55)
     vs = [(s / base_norm) * base for s in initial_norms]
 
-    n_steps = int(round(cfg.horizon / cfg.dt))
     times = [0.0]
     norms = [[lp_norm(v, p)] for v in vs]
     blew_up = [None] * len(vs)
@@ -398,7 +404,7 @@ def coming_down_experiment(
         "norms": [list(map(float, row)) for row in norms],
         "blow_up": [str(e) if e else None for e in blew_up],
     }
-    bound_window = (times_arr >= 0.05)
+    bound_window = (times_arr >= fit_from)
     envelope = np.maximum(times_arr[bound_window] ** -0.5, 1.0)
     report["fitted_C"] = [
         float(np.nanmax(np.array(row)[bound_window] / envelope))

@@ -131,8 +131,9 @@ class TreeEvolver:
 
     def step(self, dt: float, noise: Field | None = None) -> None:
         """Advance every component by dt: exponential Euler for the
-        integrated trees with the drift frozen at the step's start, then the
-        exact OU transition for X.
+        integrated trees, then the exact OU transition for X.  I2 and I3 step
+        with W2 and W3 of the step's start; the v_ref drift then reads I2
+        and I3 after their steps, and X and W2 of the step's start.
 
         noise=None draws the increment from the stream; a given increment
         field over this step (ou_noise_field) shares the realization with a

@@ -9,6 +9,7 @@ import scipy
 from click.testing import CliRunner
 
 from phi4torus.cli import main
+from phi4torus.dynamics import BlowUpError
 from phi4torus.spectral import transform_counts
 
 from oracles import GRAPHS
@@ -89,6 +90,42 @@ class TestPlumbing:
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["status"] == "error"
         assert manifest["message"] == "RuntimeError: integrator broke"
+
+    @pytest.mark.parametrize("args,message,transforms", [
+        (["cumulant", "--burn-in", "1"], "burn-in must cover at least 5", 0),
+        (["cumulant", "--stride", "0.01", "--dt", "0.01"], "stride 0.01 below 5*dt", 0),
+        (["renorm-constants", "--r", "0.2,0.3"], "r must lie in (0, 0.1), got 0.2", None),
+    ], ids=["cumulant-burn-in", "cumulant-stride", "renorm-b-numeric"])
+    def test_library_precondition_refused(self, runner, tmp_path, args, message,
+                                          transforms):
+        """A ValueError the library raises during a run refuses it with the
+        library's own text, and no traceback."""
+        res = runner.invoke(main, [*args, "--output-dir", str(tmp_path)])
+        assert res.exit_code == 4
+        assert isinstance(res.exception, SystemExit)
+        assert f"Error: {message}" in res.output
+        assert "Traceback" not in res.output
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["status"] == "refused"
+        assert message in manifest["message"]
+        assert manifest["outputs"] == {}
+        if transforms is not None:
+            assert manifest["transforms"]["transforms"] == transforms
+
+    def test_blow_up_refused(self, runner, tmp_path, monkeypatch):
+        error = BlowUpError(0.25, 3e8, 1e8)
+
+        def blows_up(cfg):
+            raise error
+
+        monkeypatch.setattr("phi4torus.cli.simulate_u", blows_up)
+        res = runner.invoke(main, ["simulate", *FAST, "--output-dir", str(tmp_path)])
+        assert res.exit_code == 4
+        assert isinstance(res.exception, SystemExit)
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["status"] == "refused"
+        assert manifest["message"] == str(error)
+        assert manifest["message"].startswith("blow-up at t=0.25")
 
     def test_output_dir_env_var(self, runner, tmp_path):
         out = tmp_path / "via_env"
@@ -237,7 +274,7 @@ class TestOptionSets:
         assert res.exit_code == 2
         assert "No such option" in res.output
 
-    @pytest.mark.parametrize("sub", ["trees", "sample"])
+    @pytest.mark.parametrize("sub", ["trees", "sample", "cumulant"])
     def test_refused_run_records_every_option(self, runner, tmp_path, sub):
         res = runner.invoke(main, [sub, *FAST_GRID, "--burn-in", "1.0",
                                    "--output-dir", str(tmp_path)])
@@ -626,6 +663,16 @@ class TestComedown:
         res = runner.invoke(main, ["comedown", *FAST_GRID, "--horizon", "0.5", "--p", "7",
                                    "--output-dir", str(tmp_path)])
         assert res.exit_code == 4
+
+    def test_horizon_before_the_fit_window_refused_before_burn_in(self, runner, tmp_path):
+        res = runner.invoke(main, ["comedown", "--n", "8", "--horizon", "0.02",
+                                   "--output-dir", str(tmp_path)])
+        assert res.exit_code == 4
+        assert "before the fit window" in res.output
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["status"] == "refused"
+        assert manifest["transforms"]["transforms"] == 0
+        assert manifest["outputs"] == {}
 
 
 class TestCumulantAndSample:

@@ -22,7 +22,7 @@ from phi4torus.dynamics import (
 from phi4torus.noise import NoiseStream, ou_noise_field
 from phi4torus.paraproduct import besov_norm
 from phi4torus.renorm import a_closed, b_closed
-from phi4torus.spectral import Field, Grid, grad_dot, gradient, semigroup
+from phi4torus.spectral import Field, Grid, grad_dot, gradient, semigroup, transform_counts
 from phi4torus.trees import EnhancedNoise, TreeEvolver
 
 
@@ -269,6 +269,21 @@ class TestComingDownRefusals:
             coming_down_experiment(cfg, [1.0, 10.0], p=4)
         with pytest.raises(ValueError):
             coming_down_experiment(cfg, [1.0, 10.0], p=9)
+
+    @pytest.mark.parametrize("horizon", [0.02, 0.044])
+    def test_horizon_before_the_fit_window_refused_before_burn_in(self, horizon):
+        """The fit window is t >= 0.05; a run whose last step ends before it
+        would fit nothing, so it is refused before any transform."""
+        cfg = make_cfg(horizon=horizon)
+        before = transform_counts()
+        with pytest.raises(ValueError, match="before the fit window"):
+            coming_down_experiment(cfg, [1.0, 10.0])
+        assert transform_counts() == before
+
+    def test_horizon_reaching_the_fit_window_runs(self):
+        report = coming_down_experiment(make_cfg(horizon=0.046), [1.0, 10.0])
+        assert report["times"][-1] == pytest.approx(0.05)
+        assert not any(math.isnan(c) for c in report["fitted_C"])
 
 
 class TestComparisonTest:

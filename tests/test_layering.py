@@ -132,3 +132,36 @@ def test_eigenvalue_read_outside_is_caught():
               "def step(u, dt):\n    return lambda: half_cube(u.grid).eigenvalues\n"
               "lam = HALF.eigenvalues\n")
     assert eigenvalue_reads(source) == ["semigroup", "step", None]
+
+
+def run_blocks(source: str) -> list[ast.With]:
+    """The `with _run() ...` statements of a source."""
+    return [node for node in ast.walk(ast.parse(source)) if isinstance(node, ast.With)
+            and any(isinstance(item.context_expr, ast.Call)
+                    and isinstance(item.context_expr.func, ast.Name)
+                    and item.context_expr.func.id == "_run" for item in node.items)]
+
+
+def tries_in_run_blocks(source: str) -> list[int]:
+    """The line of each `try` statement inside a `with _run()` block."""
+    tries = (ast.Try, getattr(ast, "TryStar", ast.Try))
+    return sorted({node.lineno for block in run_blocks(source) for stmt in block.body
+                   for node in ast.walk(stmt) if isinstance(node, tries)})
+
+
+def test_run_blocks_catch_nothing():
+    # `_run()` alone decides how a run ends: a library ValueError or a
+    # blow-up refuses it, any other exception is an error
+    source = (Path(phi4torus.__file__).parent / "cli.py").read_text()
+    assert run_blocks(source)
+    assert tries_in_run_blocks(source) == []
+
+
+def test_try_inside_a_run_block_is_caught():
+    source = ("def ok():\n    try:\n        f()\n    except ValueError:\n        pass\n"
+              "def sub():\n    with _run() as (outdir, manifest):\n        g()\n"
+              "        if x:\n            try:\n                h()\n"
+              "            except ValueError as exc:\n                raise Refused(str(exc))\n"
+              "def other():\n    with open(p) as fh, _run() as run:\n"
+              "        try:\n            k()\n        finally:\n            pass\n")
+    assert tries_in_run_blocks(source) == [10, 16]
