@@ -360,6 +360,10 @@ STABLE_RUNS = [
     ["trees", *FAST_GRID, "--burn-in", "5.0", "--snapshots", "2"],
     ["comedown", "--n", "8", "--r", "0.05", "--dt", "0.01", "--horizon", "0.2",
      "--sizes", "3,30", "--p", "8"],
+    ["cumulant", *FAST_GRID, "--burn-in", "5.0", "--stride", "0.5", "--count", "200",
+     "--probes", "0.04,0.02,0.01"],
+    ["sample", *FAST_GRID, "--burn-in", "5.0", "--stride", "0.5", "--count", "6",
+     "--save-fields"],
 ]
 
 
@@ -400,11 +404,14 @@ class TestTransformPins:
         (STABLE_RUNS[0], 59, 197, 166_848),
         (STABLE_RUNS[1], 1_508, 5_653, 6_613_506),
         (STABLE_RUNS[2], 2_112, 6_440, 7_431_264),
+        (STABLE_RUNS[3], 6_900, 24_900, 28_713_600),
+        (STABLE_RUNS[4], 486, 1_778, 2_141_952),
         (["regularity", "--n", "32", "--r", "0.05", "--dt", "0.1", "--samples", "16",
           "--j-min", "0"], 504, 1_890, 147_498_624),
         (["trees", "--n", "16", "--dt", "0.1", "--sweep", "0.3,0.1,0.03,0.005"],
          2_192, 8_124, 76_082_336),
-    ], ids=["simulate", "trees", "comedown", "regularity", "trees-sweep"])
+    ], ids=["simulate", "trees", "comedown", "cumulant", "sample", "regularity",
+            "trees-sweep"])
     def test_transforms(self, runner, tmp_path, args, transforms, passes, points):
         res = invoke(runner, [*args, "--seed", "5", "--output-dir", str(tmp_path)])
         assert res.exit_code == 0
