@@ -34,6 +34,7 @@ import contextlib
 import csv
 import dataclasses
 import hashlib
+import itertools
 import json
 import math
 from dataclasses import asdict, dataclass, field
@@ -52,10 +53,10 @@ from .dynamics import (
     simulate_u,
 )
 from .noise import NoiseStream
-from .observables import MIN_CUMULANT_SAMPLES, birkhoff_sample, fourth_cumulant
+from .observables import MIN_CUMULANT_SAMPLES, birkhoff_sample, fourth_cumulant, probe_moments
 from .paraproduct import estimate_regularity, regularity_window
 from .powercount import GraphError, gamma_range, parse_graph
-from .renorm import a_closed, a_numeric, b_closed, b_numeric, minimal_n_for
+from .renorm import a_closed, a_numeric, b_closed, b_numeric, check_b_numeric_r, minimal_n_for
 from .spectral import Grid, save_field, transform_counts
 from .trees import build_enhanced_noise, tree_divergence_report
 
@@ -93,12 +94,24 @@ class RunManifest:
         self.outputs[path.name] = hashlib.sha256(path.read_bytes()).hexdigest()
         return path
 
+    @contextlib.contextmanager
+    def csv_rows(self, path: Path, header: list[str]):
+        """Yield a csv writer of path, its header written, and record the
+        file when the block ends; a block that raises deletes the file."""
+        try:
+            with path.open("w", newline="") as fh:
+                w = csv.writer(fh)
+                w.writerow(header)
+                yield w
+        except BaseException:
+            path.unlink()
+            raise
+        self.add(path)
+
     def write_csv(self, path: Path, header: list[str], rows) -> Path:
-        with path.open("w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(header)
+        with self.csv_rows(path, header) as w:
             w.writerows(rows)
-        return self.add(path)
+        return path
 
     def write_json(self, path: Path, payload) -> Path:
         _dump_json(path, payload)
@@ -322,11 +335,11 @@ def trees(burn_in, snapshots, sweep, **params):
                                       [[row[k] for k in header] for row in rows])
             click.echo(f"wrote {path} ({len(rows)} rows)")
         else:
-            traj = build_enhanced_noise(
+            snaps = build_enhanced_noise(
                 NoiseStream(cfg.seed, cfg.stream), cfg.grid, cfg.r,
                 burn_in=burn_in, dt=cfg.dt, n_snapshots=snapshots, track_vref=True,
             )
-            for i, snap in enumerate(traj.snapshots):
+            for i, snap in enumerate(snaps):
                 for name, f in snap.components().items():
                     manifest.write_field(outdir / f"tree_{name}_{i}.field", f)
             click.echo(f"wrote {len(manifest.outputs)} component fields")
@@ -356,6 +369,9 @@ def renorm_constants(sweep, n, with_b_numeric, output_dir):
     except ValueError as exc:
         raise InvalidConfig(f"bad --r {sweep!r}: {exc}")
     with _run() as (outdir, manifest):
+        if with_b_numeric:
+            for r in r_values:
+                check_b_numeric_r(r)
         rows = []
         for r, n_min in zip(r_values, minimal):
             a_num = a_numeric(fixed or Grid(dim=3, n=n_min), r)
@@ -437,13 +453,12 @@ def regularity(component, samples, burn_in, j_min, **params):
         if component not in ("X", "W2", "W3", "I2", "I3"):
             raise Refused(f"unknown component {component!r}; choose X, W2, W3, I2 or I3")
         regularity_window(cfg.grid, samples, j_min)
-        traj = build_enhanced_noise(
+        snaps = build_enhanced_noise(
             NoiseStream(cfg.seed, cfg.stream), cfg.grid, cfg.r,
             burn_in=burn_in, dt=cfg.dt, n_snapshots=samples,
             snapshot_stride=0.5, with_resonants=False,
         )
-        fit = estimate_regularity([getattr(s, component) for s in traj.snapshots],
-                                  j_min=j_min)
+        fit = estimate_regularity((getattr(s, component) for s in snaps), j_min=j_min)
         payload = {
             "component": component,
             "gamma_hat": fit.gamma_hat,
@@ -506,20 +521,19 @@ def cumulant(burn_in, stride, count, probes, streams, **params):
         if count < MIN_CUMULANT_SAMPLES:
             raise Refused(f"need at least {MIN_CUMULANT_SAMPLES} decorrelated samples, "
                           f"got --count {count}")
-        fields, report = [], []
+        moments, report = [], []  # moments: one (probes, 2) array per sample
         for s in range(streams):
             scfg = dataclasses.replace(cfg, stream=cfg.stream + s)
-            sset = birkhoff_sample(scfg, burn_in, stride, count // streams)
-            if sset.blew_up:
-                raise Refused(f"stream {s} blew up: {sset.blew_up}")
-            fields.extend(sset.fields)
-            report.append({"stream": scfg.stream, "tau_int": sset.autocorrelation_time,
-                           "stride_adequate": sset.stride_adequate})
+            mixing = birkhoff_sample(scfg, burn_in, stride, count // streams,
+                                     lambda t, u: moments.append(probe_moments(u, r_probes)))
+            report.append({"stream": scfg.stream, "tau_int": mixing.tau_int,
+                           "stride_adequate": mixing.stride_adequate})
         manifest.write_json(outdir / "cumulant_report.json",
                             {"stride": stride, "streams": report})
+        pooled = np.array(moments)
         rows = []
-        for rp in r_probes:
-            est = fourth_cumulant(fields, rp)
+        for p, rp in enumerate(r_probes):
+            est = fourth_cumulant(pooled[:, p], rp)
             rows.append((rp, est.c4, est.stderr, est.significance, est.n_samples))
             click.echo(str(est))
         path = manifest.write_csv(outdir / "cumulant.csv",
@@ -537,21 +551,21 @@ def sample(burn_in, stride, count, save_fields, **params):
     """Birkhoff-sample the invariant measure; report observable statistics."""
     cfg = _sim_config(params)
     with _run() as (outdir, manifest):
-        sset = birkhoff_sample(cfg, burn_in, stride, count)
-        rows = [
-            (t, f.mean(), float((f.values**2).mean()), float(((f.values**2) ** 2).mean()))
-            for t, f in zip(sset.times, sset.fields)
-        ]
-        manifest.write_csv(outdir / "samples.csv", ["t", "mean", "m2", "m4"], rows)
-        if save_fields:
-            for i, f in enumerate(sset.fields):
-                manifest.write_field(outdir / f"sample_{i:04d}.field", f)
+        index = itertools.count()
+        with manifest.csv_rows(outdir / "samples.csv", ["t", "mean", "m2", "m4"]) as rows:
+
+            def record(t, f):
+                w2 = f.values**2
+                rows.writerow((t, f.mean(), float(w2.mean()), float((w2**2).mean())))
+                if save_fields:
+                    manifest.write_field(outdir / f"sample_{next(index):04d}.field", f)
+
+            mixing = birkhoff_sample(cfg, burn_in, stride, count, record)
         summary = {
-            "count": len(sset),
-            "autocorrelation_time": sset.autocorrelation_time,
+            "count": count,
+            "autocorrelation_time": mixing.tau_int,
             "stride": stride,
-            "stride_adequate": sset.stride_adequate,
-            "blew_up": sset.blew_up,
+            "stride_adequate": mixing.stride_adequate,
         }
         manifest.write_json(outdir / "sample_report.json", summary)
     click.echo(json.dumps(summary, indent=2))

@@ -15,36 +15,28 @@ jackknife over decorrelated samples.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .dynamics import BlowUpError, SimConfig, step_u
-from .spectral import Field, semigroup
+from .dynamics import SimConfig, step_u
+from .spectral import Field, evaluate, semigroup
 
 __all__ = [
-    "SampleSet",
     "birkhoff_sample",
+    "probe_moments",
     "CumulantEstimate",
     "fourth_cumulant",
 ]
 
 
-@dataclass
-class SampleSet:
-    """Decorrelated snapshots of the stationary dynamics."""
+class Mixing(NamedTuple):
+    """How fast one sampled trajectory decorrelates."""
 
-    cfg: SimConfig
-    times: list[float] = field(default_factory=list)
-    fields: list[Field] = field(default_factory=list)
-    mean_series: list[float] = field(default_factory=list)  # spatial mean, every step
-    autocorrelation_time: float = float("nan")
-    stride: float = 0.0
-    stride_adequate: bool = True
-    blew_up: str | None = None
-
-    def __len__(self):
-        return len(self.fields)
+    tau_int: float  # integrated autocorrelation time of the spatial mean
+    stride_adequate: bool  # the stride is at least tau_int
 
 
 def _integrated_autocorrelation(series: np.ndarray, dt: float) -> float:
@@ -66,16 +58,15 @@ def _integrated_autocorrelation(series: np.ndarray, dt: float) -> float:
     return 2.0 * tau * dt
 
 
-def birkhoff_sample(
-    cfg: SimConfig, burn_in: float, stride: float, count: int
-) -> SampleSet:
+def birkhoff_sample(cfg: SimConfig, burn_in: float, stride: float, count: int,
+                    record: Callable[[float, Field], object]) -> Mixing:
     """Sample the invariant measure along one trajectory.
 
-    Evolves the u-dynamics for burn_in time, then records a snapshot every
-    stride; the spatial-mean series is tracked at every step and its
-    integrated autocorrelation time reported so the stride choice can be
-    audited (stride below it is flagged).  A blow-up returns the partial set
-    with the diagnostic attached.
+    Evolves the u-dynamics for burn_in time, then passes a sample to
+    record(t, u) every stride, as it is taken; no sample is kept.  The
+    spatial mean is tracked at every step after the burn-in and its
+    integrated autocorrelation time reported, so the stride choice can be
+    audited (stride below it is flagged).  A blow-up raises BlowUpError.
     """
     if stride < 5.0 * cfg.dt - 1e-12:
         raise ValueError(f"stride {stride} below 5*dt = {5 * cfg.dt}")
@@ -85,27 +76,34 @@ def birkhoff_sample(
             f"mode (unit time scale); got {burn_in}"
         )
     stream = cfg.noise()
-    grid = cfg.grid
-    u = Field.zeros(grid)
-    out = SampleSet(cfg=cfg, stride=stride)
+    u = Field.zeros(cfg.grid)
     burn_steps = int(round(burn_in / cfg.dt))
     stride_steps = max(1, int(round(stride / cfg.dt)))
-    total = burn_steps + count * stride_steps
-    try:
-        for i in range(total):
-            u = step_u(u, cfg, stream, time=i * cfg.dt)
-            out.mean_series.append(u.mean())
-            step = i + 1
-            if step > burn_steps and (step - burn_steps) % stride_steps == 0:
-                out.times.append(step * cfg.dt)
-                out.fields.append(u)
-    except BlowUpError as exc:
-        out.blew_up = str(exc)
-    tail = np.array(out.mean_series[burn_steps:])
-    if len(tail) > 8:
-        out.autocorrelation_time = float(_integrated_autocorrelation(tail, cfg.dt))
-        out.stride_adequate = bool(stride >= out.autocorrelation_time)
-    return out
+    means = []
+    for i in range(burn_steps + count * stride_steps):
+        u = step_u(u, cfg, stream, time=i * cfg.dt)
+        step = i + 1
+        if step > burn_steps:
+            means.append(u.mean())
+            if (step - burn_steps) % stride_steps == 0:
+                record(step * cfg.dt, u)
+    if len(means) <= 8:
+        return Mixing(float("nan"), True)
+    tau = float(_integrated_autocorrelation(np.array(means), cfg.dt))
+    return Mixing(tau, bool(stride >= tau))
+
+
+def probe_moments(u: Field, r_probes) -> np.ndarray:
+    """[(m2, m4) for r_probe in r_probes], an array of shape (probes, 2): the
+    spatial means of w^2 and w^4 for the smoothed field w = e^{-r_probe P} u
+    of each probe, all probes evaluated in one stacked transform."""
+    for r_probe in r_probes:
+        if not r_probe > 0:
+            raise ValueError(f"r_probe must be positive, got {r_probe}")
+    ws = [Field.from_half(u.grid, u.half * semigroup(u.grid, rp).decay) for rp in r_probes]
+    evaluate(*ws)
+    squares = [w.values * w.values for w in ws]
+    return np.array([(w2.mean(), (w2 * w2).mean()) for w2 in squares])
 
 
 @dataclass
@@ -131,25 +129,16 @@ class CumulantEstimate:
 MIN_CUMULANT_SAMPLES = 200
 
 
-def fourth_cumulant(fields, r_probe: float) -> CumulantEstimate:
+def fourth_cumulant(moments, r_probe: float) -> CumulantEstimate:
     """Jackknife estimate of C4 = E[w^4] - 3 E[w^2]^2 for the smoothed
     pointwise marginal w = (e^{-r_probe P} u)(x0), pooled over all x0 and
-    over the sample fields."""
-    fields = list(fields)
-    n = len(fields)
+    over the samples, from the (m2, m4) of each sample at this probe (one
+    row of probe_moments per sample)."""
+    m2, m4 = np.asarray(moments, dtype=float).reshape(-1, 2).T
+    n = len(m2)
     if n < MIN_CUMULANT_SAMPLES:
         raise ValueError(f"need at least {MIN_CUMULANT_SAMPLES} decorrelated samples, "
                          f"got {n}")
-    if not r_probe > 0:
-        raise ValueError(f"r_probe must be positive, got {r_probe}")
-    m2 = np.empty(n)
-    m4 = np.empty(n)
-    for i, f in enumerate(fields):
-        w = Field.from_half(f.grid, f.half * semigroup(f.grid, r_probe).decay).values
-        w2 = w * w
-        m2[i] = w2.mean()
-        m4[i] = (w2 * w2).mean()
-
     c4 = m4.mean() - 3.0 * m2.mean() ** 2
     # leave-one-out values in closed form: drop sample i from both sums
     loo = (m4.sum() - m4) / (n - 1) - 3.0 * ((m2.sum() - m2) / (n - 1)) ** 2

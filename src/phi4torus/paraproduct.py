@@ -146,7 +146,8 @@ def regularity_window(grid: Grid, n_samples: int, j_min: int) -> list[int]:
 
 
 def estimate_regularity(samples, j_min: int) -> RegularityFit:
-    """Estimate the Holder-Besov exponent of a stationary random field.
+    """Estimate the Holder-Besov exponent of a stationary random field from
+    an iterable of sample fields, read once, each reduced as it arrives.
 
     Fits the least-squares slope of log2 E[(Delta_j u)(x)^2] against j over
     a mid-frequency window; the expectation combines ensemble and spatial
@@ -159,19 +160,16 @@ def estimate_regularity(samples, j_min: int) -> RegularityFit:
     column other than 0 and N/2 stands for itself and its conjugate mirror,
     and weighs twice.  The levels are those of regularity_window.
     """
-    samples = list(samples)
-    # the sample floor refuses an empty list before the grid is read
-    grid = samples[0].grid if samples else None
-    levels = regularity_window(grid, len(samples), j_min)
-    cube = half_cube(grid)
-    table = cube.levels.ravel() + 1
-    column = np.full(cube.shape[-1], 2.0)
-    column[[0, -1]] = 1.0  # columns 0 and N/2
-    picks = np.array(levels) + 1
-    energies = np.zeros(len(levels))
+    # every level's energy summed over the samples as they arrive; the
+    # sample floor refuses an empty iterable before the grid is read
+    grid, count, total = None, 0, 0.0
     for f in samples:
-        energies += np.bincount(table, (np.abs(f.half) ** 2 * column).ravel())[picks]
-    energies /= len(samples)
+        grid, count = f.grid, count + 1
+        energy = np.abs(f.half) ** 2
+        energy[..., 1:-1] *= 2.0  # the columns other than 0 and N/2
+        total = total + np.bincount(half_cube(grid).levels.ravel() + 1, energy.ravel())
+    levels = regularity_window(grid, count, j_min)
+    energies = total[np.array(levels) + 1] / count
     y = np.log2(energies)
     x = np.array(levels, dtype=float)
     # least squares y = slope*x + c with standard error of the slope

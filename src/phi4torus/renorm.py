@@ -141,6 +141,12 @@ def sunset_constant() -> float:
     return val
 
 
+def check_b_numeric_r(r: float) -> None:
+    """Raise ValueError unless r lies in (0, 0.1), the range of b_numeric."""
+    if not (0 < r < 0.1):
+        raise ValueError(f"r must lie in (0, 0.1), got {r}")
+
+
 def b_numeric(r: float) -> float:
     """(4 pi)^{-3} int_0^1 da int_{[a+2r, oo)^2} (a s1 + a s2 + s1 s2)^{-3/2}.
 
@@ -150,8 +156,7 @@ def b_numeric(r: float) -> float:
     leaving a 2-d adaptive quadrature over (s1, a).  Asymptotically
     b_numeric(r) = |log r| / (96 pi^2) + O(1) = b_closed(r)/3 + O(1).
     """
-    if not (0 < r < 0.1):
-        raise ValueError(f"r must lie in (0, 0.1), got {r}")
+    check_b_numeric_r(r)
 
     def s1_integral(a):
         m = a + 2.0 * r

@@ -25,7 +25,8 @@ used by the Cole-Hopf change of variables is integrated alongside.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Iterator
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -74,12 +75,8 @@ class EnhancedNoise:
         )
 
     def components(self) -> dict[str, Field]:
-        out = {"X": self.X, "W2": self.W2, "W3": self.W3, "I2": self.I2, "I3": self.I3}
-        for name in ("R1", "R2", "R3", "R4", "v_ref"):
-            val = getattr(self, name)
-            if val is not None:
-                out[name] = val
-        return out
+        """The fields of the slice that are set, in the order declared above."""
+        return {name: f for name, f in vars(self).items() if isinstance(f, Field)}
 
 
 class TreeEvolver:
@@ -180,13 +177,6 @@ class TreeEvolver:
         return snap
 
 
-@dataclass
-class TreeTrajectory:
-    r: float
-    times: list[float]
-    snapshots: list[EnhancedNoise] = field(default_factory=list)
-
-
 def build_enhanced_noise(
     stream: NoiseStream,
     grid: Grid,
@@ -197,9 +187,11 @@ def build_enhanced_noise(
     snapshot_stride: float = 1.0,
     with_resonants: bool = True,
     track_vref: bool = False,
-) -> TreeTrajectory:
-    """Build an enhanced-noise trajectory: burn in the integrated trees, then
-    record n_snapshots time slices separated by snapshot_stride.  v_ref is
+) -> Iterator[EnhancedNoise]:
+    """Yield an enhanced-noise trajectory one time slice at a time: burn in
+    the integrated trees, then n_snapshots slices separated by
+    snapshot_stride, each made when it is asked for.  The arguments are
+    checked when the function is called, before any slice.  v_ref is
     integrated only with track_vref; it draws no noise, so the other
     components are the same either way."""
     if burn_in < 5.0:
@@ -207,16 +199,17 @@ def build_enhanced_noise(
             "burn_in must cover at least 5 relaxation times of the slowest mode"
         )
     ev = TreeEvolver(grid, r, stream, track_vref=track_vref)
-    ev.burn_in(burn_in, dt)
-    traj = TreeTrajectory(r=r, times=[])
     stride_steps = max(1, int(round(snapshot_stride / dt)))
-    for i in range(n_snapshots):
-        if i > 0:
-            for _ in range(stride_steps):
-                ev.step(dt)
-        traj.times.append(ev.time)
-        traj.snapshots.append(ev.snapshot(with_resonants=with_resonants))
-    return traj
+
+    def slices():
+        ev.burn_in(burn_in, dt)
+        for i in range(n_snapshots):
+            if i > 0:
+                for _ in range(stride_steps):
+                    ev.step(dt)
+            yield ev.snapshot(with_resonants=with_resonants)
+
+    return slices()
 
 
 def tree_divergence_report(
@@ -247,15 +240,14 @@ def tree_divergence_report(
         raise ValueError(f"sweep must span at least 1.5 decades, got {span:.2f}")
     rows = []
     for i, r in enumerate(r_values):
-        snaps = build_enhanced_noise(
-            NoiseStream(seed, stream=i), grid, r,
-            burn_in=burn_in, dt=dt,
-            n_snapshots=n_snapshots, snapshot_stride=snapshot_stride,
-            with_resonants=False,
-        ).snapshots
+        snaps = build_enhanced_noise(NoiseStream(seed, stream=i), grid, r, burn_in=burn_in, dt=dt,
+                                     n_snapshots=n_snapshots, snapshot_stride=snapshot_stride,
+                                     with_resonants=False)
+        # three numbers per snapshot, averaged over the snapshots
+        stats = [(s.W2.mean(), dealiased_product(s.I2, s.W2).mean(), besov_norm(s.X, -0.6))
+                 for s in snaps]
+        wick_sq, raw_reso, x_besov = (float(np.mean(col)) for col in zip(*stats))
         a, b = a_closed(r), b_closed(r)
-        wick_sq = float(np.mean([s.W2.mean() for s in snaps]))
-        raw_reso = float(np.mean([dealiased_product(s.I2, s.W2).mean() for s in snaps]))
         rows.append({
             "r": r,
             "a_r": a,
@@ -264,6 +256,6 @@ def tree_divergence_report(
             "wick_square_mean": wick_sq,
             "raw_resonant_mean": raw_reso,
             "renormalized_resonant_mean": raw_reso - b / 3.0,
-            "X_besov": float(np.mean([besov_norm(s.X, -0.6) for s in snaps])),
+            "X_besov": x_besov,
         })
     return rows

@@ -31,7 +31,7 @@ from phi4torus.noise import (
     ou_noise_field,
     sample_stationary,
 )
-from phi4torus.observables import birkhoff_sample, fourth_cumulant
+from phi4torus.observables import birkhoff_sample, fourth_cumulant, probe_moments
 from phi4torus.paraproduct import (
     besov_norm,
     estimate_regularity,
@@ -219,11 +219,10 @@ class TestWickCancellation:
 @pytest.fixture(scope="module")
 def tree_snapshots():
     grid = Grid(dim=3, n=64)
-    traj = build_enhanced_noise(
+    return list(build_enhanced_noise(
         NoiseStream(12), grid, 1e-3, burn_in=5.0, dt=0.05,
         n_snapshots=16, snapshot_stride=0.5, with_resonants=False,
-    )
-    return traj.snapshots
+    ))
 
 
 class TestTreeRegularities:
@@ -333,22 +332,22 @@ class TestFourthCumulant:
     PROBES = [0.02, 0.01, 0.005, 0.0025]
 
     def sample_interacting(self):
-        fields = []
+        """The probe moments of 200 samples, one (probes, 2) array each."""
+        moments = []
         for stream in range(2):
             cfg = SimConfig(
                 n=32, r=self.R, dt=0.01, horizon=1.0, coupling=1.0,
                 seed=0, stream=stream,
             )
-            sset = birkhoff_sample(cfg, burn_in=5.0, stride=0.5, count=100)
-            assert sset.blew_up is None
-            fields.extend(sset.fields)
-        return fields
+            birkhoff_sample(cfg, burn_in=5.0, stride=0.5, count=100,
+                            record=lambda t, u: moments.append(probe_moments(u, self.PROBES)))
+        return np.array(moments)
 
     def test_signal_grows_as_probe_shrinks(self):
-        fields = self.sample_interacting()
+        moments = self.sample_interacting()
         c4s = []
-        for rp in self.PROBES:
-            est = fourth_cumulant(fields, rp)
+        for p, rp in enumerate(self.PROBES):
+            est = fourth_cumulant(moments[:, p], rp)
             assert est.significance > 3.0
             c4s.append(abs(est.c4))
         slope, _ = np.polyfit(np.log(self.PROBES), np.log(c4s), 1)
@@ -357,12 +356,13 @@ class TestFourthCumulant:
     def test_free_field_control_is_null(self):
         """Exact samples of the free invariant measure carry no fourth
         cumulant at any probe scale, hence no scaling trend either."""
-        fields = [
-            sample_stationary(self.GRID, self.R, NoiseStream(70_000 + i))
+        moments = np.array([
+            probe_moments(sample_stationary(self.GRID, self.R, NoiseStream(70_000 + i)),
+                          self.PROBES)
             for i in range(200)
-        ]
-        for rp in self.PROBES:
-            est = fourth_cumulant(fields, rp)
+        ])
+        for p, rp in enumerate(self.PROBES):
+            est = fourth_cumulant(moments[:, p], rp)
             assert est.significance < 3.0
 
 

@@ -9,7 +9,7 @@ import scipy
 from click.testing import CliRunner
 
 from phi4torus.cli import main
-from phi4torus.dynamics import BlowUpError
+from phi4torus.dynamics import BlowUpError, step_u
 from phi4torus.spectral import transform_counts
 
 from oracles import GRAPHS
@@ -126,6 +126,32 @@ class TestPlumbing:
         assert manifest["status"] == "refused"
         assert manifest["message"] == str(error)
         assert manifest["message"].startswith("blow-up at t=0.25")
+
+    @pytest.mark.parametrize("sub", ["cumulant", "sample"])
+    def test_sampling_blow_up_refused(self, runner, tmp_path, monkeypatch, sub):
+        """A blow-up in the Birkhoff chain refuses the run with its own text
+        and leaves no partial table; fields written before it stay listed."""
+        error = BlowUpError(6.25, 3e8, 1e8)
+        calls = []
+
+        def blows_up(u, *args, **kwargs):
+            calls.append(None)
+            if len(calls) > 125:  # 100 burn-in steps, then two samples
+                raise error
+            return step_u(u, *args, **kwargs)
+
+        monkeypatch.setattr("phi4torus.observables.step_u", blows_up)
+        extra = ["--count", "200"] if sub == "cumulant" else ["--save-fields"]
+        res = runner.invoke(main, [sub, *FAST_GRID, "--burn-in", "5.0", "--stride", "0.5",
+                                   *extra, "--output-dir", str(tmp_path)])
+        assert res.exit_code == 4
+        assert isinstance(res.exception, SystemExit)
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["status"] == "refused"
+        assert manifest["message"] == str(error)
+        want = ["sample_0000.field", "sample_0001.field"] if sub == "sample" else []
+        assert list(manifest["outputs"]) == want
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(want + ["manifest.json"])
 
     def test_output_dir_env_var(self, runner, tmp_path):
         out = tmp_path / "via_env"
@@ -397,14 +423,14 @@ class TestTransformPins:
     moves one shows here exactly."""
 
     # A transform on the N grid takes three passes, one per axis, and a
-    # stacked inverse of several fields three in all (`spectral.evaluate`,
-    # which only `comedown` reaches: 952 of its transforms on the N grid in
-    # 600 real passes).
+    # stacked inverse of several fields three in all (`spectral.evaluate`:
+    # 952 of the transforms of `comedown` on the N grid in 600 real passes,
+    # and in `cumulant` the three probes of each of 200 samples in 600).
     @pytest.mark.parametrize("args, transforms, passes, points", [
         (STABLE_RUNS[0], 59, 197, 166_848),
         (STABLE_RUNS[1], 1_508, 5_653, 6_613_506),
         (STABLE_RUNS[2], 2_112, 6_440, 7_431_264),
-        (STABLE_RUNS[3], 6_900, 24_900, 28_713_600),
+        (STABLE_RUNS[3], 6_900, 23_700, 28_713_600),
         (STABLE_RUNS[4], 486, 1_778, 2_141_952),
         (["regularity", "--n", "32", "--r", "0.05", "--dt", "0.1", "--samples", "16",
           "--j-min", "0"], 504, 1_890, 147_498_624),
@@ -536,6 +562,17 @@ class TestRenormConstants:
                                    "--output-dir", str(tmp_path)])
         assert res.exit_code == 3
         assert f"bad --n: n must be a power of two >= 2, got {n}" in res.output
+        assert not (tmp_path / "renorm_constants.csv").exists()
+
+    def test_b_numeric_range_refused_before_any_quadrature(self, runner, tmp_path,
+                                                           monkeypatch):
+        monkeypatch.setattr("phi4torus.renorm._quad", lambda *a, **kw: pytest.fail("quadrature"))
+        res = runner.invoke(main, ["renorm-constants", "--r", "0.05,0.2",
+                                   "--output-dir", str(tmp_path)])
+        assert res.exit_code == 4
+        assert "r must lie in (0, 0.1), got 0.2" in res.output
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["status"] == "refused"
         assert not (tmp_path / "renorm_constants.csv").exists()
 
     @pytest.mark.parametrize("sweep", ["0", "0.02,-0.01"], ids=["zero", "negative"])
@@ -732,8 +769,13 @@ class TestCumulantAndSample:
         assert len(rows) == 6
         report = json.loads((tmp_path / "sample_report.json").read_text())
         assert report["count"] == 6
-        assert report["blew_up"] is None
-        assert (tmp_path / "sample_0000.field").exists()
+        assert "blew_up" not in report  # a blow-up refuses the run
+        # each field is written as its sample is taken, the table when the
+        # chain ends
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert list(manifest["outputs"]) == [
+            *(f"sample_{i:04d}.field" for i in range(6)), "samples.csv", "sample_report.json",
+        ]
 
     def test_sample_short_burn_in_refused(self, runner, tmp_path):
         res = runner.invoke(main, ["sample", *FAST_GRID, "--burn-in", "1.0",

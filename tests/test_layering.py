@@ -165,3 +165,46 @@ def test_try_inside_a_run_block_is_caught():
               "def other():\n    with open(p) as fh, _run() as run:\n"
               "        try:\n            k()\n        finally:\n            pass\n")
     assert tries_in_run_blocks(source) == [10, 16]
+
+
+def blow_up_handlers(source: str) -> list[str | None]:
+    """The enclosing function of each `except` clause that names
+    BlowUpError, alone, dotted or in a tuple."""
+    found = []
+
+    def names(node):
+        if isinstance(node, ast.Tuple):
+            return [n for elt in node.elts for n in names(elt)]
+        if isinstance(node, ast.Attribute):
+            return [node.attr]
+        return [node.id] if isinstance(node, ast.Name) else []
+
+    def visit(node, func):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ExceptHandler) and "BlowUpError" in names(child.type):
+                found.append(func)
+            inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if inner else func)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_a_blow_up_is_caught_in_two_places_only():
+    # `_run()` refuses the run; coming down from infinity turns the blow-up
+    # of one initial size into a NaN row of its result.  Every other chain
+    # hands a blow-up on, so no run ends with part of its samples
+    handlers = set()
+    for path in sorted(Path(phi4torus.__file__).parent.glob("*.py")):
+        handlers |= {(path.name, func) for func in blow_up_handlers(path.read_text())}
+    assert handlers == {("cli.py", "_run"), ("dynamics.py", "coming_down_experiment")}
+
+
+def test_a_blow_up_handler_is_caught():
+    source = ("def run():\n    try:\n        f()\n    except (ValueError, BlowUpError):\n"
+              "        pass\n"
+              "def chain():\n    try:\n        g()\n    except dynamics.BlowUpError as exc:\n"
+              "        keep(exc)\n    except ValueError:\n        pass\n"
+              "try:\n    h()\nexcept BlowUpError:\n    pass\n"
+              "def other():\n    try:\n        k()\n    except Exception:\n        pass\n")
+    assert blow_up_handlers(source) == ["run", "chain", None]

@@ -1,17 +1,24 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 
-from phi4torus.dynamics import SimConfig
+from phi4torus.dynamics import BlowUpError, SimConfig
 from phi4torus.noise import NoiseStream, sample_stationary
 from phi4torus.observables import (
     CumulantEstimate,
-    SampleSet,
     birkhoff_sample,
     fourth_cumulant,
+    probe_moments,
 )
-from phi4torus.spectral import Field, Grid, apply_multiplier, lp_norm
+from phi4torus.spectral import Field, Grid, apply_multiplier, lp_norm, transform_counts
+
+
+def moments_at(fields, r_probe):
+    """The (m2, m4) of each field at one probe, as fourth_cumulant takes them."""
+    return [probe_moments(f, [r_probe])[0] for f in fields]
 
 
 class TestLpNorm:
@@ -43,29 +50,40 @@ class TestBirkhoffSample:
     def test_refuses_small_stride(self):
         cfg = self.make_cfg()
         with pytest.raises(ValueError, match="stride"):
-            birkhoff_sample(cfg, burn_in=5.0, stride=0.1, count=4)
+            birkhoff_sample(cfg, burn_in=5.0, stride=0.1, count=4, record=None)
 
     def test_refuses_short_burn_in(self):
         cfg = self.make_cfg()
         with pytest.raises(ValueError, match="burn-in"):
-            birkhoff_sample(cfg, burn_in=1.0, stride=0.5, count=4)
+            birkhoff_sample(cfg, burn_in=1.0, stride=0.5, count=4, record=None)
 
     def test_sample_count_and_times(self):
         cfg = self.make_cfg()
-        out = birkhoff_sample(cfg, burn_in=5.0, stride=0.5, count=6)
-        assert len(out) == 6
-        assert out.times[0] == pytest.approx(5.5)
-        diffs = np.diff(out.times)
+        times = []
+        out = birkhoff_sample(cfg, burn_in=5.0, stride=0.5, count=6,
+                              record=lambda t, u: times.append(t))
+        assert len(times) == 6
+        assert times[0] == pytest.approx(5.5)
+        diffs = np.diff(times)
         assert np.allclose(diffs, 0.5)
-        assert out.blew_up is None
-        assert math.isfinite(out.autocorrelation_time)
+        assert math.isfinite(out.tau_int)
+        assert out.stride_adequate == (0.5 >= out.tau_int)
 
-    def test_blow_up_returns_partial_set(self):
+    def test_blow_up_raises(self):
         # a tiny threshold trips on the stationary fluctuations themselves
         cfg = self.make_cfg(blowup_threshold=1e-6)
-        out = birkhoff_sample(cfg, burn_in=5.0, stride=0.5, count=4)
-        assert out.blew_up is not None
-        assert len(out) < 4
+        with pytest.raises(BlowUpError):
+            birkhoff_sample(cfg, burn_in=5.0, stride=0.5, count=4, record=None)
+
+    def test_keeps_no_sample(self):
+        """Every sample handed to record is gone once the chain returns,
+        when record keeps none of them."""
+        refs = []
+        birkhoff_sample(self.make_cfg(), burn_in=5.0, stride=0.5, count=4,
+                        record=lambda t, u: refs.append(weakref.ref(u)))
+        gc.collect()
+        assert len(refs) == 4
+        assert [ref() for ref in refs] == [None] * 4
 
 
 class TestFourthCumulant:
@@ -77,14 +95,16 @@ class TestFourthCumulant:
 
     def test_refuses_few_samples(self):
         with pytest.raises(ValueError, match="200"):
-            fourth_cumulant(self.gaussian_samples(20, 0), 0.01)
+            fourth_cumulant(moments_at(self.gaussian_samples(20, 0), 0.01), 0.01)
 
     def test_refuses_bad_probe(self):
-        with pytest.raises(ValueError):
-            fourth_cumulant(self.gaussian_samples(200, 0), 0.0)
+        u = self.gaussian_samples(1, 0)[0]
+        for r_probes in ([0.0], [0.01, -0.02]):
+            with pytest.raises(ValueError, match="r_probe must be positive"):
+                probe_moments(u, r_probes)
 
     def test_gaussian_field_has_zero_cumulant(self):
-        est = fourth_cumulant(self.gaussian_samples(300, 1000), 0.02)
+        est = fourth_cumulant(moments_at(self.gaussian_samples(300, 1000), 0.02), 0.02)
         assert est.significance < 3.0
 
     def test_unbiased_on_synthetic_gaussians(self):
@@ -93,7 +113,7 @@ class TestFourthCumulant:
         pulls = []
         for rep in range(30):
             ests = fourth_cumulant(
-                self.gaussian_samples(200, 5000 + 211 * rep), 0.05
+                moments_at(self.gaussian_samples(200, 5000 + 211 * rep), 0.05), 0.05
             )
             pulls.append(ests.c4 / ests.stderr)
         pulls = np.array(pulls)
@@ -111,7 +131,7 @@ class TestFourthCumulant:
             sigma2 = (x.values**2).mean()
             tilted = x.values - 0.2 * (x.values**3 - 3.0 * sigma2 * x.values)
             fields.append(Field(grid, tilted))
-        est = fourth_cumulant(fields, 1e-4)  # probe barely smooths
+        est = fourth_cumulant(moments_at(fields, 1e-4), 1e-4)  # probe barely smooths
         assert est.significance > 5.0
         assert est.c4 < 0.0
 
@@ -120,7 +140,7 @@ class TestFourthCumulant:
         rng = np.random.default_rng(12)
         fields = [Field(grid, rng.normal(size=grid.shape)) for _ in range(200)]
         r_probe = 0.1
-        est = fourth_cumulant(fields, r_probe)
+        est = fourth_cumulant(moments_at(fields, r_probe), r_probe)
         ws = [apply_multiplier(f, lambda lam: np.exp(-r_probe * lam)).values
               for f in fields]
         m2 = np.array([(w**2).mean() for w in ws])
@@ -141,8 +161,25 @@ class TestFourthCumulant:
         assert est.significance == pytest.approx(5.0)
 
 
-class TestSampleSetContainer:
-    def test_len(self):
-        cfg = SimConfig(n=8, r=0.05, dt=0.05, horizon=1.0)
-        s = SampleSet(cfg=cfg)
-        assert len(s) == 0
+class TestProbeMoments:
+    R_PROBES = [0.08, 0.04, 0.02, 0.01]
+
+    def test_many_probes_equal_one_probe_calls(self):
+        """P probes at once give the bits of P one-probe calls, in one
+        stacked transform: P transforms in 3 passes instead of 3 P."""
+        u = sample_stationary(Grid(dim=3, n=16), 0.01, NoiseStream(3))
+        before = transform_counts()
+        got = probe_moments(u, self.R_PROBES)
+        after = transform_counts()
+        assert after["transforms"] - before["transforms"] == len(self.R_PROBES)
+        assert after["passes"] - before["passes"] == 3
+        want = np.array([probe_moments(u, [rp])[0] for rp in self.R_PROBES])
+        assert got.shape == (len(self.R_PROBES), 2)
+        np.testing.assert_array_equal(got, want)
+
+    def test_moments_of_the_smoothed_field(self):
+        u = sample_stationary(Grid(dim=3, n=8), 0.05, NoiseStream(4))
+        w = apply_multiplier(u, lambda lam: np.exp(-0.02 * lam)).values
+        m2, m4 = probe_moments(u, [0.02])[0]
+        assert m2 == pytest.approx((w**2).mean(), rel=1e-12)
+        assert m4 == pytest.approx((w**4).mean(), rel=1e-12)

@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -251,6 +252,24 @@ class TestRegularityEstimate:
         want = [math.log2(np.mean([(b[j + 1] ** 2).mean() for b in blocks]))
                 for j in fit.levels]
         np.testing.assert_allclose(fit.log2_energy, want, rtol=0, atol=1e-13)
+
+    def test_a_generator_gives_the_bits_of_a_list(self):
+        """The estimator reduces each sample as it arrives: a generator gives
+        the fit of the same fields as a list, bit for bit, while the
+        estimator holds no more than the sample before the one it asks for."""
+        grid = Grid(dim=3, n=16)
+        refs = []
+
+        def fields():
+            for seed in range(17):
+                assert all(ref() is None for ref in refs[:-1])
+                f = random_field(grid, seed)
+                refs.append(weakref.ref(f))
+                yield f
+
+        fit = estimate_regularity(fields(), j_min=-1)
+        assert len(refs) == 17
+        assert fit == estimate_regularity([random_field(grid, s) for s in range(17)], j_min=-1)
 
     def test_refuses_too_few_levels(self):
         grid = Grid(dim=1, n=16)

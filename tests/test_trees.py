@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -169,7 +172,7 @@ class TestBuildEnhancedNoise:
                       with_resonants=False)
         with_vref = build_enhanced_noise(NoiseStream(13), GRID, R, track_vref=True, **kwargs)
         without = build_enhanced_noise(NoiseStream(13), GRID, R, **kwargs)
-        for a, b in zip(with_vref.snapshots, without.snapshots):
+        for a, b in zip(with_vref, without, strict=True):
             assert a.v_ref is not None and b.v_ref is None
             for name in ("X", "W2", "W3", "I2", "I3"):
                 np.testing.assert_array_equal(getattr(a, name).half, getattr(b, name).half)
@@ -180,22 +183,39 @@ class TestBuildEnhancedNoise:
         with pytest.raises(ValueError, match="burn_in"):
             build_enhanced_noise(NoiseStream(0), GRID, R, burn_in=1.0)
 
+    def test_refuses_non_positive_r_when_called(self):
+        with pytest.raises(ValueError, match="r > 0"):
+            build_enhanced_noise(NoiseStream(0), GRID, 0.0)
+
     def test_trajectory_shape(self):
-        traj = build_enhanced_noise(
+        snaps = list(build_enhanced_noise(
             NoiseStream(11), GRID, R, burn_in=5.0, dt=0.1,
             n_snapshots=3, snapshot_stride=0.5,
-        )
-        assert len(traj.snapshots) == 3
-        assert traj.times == pytest.approx([5.0, 5.5, 6.0])
-        assert traj.r == R
+        ))
+        assert len(snaps) == 3
+        assert [s.time for s in snaps] == pytest.approx([5.0, 5.5, 6.0])
+        assert {s.r for s in snaps} == {R}
+
+    def test_a_dropped_snapshot_is_freed_by_the_next(self):
+        """The trajectory keeps no slice: one the caller drops, with its
+        resonant products, is gone once the next slice is made."""
+        snaps = build_enhanced_noise(NoiseStream(14), GRID, R, burn_in=5.0, dt=0.1,
+                                     n_snapshots=3, snapshot_stride=0.2)
+        refs = []
+        for snap in snaps:
+            assert all(ref() is None for ref in refs)
+            refs = [weakref.ref(snap), weakref.ref(snap.R1), weakref.ref(snap.R4)]
+            del snap
+            gc.collect()
+        assert len(refs) == 3
 
     def test_wick_square_mean_matches_lattice_constant(self):
         """E[W2] on the grid is the lattice-minus-continuum counterterm gap."""
-        traj = build_enhanced_noise(
+        snaps = build_enhanced_noise(
             NoiseStream(12), GRID, R, burn_in=5.0, dt=0.05,
             n_snapshots=8, snapshot_stride=0.5, with_resonants=False,
         )
-        got = float(np.mean([s.W2.mean() for s in traj.snapshots]))
+        got = float(np.mean([s.W2.mean() for s in snaps]))
         want = mode_sum(GRID, R) - a_closed(R)
         assert got == pytest.approx(want, abs=0.05)
 
