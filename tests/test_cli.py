@@ -390,7 +390,9 @@ STABLE_RUNS = [
      "--probes", "0.04,0.02,0.01"],
     ["sample", *FAST_GRID, "--burn-in", "5.0", "--stride", "0.5", "--count", "6",
      "--save-fields"],
+    ["simulate", *FAST, "--no-checkpoints"],
 ]
+STABLE_IDS = ["simulate", "trees", "comedown", "cumulant", "sample", "simulate-no-checkpoints"]
 
 
 class TestByteStableOutputs:
@@ -398,7 +400,7 @@ class TestByteStableOutputs:
     file, manifest.json included: no output carries a time, a process-wide
     high-water mark or any other value of the run rather than of its inputs."""
 
-    @pytest.mark.parametrize("args", STABLE_RUNS, ids=lambda args: args[0])
+    @pytest.mark.parametrize("args", STABLE_RUNS, ids=STABLE_IDS)
     def test_same_seed_gives_the_same_bytes(self, runner, tmp_path, args):
         out = tmp_path / "out"
         files = []
@@ -432,12 +434,12 @@ class TestTransformPins:
         (STABLE_RUNS[2], 2_112, 6_440, 7_431_264),
         (STABLE_RUNS[3], 6_900, 23_700, 28_713_600),
         (STABLE_RUNS[4], 486, 1_778, 2_141_952),
+        (STABLE_RUNS[5], 59, 197, 166_848),
         (["regularity", "--n", "32", "--r", "0.05", "--dt", "0.1", "--samples", "16",
           "--j-min", "0"], 504, 1_890, 147_498_624),
         (["trees", "--n", "16", "--dt", "0.1", "--sweep", "0.3,0.1,0.03,0.005"],
          2_192, 8_124, 76_082_336),
-    ], ids=["simulate", "trees", "comedown", "cumulant", "sample", "regularity",
-            "trees-sweep"])
+    ], ids=[*STABLE_IDS, "regularity", "trees-sweep"])
     def test_transforms(self, runner, tmp_path, args, transforms, passes, points):
         res = invoke(runner, [*args, "--seed", "5", "--output-dir", str(tmp_path)])
         assert res.exit_code == 0
