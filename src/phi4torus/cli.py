@@ -45,13 +45,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .dynamics import (
-    BlowUpError,
-    SimConfig,
-    coming_down_experiment,
-    running_weighted_norm,
-    simulate_u,
-)
+from .dynamics import BlowUpError, Diagnostics, SimConfig, coming_down_experiment, simulate_u
 from .noise import NoiseStream
 from .observables import MIN_CUMULANT_SAMPLES, birkhoff_sample, fourth_cumulant, probe_moments
 from .paraproduct import estimate_regularity, regularity_window
@@ -285,25 +279,25 @@ def main():
 @click.option("--checkpoints/--no-checkpoints", default=True,
               help="save field snapshots in the binary Field format")
 def simulate(checkpoints, **params):
-    """Integrate the renormalized u-equation and stream diagnostics."""
+    """Integrate the renormalized u-equation and stream diagnostics.
+
+    Each snapshot's row of diagnostics.csv, and with --checkpoints its
+    u_t*.field, is written as the snapshot is taken.  A blow-up refuses the
+    run; the checkpoints written before it stay, and no diagnostics.csv does."""
     cfg = _sim_config(params)
     with _run() as (outdir, manifest):
-        traj = simulate_u(cfg)
-        wnorms = running_weighted_norm(traj.times, traj.snapshots, 0.5, 0.25,
-                                       traj.block_sups)
-        csv_path = manifest.write_csv(
-            outdir / "diagnostics.csv",
-            ["t", "L2", "L8", "besov_proxy", "weighted_norm"],
-            [
-                (t, traj.diagnostics["L2"][i], traj.diagnostics["L8"][i],
-                 traj.diagnostics["besov_proxy"][i], wnorms[i])
-                for i, t in enumerate(traj.times)
-            ],
-        )
-        if checkpoints:
-            for t, snap in zip(traj.times, traj.snapshots):
-                manifest.write_field(outdir / f"u_t{t:.6f}.field", snap)
-    click.echo(f"wrote {csv_path} ({len(traj.times)} rows)")
+        diagnostics = Diagnostics()
+        csv_path = outdir / "diagnostics.csv"
+        header = ["t", "L2", "L8", "besov_proxy", "weighted_norm"]
+        with manifest.csv_rows(csv_path, header) as rows:
+
+            def record(t, u):
+                rows.writerow(diagnostics.row(t, u))
+                if checkpoints:
+                    manifest.write_field(outdir / f"u_t{t:.6f}.field", u)
+
+            simulate_u(cfg, record)
+    click.echo(f"wrote {csv_path} ({len(diagnostics.times)} rows)")
 
 
 # ---------------------------------------------------------------------------

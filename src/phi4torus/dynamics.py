@@ -43,7 +43,7 @@ u-equation on frozen noise (the terminal gap halves when dt halves).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -64,7 +64,7 @@ from .trees import EnhancedNoise, TreeEvolver
 
 __all__ = [
     "SimConfig",
-    "Trajectory",
+    "Diagnostics",
     "BlowUpError",
     "counterterm",
     "step_u",
@@ -77,7 +77,6 @@ __all__ = [
     "comparison_test",
     "ComparisonResult",
     "weighted_norm",
-    "running_weighted_norm",
     "rough_initial_field",
 ]
 
@@ -131,27 +130,6 @@ class SimConfig:
 
     def noise(self) -> NoiseStream:
         return NoiseStream(self.seed, stream=self.stream)
-
-
-@dataclass
-class Trajectory:
-    times: list[float] = field(default_factory=list)
-    snapshots: list[Field] = field(default_factory=list)
-    diagnostics: dict[str, list[float]] = field(default_factory=dict)
-    # the sup norms of each snapshot's Littlewood-Paley blocks, from which
-    # every C^gamma = B^gamma_{inf,inf} norm of it follows
-    block_sups: list[list[float]] = field(default_factory=list)
-
-    def record(self, t: float, u: Field) -> None:
-        if self.times and t <= self.times[-1]:
-            raise ValueError("snapshot times must be strictly increasing")
-        self.times.append(t)
-        self.snapshots.append(u)
-        sups = block_norms(u)
-        self.block_sups.append(sups)
-        for key, val in (("L2", lp_norm(u, 2)), ("L8", lp_norm(u, 8)),
-                         ("besov_proxy", weigh_blocks(sups, -0.55))):
-            self.diagnostics.setdefault(key, []).append(val)
 
 
 def counterterm(cfg: SimConfig) -> float:
@@ -209,19 +187,18 @@ def rough_initial_field(grid: Grid, size: float, stream: NoiseStream) -> Field:
     return (size / norm) * base
 
 
-def simulate_u(cfg: SimConfig) -> Trajectory:
-    """Integrate the u-equation over [0, horizon], recording snapshots and
-    diagnostic norms every snapshot_stride steps."""
+def simulate_u(cfg: SimConfig, record) -> None:
+    """Integrate the u-equation over [0, horizon], passing the field at t = 0,
+    every snapshot_stride steps and at the last step to record(t, u).  Keeps
+    no field."""
     stream = cfg.noise()
     u = Field.zeros(cfg.grid) if cfg.initial is None else cfg.initial
-    traj = Trajectory()
-    traj.record(0.0, u)
+    record(0.0, u)
     n_steps = int(round(cfg.horizon / cfg.dt))
     for i in range(n_steps):
         u = step_u(u, cfg, stream, time=i * cfg.dt)
         if (i + 1) % cfg.snapshot_stride == 0 or i == n_steps - 1:
-            traj.record((i + 1) * cfg.dt, u)
-    return traj
+            record((i + 1) * cfg.dt, u)
 
 
 # ---------------------------------------------------------------------------
@@ -524,6 +501,41 @@ def comparison_test(times, values, lam: float, c: float) -> ComparisonResult:
 # ---------------------------------------------------------------------------
 
 
+class Diagnostics:
+    """The diagnostics of a trajectory, taken one snapshot at a time in time
+    order.  row(t, u) gives (t, ||u||_L2, ||u||_L8, the B^{-0.55}_{inf,inf}
+    norm of u, the weighted norm of the snapshots so far), with the Besov
+    norms of u weighed from one split into blocks.  Of each snapshot only
+    t^alpha u.values is kept, for the Holder quotients of later ones."""
+
+    def __init__(self, alpha: float = 0.5, beta: float = 0.25):
+        self.alpha = alpha
+        self.beta = beta
+        self.times: list[float] = []
+        self._weighted: list[np.ndarray] = []
+        self._sup_besov = None
+        self._sup_holder = 0.0
+
+    def row(self, t: float, u: Field) -> tuple:
+        """Take the snapshot (t, u), after every earlier one, and return its
+        row; the weighted norm is NaN while no time is positive."""
+        if self.times and t <= self.times[-1]:
+            raise ValueError("snapshot times must be strictly increasing")
+        sups = block_norms(u)
+        if t > 0:
+            term = (t**self.alpha) * weigh_blocks(sups, self.beta)
+            self._sup_besov = term if self._sup_besov is None else max(self._sup_besov, term)
+        w = t**self.alpha * u.values
+        for s, ws in zip(self.times, self._weighted):
+            gap = (t - s) ** (self.beta / 2.0)
+            diff = float(np.abs(w - ws).max())
+            self._sup_holder = max(self._sup_holder, diff / gap)
+        self.times.append(t)
+        self._weighted.append(w)
+        norm = float("nan") if self._sup_besov is None else max(self._sup_besov, self._sup_holder)
+        return (t, lp_norm(u, 2), lp_norm(u, 8), weigh_blocks(sups, -0.55), norm)
+
+
 def weighted_norm(times, fields, alpha: float, beta: float) -> float:
     """The weighted space norm on a sampled trajectory:
 
@@ -532,6 +544,7 @@ def weighted_norm(times, fields, alpha: float, beta: float) -> float:
 
     Diagnostic only; both sups run over the sampled grid, and the first
     over the positive sample times, of which there must be at least one.
+    The times must be strictly increasing.
     """
     times = list(times)
     fields = list(fields)
@@ -539,33 +552,7 @@ def weighted_norm(times, fields, alpha: float, beta: float) -> float:
         raise ValueError("times and fields must be non-empty and matching")
     if not any(t > 0 for t in times):
         raise ValueError("the weighted norm needs a positive sample time")
-    return running_weighted_norm(times, fields, alpha, beta)[-1]
-
-
-def running_weighted_norm(
-    times, fields, alpha: float, beta: float, block_sups=None
-) -> list[float]:
-    """weighted_norm of every prefix (times[:i+1], fields[:i+1]), in one pass:
-    one Besov norm per sample and the Holder quotients of each new sample
-    against the earlier ones.  A prefix without a positive time gives NaN.
-
-    block_sups, if given, holds the block sup norms of each field (as
-    Trajectory.block_sups does), and the Besov norms are weighed from them
-    instead of splitting the fields again."""
-    sup_besov = None
-    sup_holder = 0.0
-    weighted = []
-    out = []
-    for i, (t, f) in enumerate(zip(times, fields)):
-        if t > 0:
-            sups = block_norms(f) if block_sups is None else block_sups[i]
-            term = (t**alpha) * weigh_blocks(sups, beta)
-            sup_besov = term if sup_besov is None else max(sup_besov, term)
-        w = t**alpha * f.values
-        for s, ws in zip(times, weighted):
-            gap = abs(t - s) ** (beta / 2.0)
-            diff = float(np.abs(w - ws).max())
-            sup_holder = max(sup_holder, diff / gap)
-        weighted.append(w)
-        out.append(float("nan") if sup_besov is None else max(sup_besov, sup_holder))
-    return out
+    acc = Diagnostics(alpha, beta)
+    for t, f in zip(times, fields):
+        norm = acc.row(t, f)[4]
+    return norm

@@ -5,8 +5,8 @@
 
 The set (all at seed 0):
 
-- `simulate_u` on Grid(3, 16): the diagnostics of every snapshot and the
-  last field;
+- `simulate_u` on Grid(3, 16): the `Diagnostics` row of every snapshot as
+  it is taken (the weighted norm left out) and the last field;
 - one `TreeEvolver` snapshot on Grid(3, 16) with resonants and v_ref, all
   ten components;
 - the `coming_down_experiment` norms and fitted constants on Grid(3, 8);
@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from phi4torus.dynamics import SimConfig, coming_down_experiment, simulate_u
+from phi4torus.dynamics import Diagnostics, SimConfig, coming_down_experiment, simulate_u
 from phi4torus.noise import NoiseStream
 from phi4torus.observables import birkhoff_sample, fourth_cumulant, probe_moments
 from phi4torus.spectral import Grid
@@ -44,11 +44,15 @@ FIELDS = ("simulate.last",) + tuple(
 def compute() -> dict[str, np.ndarray]:
     """Every golden entry, computed by the present program."""
     out = {}
-    traj = simulate_u(SimConfig(n=16, r=0.05, dt=0.01, horizon=0.5, snapshot_stride=10))
-    out["simulate.times"] = np.array(traj.times)
-    for key, series in traj.diagnostics.items():
+    diagnostics, rows = Diagnostics(), []
+
+    def record(t, u):
+        rows.append(diagnostics.row(t, u))
+        out["simulate.last"] = u.values
+
+    simulate_u(SimConfig(n=16, r=0.05, dt=0.01, horizon=0.5, snapshot_stride=10), record)
+    for key, series in zip(("times", "L2", "L8", "besov_proxy"), zip(*rows)):
         out[f"simulate.{key}"] = np.array(series)
-    out["simulate.last"] = traj.snapshots[-1].values
 
     ev = TreeEvolver(Grid(dim=3, n=16), 0.05, NoiseStream(0), track_vref=True)
     ev.burn_in(1.0, 0.05)

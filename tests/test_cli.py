@@ -81,7 +81,7 @@ class TestPlumbing:
         assert manifest["outputs"] == {}
 
     def test_failed_run_writes_manifest(self, runner, tmp_path, monkeypatch):
-        def broken(cfg):
+        def broken(cfg, record):
             raise RuntimeError("integrator broke")
 
         monkeypatch.setattr("phi4torus.cli.simulate_u", broken)
@@ -115,7 +115,7 @@ class TestPlumbing:
     def test_blow_up_refused(self, runner, tmp_path, monkeypatch):
         error = BlowUpError(0.25, 3e8, 1e8)
 
-        def blows_up(cfg):
+        def blows_up(cfg, record):
             raise error
 
         monkeypatch.setattr("phi4torus.cli.simulate_u", blows_up)
@@ -126,6 +126,33 @@ class TestPlumbing:
         assert manifest["status"] == "refused"
         assert manifest["message"] == str(error)
         assert manifest["message"].startswith("blow-up at t=0.25")
+
+    def test_simulate_blow_up_keeps_the_checkpoints_written(self, runner, tmp_path,
+                                                            monkeypatch):
+        """A blow-up after two snapshots refuses the run with its own text;
+        their checkpoints stay listed, and diagnostics.csv is deleted."""
+        error = BlowUpError(0.15, 3e8, 1e8)
+        calls = []
+
+        def blows_up(u, *args, **kwargs):
+            calls.append(None)
+            if len(calls) > 2:  # snapshots at t = 0 and after two steps
+                raise error
+            return step_u(u, *args, **kwargs)
+
+        monkeypatch.setattr("phi4torus.dynamics.step_u", blows_up)
+        res = runner.invoke(main, ["simulate", *FAST, "--output-dir", str(tmp_path)])
+        assert res.exit_code == 4
+        assert isinstance(res.exception, SystemExit)
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["status"] == "refused"
+        assert manifest["message"] == str(error)
+        want = ["u_t0.000000.field", "u_t0.100000.field"]
+        assert list(manifest["outputs"]) == want
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(want + ["manifest.json"])
+        for name in want:
+            digest = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            assert manifest["outputs"][name] == digest
 
     @pytest.mark.parametrize("sub", ["cumulant", "sample"])
     def test_sampling_blow_up_refused(self, runner, tmp_path, monkeypatch, sub):

@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from scipy.integrate import solve_ivp
 
 from phi4torus.dynamics import (
     BlowUpError,
+    Diagnostics,
     SimConfig,
     assemble_z,
     cole_hopf,
@@ -13,7 +15,6 @@ from phi4torus.dynamics import (
     comparison_test,
     counterterm,
     rough_initial_field,
-    running_weighted_norm,
     simulate_u,
     step_u,
     step_v,
@@ -111,44 +112,87 @@ class TestStepU:
         np.testing.assert_allclose(a.values, b.values, atol=1e-14)
 
 
+def snapshots(cfg):
+    """The (t, u) pairs simulate_u passes to its record callback."""
+    taken = []
+    simulate_u(cfg, lambda t, u: taken.append((t, u)))
+    return taken
+
+
 class TestSimulateU:
     def test_trajectory_structure(self):
         cfg = make_cfg(horizon=0.2, snapshot_stride=5)
-        traj = simulate_u(cfg)
-        assert traj.times[0] == 0.0
-        assert traj.times[-1] == pytest.approx(0.2)
-        for key in ("L2", "L8", "besov_proxy"):
-            assert len(traj.diagnostics[key]) == len(traj.times)
+        diagnostics = Diagnostics()
+        rows = []
+        assert simulate_u(cfg, lambda t, u: rows.append(diagnostics.row(t, u))) is None
+        times = [row[0] for row in rows]
+        assert times == [0.0, 5 * cfg.dt, 10 * cfg.dt, 15 * cfg.dt, 20 * cfg.dt]
+        assert times[-1] == pytest.approx(0.2)
+        assert diagnostics.times == times
+        assert all(len(row) == 5 for row in rows)
+        assert math.isnan(rows[0][4]) and all(np.isfinite(row[4]) for row in rows[1:])
 
-    def test_block_sups_weigh_to_both_besov_norms(self):
-        """The block sup norms kept per snapshot give the same Besov norms as
-        splitting the snapshot again, bit for bit."""
-        traj = simulate_u(make_cfg(horizon=0.05, snapshot_stride=1))
-        assert traj.diagnostics["besov_proxy"] == [
-            besov_norm(u, -0.55) for u in traj.snapshots
+    def test_block_norms_run_once_per_snapshot(self, monkeypatch):
+        """A row splits its snapshot into blocks once, and the Besov proxy
+        and the weighted norm weighed from those blocks equal the ones of a
+        fresh split, bit for bit."""
+        import phi4torus.dynamics as dynamics
+
+        calls = []
+
+        def counted(f, *args):
+            calls.append(f)
+            return block_norms(f, *args)
+
+        block_norms = dynamics.block_norms
+        monkeypatch.setattr(dynamics, "block_norms", counted)
+        diagnostics = Diagnostics()
+        taken, rows = [], []
+
+        def record(t, u):
+            taken.append((t, u))
+            rows.append(diagnostics.row(t, u))
+
+        simulate_u(make_cfg(horizon=0.05, snapshot_stride=1), record)
+        assert len(rows) == 6
+        assert [id(f) for f in calls] == [id(u) for _, u in taken]
+        assert [row[3] for row in rows] == [besov_norm(u, -0.55) for _, u in taken]
+        times = [t for t, _ in taken]
+        fields = [u for _, u in taken]
+        assert [row[4] for row in rows[1:]] == [
+            weighted_norm(times[: i + 1], fields[: i + 1], 0.5, 0.25)
+            for i in range(1, len(rows))
         ]
-        shared = running_weighted_norm(traj.times, traj.snapshots, 0.5, 0.25,
-                                       traj.block_sups)
-        fresh = running_weighted_norm(traj.times, traj.snapshots, 0.5, 0.25)
-        assert np.isnan(shared[0]) and shared[1:] == fresh[1:]
+
+    def test_dropped_snapshot_does_not_outlive_the_next_record(self):
+        """simulate_u keeps no snapshot once its record call returns, and
+        neither does the diagnostics accumulator."""
+        diagnostics = Diagnostics()
+        previous = []
+
+        def record(t, u):
+            if previous:
+                assert previous[-1]() is None
+            diagnostics.row(t, u)
+            previous.append(weakref.ref(u))
+
+        simulate_u(make_cfg(horizon=0.1, snapshot_stride=2), record)
+        assert len(previous) == 6
 
     def test_deterministic_given_seed(self):
         cfg = make_cfg(seed=42, stream=3)
-        a = simulate_u(cfg)
-        b = simulate_u(cfg)
-        np.testing.assert_allclose(
-            a.snapshots[-1].values, b.snapshots[-1].values, atol=1e-14
-        )
+        a = snapshots(cfg)
+        b = snapshots(cfg)
+        np.testing.assert_allclose(a[-1][1].values, b[-1][1].values, atol=1e-14)
 
     def test_initial_options(self):
         grid = make_cfg().grid
-        assert not np.any(simulate_u(make_cfg()).snapshots[0].values)
+        assert not np.any(snapshots(make_cfg())[0][1].values)
         f = Field.constant(grid, 0.5)
-        traj = simulate_u(make_cfg(initial=f))
-        assert traj.snapshots[0].values[0, 0, 0] == 0.5
+        assert snapshots(make_cfg(initial=f))[0][1].values[0, 0, 0] == 0.5
         rough = rough_initial_field(grid, 2.0, NoiseStream(3))
-        traj2 = simulate_u(make_cfg(initial=rough))
-        assert besov_norm(traj2.snapshots[0], -0.55) == pytest.approx(2.0, rel=1e-9)
+        first = snapshots(make_cfg(initial=rough))[0][1]
+        assert besov_norm(first, -0.55) == pytest.approx(2.0, rel=1e-9)
 
 
 class TestRoughInitial:
@@ -363,8 +407,8 @@ class TestWeightedNorm:
         assert got == pytest.approx(40.0, rel=1e-9)
 
     def test_running_norm_equals_every_prefix(self):
-        """The one-pass prefix values equal the all-pairs definition applied
-        to each prefix, bit for bit."""
+        """The accumulator's weighted norm after each snapshot equals the
+        all-pairs definition applied to each prefix, bit for bit."""
         grid = Grid(dim=2, n=8)
         rng = np.random.default_rng(9)
         times = [0.0, 0.1, 0.25, 0.3, 0.7]
@@ -381,10 +425,22 @@ class TestWeightedNorm:
                     sup_holder = max(sup_holder, diff / abs(ts[j] - ts[i]) ** (beta / 2.0))
             return max(sup_besov, sup_holder)
 
-        got = running_weighted_norm(times, fields, alpha, beta)
+        diagnostics = Diagnostics(alpha, beta)
+        got = [diagnostics.row(t, f)[4] for t, f in zip(times, fields)]
         assert np.isnan(got[0])
         assert got[1:] == [all_pairs(times[: i + 1], fields[: i + 1])
                            for i in range(1, len(times))]
         assert weighted_norm(times, fields, alpha, beta) == got[-1]
         with pytest.raises(ValueError):
             weighted_norm([0.0], fields[:1], alpha, beta)
+
+    @pytest.mark.parametrize("times", [[0.5, 0.5], [0.5, 0.25]], ids=["repeated", "earlier"])
+    def test_time_not_after_the_previous_refused(self, times):
+        grid = Grid(dim=1, n=8)
+        fields = [Field.constant(grid, 1.0), Field.constant(grid, 2.0)]
+        with pytest.raises(ValueError, match="strictly increasing"):
+            weighted_norm(times, fields, 0.5, 0.25)
+        diagnostics = Diagnostics()
+        diagnostics.row(times[0], fields[0])
+        with pytest.raises(ValueError, match="strictly increasing"):
+            diagnostics.row(times[1], fields[1])
