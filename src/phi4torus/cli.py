@@ -333,8 +333,9 @@ def trees(burn_in, snapshots, sweep, **params):
                 NoiseStream(cfg.seed, cfg.stream), cfg.grid, cfg.r,
                 burn_in=burn_in, dt=cfg.dt, n_snapshots=snapshots, track_vref=True,
             )
-            for i, snap in enumerate(snaps):
-                for name, f in snap.components().items():
+            # no name holds a written slice while the next one is built
+            for i in range(snapshots):
+                for name, f in next(snaps).components().items():
                     manifest.write_field(outdir / f"tree_{name}_{i}.field", f)
             click.echo(f"wrote {len(manifest.outputs)} component fields")
 

@@ -505,16 +505,26 @@ class Diagnostics:
     """The diagnostics of a trajectory, taken one snapshot at a time in time
     order.  row(t, u) gives (t, ||u||_L2, ||u||_L8, the B^{-0.55}_{inf,inf}
     norm of u, the weighted norm of the snapshots so far), with the Besov
-    norms of u weighed from one split into blocks.  Of each snapshot only
-    t^alpha u.values is kept, for the Holder quotients of later ones."""
+    norms of u weighed from one split into blocks.  Of each snapshot
+    t^alpha u.values and its sup m are kept, for the Holder quotients of
+    later ones.
+
+    A pair (s, t) is compared only when (m_s + m_t) / (t - s)^{beta/2}
+    exceeds the running sup of the quotients: otherwise its quotient cannot
+    raise it, also in floating point, since |a - b| <= |a| + |b| and
+    rounding is monotone, so the sup is the same to the bit.  `compared`
+    counts the pairs compared.  Every snapshot's array is still kept: no
+    bound on the snapshots still to come allows dropping one exactly."""
 
     def __init__(self, alpha: float = 0.5, beta: float = 0.25):
         self.alpha = alpha
         self.beta = beta
         self.times: list[float] = []
         self._weighted: list[np.ndarray] = []
+        self._sups: list[float] = []
         self._sup_besov = None
         self._sup_holder = 0.0
+        self.compared = 0
 
     def row(self, t: float, u: Field) -> tuple:
         """Take the snapshot (t, u), after every earlier one, and return its
@@ -526,12 +536,17 @@ class Diagnostics:
             term = (t**self.alpha) * weigh_blocks(sups, self.beta)
             self._sup_besov = term if self._sup_besov is None else max(self._sup_besov, term)
         w = t**self.alpha * u.values
-        for s, ws in zip(self.times, self._weighted):
+        m = float(np.abs(w).max())
+        for s, ws, ms in zip(self.times, self._weighted, self._sups):
             gap = (t - s) ** (self.beta / 2.0)
+            if (m + ms) / gap <= self._sup_holder:
+                continue
+            self.compared += 1
             diff = float(np.abs(w - ws).max())
             self._sup_holder = max(self._sup_holder, diff / gap)
         self.times.append(t)
         self._weighted.append(w)
+        self._sups.append(m)
         norm = float("nan") if self._sup_besov is None else max(self._sup_besov, self._sup_holder)
         return (t, lp_norm(u, 2), lp_norm(u, 8), weigh_blocks(sups, -0.55), norm)
 

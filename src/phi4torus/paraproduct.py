@@ -17,9 +17,13 @@ Paraproducts follow the standard frequency sorting
     a o b  = sum_{|j-k| <= 1} Delta_j a Delta_k b     (resonant)
     a > b  = sum_{k < j-1} Delta_j a Delta_k b        (high-low)
 
-and a<b + a o b + a>b = a b exactly; all pairwise block products are
+and a<b + a o b + a>b = a b exactly.  The block products of a<b and a>b are
 dealiased on the product grid of two-factor products, consistently with the
-plain product.  The sums run over the levels that hold a mode.
+plain product.  Those of a o b are formed one level at a time, each on the
+smallest alias-free grid for its bands, and added in coefficient space
+(`resonants`): a level's factors reach far less than N/2 below the top
+levels, and their product grids hold about half the points of the
+two-factor grid.  The sums run over the levels that hold a mode.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import Field, Grid, dealiased_sums, half_cube, lp_norm
+from .spectral import Band, Field, Grid, dealiased_sums, half_cube, lp_norm
 
 __all__ = [
     "resonants",
@@ -72,23 +76,26 @@ def product_decomposition(a: Field, b: Field) -> tuple[Field, Field, Field]:
 
 def resonants(*pairs) -> list[Field]:
     """[a o b for a, b in pairs], where
-    a o b = sum_k Delta_k a (Delta_{k-1} b + Delta_k b + Delta_{k+1} b).
-    The sum runs over the levels k that hold a mode.  Each distinct left
-    factor is split into blocks once and each distinct right factor into
-    near-diagonal sums once, and each distinct block and sum is padded once
-    across all the products."""
-    blocks, nears = {}, {}
-    sums = []
-    for a, b in pairs:
-        if a.grid != b.grid:
-            raise ValueError("fields live on different grids")
-        levels = _held_levels(a.grid)
-        if id(a) not in blocks:
-            blocks[id(a)] = [_band(a, k, k) for k in levels]
-        if id(b) not in nears:
-            nears[id(b)] = [_band(b, k - 1, k + 1) for k in levels]
-        sums.append(zip(blocks[id(a)], nears[id(b)]))
-    return dealiased_sums(*sums)
+    a o b = sum_k Delta_k a (Delta_{k-1} b + Delta_k b + Delta_{k+1} b),
+    formed one level k at a time.  The sum runs over the levels that hold
+    a mode.  A level's products run on the smallest alias-free grid for
+    its bands (`spectral.Band`): 5, 15, 25, 45, 50 and 50 points per axis
+    for the six levels at N = 32.  Each is truncated on its own, and the
+    levels are added in coefficient space.  At each level every distinct
+    block of a left factor and near sum of a right factor is padded once,
+    straight from the factor's coefficients, across all the products, and
+    its buffer is released after its last use; a level holds at most
+    three buffers at once, as many as a tree step."""
+    if not pairs:
+        raise ValueError("no sums to form")
+    # each level's dealiased_sums refuses fields of different grids
+    grid = pairs[0][0].grid
+    totals = [np.zeros(half_cube(grid).shape, complex) for _ in pairs]
+    for k in _held_levels(grid):
+        level = dealiased_sums(*[[(Band(a, k, k), Band(b, k - 1, k + 1))] for a, b in pairs])
+        for total, f in zip(totals, level):
+            total += f.half
+    return [Field.from_half(grid, total) for total in totals]
 
 
 def block_norms(f: Field, p: float = np.inf) -> list[float]:

@@ -54,72 +54,88 @@ integrators set up their coefficients once per step size (Cox & Matthews
 a stiff substep takes a dt of its own, and a `comedown` run at N = 16,
 dt = 0.004 makes 1 943 Duhamel steps with 83 distinct dt, 81 used once.
 
-Dealiasing.  Products are formed on a product grid of M > N points per
-axis: each distinct factor is zero-padded once, the factors are multiplied
+Dealiasing.  Products are formed on a product grid of M points per axis:
+each distinct factor is zero-padded once, the factors are multiplied
 pointwise, a sum of products is added up there, and the result is truncated
-back to N.  Factors band-limited to N/2 per axis, Nyquist planes included,
-give a product truncated to N/2 that is alias-free on any M >= 3N/2 + 1 for
-two factors and M >= 2N + 1 for three (the 3/2 rule: Orszag 1971, J. Atmos.
-Sci. 28:1074): a kept mode takes aliases only from M - N/2 away, past the
-reach of the product.  A call whose terms all have at most two factors runs
-on the smallest 5-smooth M >= 3N/2 + 1, odd or even, at most 2N
-(`_product_size`: 15, 25, 50 and 100 at N = 8, 16, 32 and 64, and 2N at
-N <= 4); FFTs of 5-smooth sizes are fast, and 98^3 took longer than 100^3.
-An odd M has no Nyquist plane of its own: column N/2 of its half-cube is an
-ordinary column, and row N/2 an ordinary row.  A call with a three-factor
-term runs on 2N: the cube, and X padded once for both W2 and W3.  Three
-factors would need 2N + 1, and on 2N the modes +-3N/2 of a cube fold onto
-its Nyquist planes; nothing else aliases.  Two-factor products on M agree
-with those on 2N to rounding, while at M = 3N/2 the square of 3-d white
-noise at N = 16 would move by about 3% of its sup norm.
+back to N.  A factor's reach K is the largest |k_a| of its modes: N/2 for a
+field, less for a `Band` of its low levels.  Factors of reaches K1 and K2
+give a product that, kept to the modes |k_a| <= K3, is alias-free on any
+M >= K1 + K2 + K3 + 1: a kept mode takes aliases only from M - K3 away,
+past the reach of the product.  For two fields of the grid that is the 3/2
+rule, M >= 3N/2 + 1 (Orszag 1971, J. Atmos. Sci. 28:1074); band-limited
+factors need less (Bahouri, Chemin & Danchin 2011, ch. 2).  A call whose
+terms all have at most two factors runs on the smallest 5-smooth
+M >= R + min(R, N/2) + 1, odd or even, for R the largest reach of a term,
+the sum of its factors' reaches, and keeps each sum to min(R, N/2) of its
+own terms (`_product_size`).  Two fields give 15, 25, 50 and 100 at N = 8,
+16, 32 and 64, and 2N at N <= 4; the levels of a resonant product give 5,
+15, 25, 45, 50 and 50 at N = 32 (`paraproduct.resonants`).  FFTs of
+5-smooth sizes are fast, and 98^3 took longer than 100^3.  An odd M has no
+Nyquist plane of its own: column N/2 of its half-cube is an ordinary
+column, and row N/2 an ordinary row.  A call with a three-factor term runs
+on 2N: the cube, and X padded once for both W2 and W3.  Three factors would
+need 2N + 1, and on 2N the modes +-3N/2 of a cube fold onto its Nyquist
+planes; nothing else aliases.  Two-factor products on M agree with those on
+2N to rounding, while at M = 3N/2 the square of 3-d white noise at N = 16
+would move by about 3% of its sup norm.
 
-Pruned transforms.  The padded M half-cube is zero outside its first N/2 + 1
-columns and, along each leading axis, outside the N + 1 rows of the
-frequencies -N/2 .. N/2, so the M transforms skip the zero rows (FFT
-pruning: Markel 1971, IEEE Trans. Audio Electroacoust. 19:305; Frigo &
-Johnson 2005, Proc. IEEE 93:216).  A pad fills the M half-cube, runs one
-complex pass per leading axis, first to last, each over the nonzero columns
-and only the nonzero rows of the leading axes not yet transformed, and ends
-with one real pass over the last axis.  A truncation runs the real pass over
-the last axis, then the same complex passes in reverse, and reads the
-retained rows.  Every complex pass runs on a view of the half-cube, in
-place; in 3-d the pass over the first axis takes two calls, one per block
-of nonzero rows of the second axis.  Working in place allocates no more
-than the full transforms did, which counts: a fresh 2 MB array that glibc
-has just returned to the kernel is faulted in page by page as it is
-written.  The results equal the full transforms of the padded
-half-cube, pads to the bit and truncations to rounding.  Where the
-coefficients go is one index table per grid and M (`_pad_plan`): a pad
-scatters them into the M half-cube and a truncation gathers them back.  The
-CHANGES.md entries "Pruned 2N transforms" and "One reused 2N workspace" give
-the timings and page-fault counts.
+Pruned transforms.  A padded M half-cube is zero outside its first K + 1
+columns and, along each leading axis, outside the 2K + 1 rows of the
+frequencies -K .. K, for K the reach of the padded factor, so the M
+transforms skip the zero rows (FFT pruning: Markel 1971, IEEE Trans. Audio
+Electroacoust. 19:305; Frigo & Johnson 2005, Proc. IEEE 93:216).  A pad
+fills the M half-cube, runs one complex pass per leading axis, first to
+last, each over the nonzero columns and only the nonzero rows of the
+leading axes not yet transformed, and ends with one real pass over the
+last axis.  A truncation to the reach K runs the real pass over the last
+axis, then the same complex passes in reverse, and reads the retained
+rows.  Every complex pass runs on a view of the half-cube, in place; in
+3-d the pass over the first axis takes two calls, one per block of nonzero
+rows of the second axis.  Working in place allocates no more than the full
+transforms did, which counts: a fresh 2 MB array that glibc has just
+returned to the kernel is faulted in page by page as it is written.  The
+results equal the full transforms of the padded half-cube, pads to the bit
+and truncations to rounding.  Where the coefficients go is one index table
+per grid, M and K (`_pad_plan`): a pad scatters the modes |k_a| <= K into
+the M half-cube, a Band's straight from its field's coefficients, and a
+truncation gathers them back.  Only K = N/2 holds Nyquist modes.  The
+CHANGES.md entries "Pruned 2N transforms" and "One reused 2N workspace"
+give the timings and page-fault counts.
 
 Workspace.  The arrays of the product grids therefore live in buffers that
 this module keeps and reuses (the preallocated workspace of FFT libraries,
-Frigo & Johnson 2005).  A buffer is a flat complex array the size of an M
-half-cube, viewed as that half-cube or as the real M values (its
+Frigo & Johnson 2005).  A buffer is a flat complex array at least the size
+of an M half-cube, viewed as that half-cube or as the real M values (its
 M^{d-1} (M//2 + 1) complex slots hold M^d floats, for odd M too), so one
-buffer serves a pad's spectrum, then a product or a sum, then a truncation's
-spectrum.  The real passes write into a buffer through numpy.fft's `out=`;
-products multiply and sums add in place.  A buffer goes back on a free list,
-one per M shape, after its last use, and a truncation gathers the kept modes
-into a fresh N half-cube, so no field holds a buffer.  A list grows only
-when no buffer of its shape is free, so it holds at most as many as were in
-use at once: 2 for `cubic`, 3 on 2N and 3 on M for a tree step, 6 on M
-for a snapshot with resonants, which at N = 64 keep 49 MB (102 MB on 2N).
-The free lists hold the product grids of one N grid at a time, both its 2N
-and its M: a tree step forms the Wick powers on 2N and the v_ref drift on M
-and reuses the buffers of both.  A product on another N grid drops every list, so moving
-to another grid releases the buffers of the old one, and a run on one grid
-allocates none after its first products.  The free lists are module state:
-threads must not compute products at once.
+buffer serves a pad's spectrum, then a product or a sum, then a
+truncation's spectrum.  The real passes write into a buffer through
+numpy.fft's `out=`; products multiply and sums add in place, and a product
+goes into the buffer of a factor at that factor's last use, when only the
+first multiplication reads it (the same bits).  A buffer goes back after
+its last use on one free list, kept in increasing size, and a take gets
+the smallest free buffer that holds its half-cube, so the buffers of one
+grid serve every smaller one.  A truncation gathers the kept modes into a
+fresh N half-cube, so no field holds a buffer.  Only a take that no free
+buffer holds allocates one, and it drops the largest free one, so the list
+holds at most as many buffers as were in use at once: 2 for `cubic`, 3 for
+a tree step and 3 for a snapshot with resonants.  A tree step forms the
+Wick powers on 2N and the v_ref drift on M in the same three 2N buffers,
+and a snapshot's products, every level of its resonant products included,
+run in them too and allocate none: 6.5 MB at N = 32 and 51 MB at N = 64.
+The free list holds the buffers of one N grid at a time.  A product on
+another N grid drops them, so moving to another grid releases the buffers
+of the old one, and a run on one grid allocates none after its first
+products.  The free list is module state: threads must not compute
+products at once.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import math
+import operator
 import struct
 from collections import Counter
 from dataclasses import dataclass
@@ -137,6 +153,7 @@ __all__ = [
     "cubic",
     "dealiased_product",
     "dealiased_sums",
+    "Band",
     "gradient",
     "grad_dot",
     "lp_norm",
@@ -500,14 +517,16 @@ def duhamel_step(u: Field, nonlinearity: Field, dt: float) -> Field:
     return Field.from_half(u.grid, decay * u.half + weight * nonlinearity.half)
 
 
-def _product_size(n: int, factors: int) -> int:
-    """Points per axis of the grid on which products of up to `factors`
-    fields of an N grid are formed ("Dealiasing"): 2N for three factors,
-    and for two the smallest 5-smooth M >= 3N/2 + 1, odd or even, which is
-    at most 2N since N is a power of two."""
+def _product_size(n: int, reach: int, factors: int) -> int:
+    """Points per axis of the grid on which products of fields of an N grid
+    are formed ("Dealiasing"): 2N when a term has three factors; otherwise
+    the smallest 5-smooth M >= R + min(R, N/2) + 1, odd or even, for R the
+    largest reach of a term, the sum of its factors' reaches (`Band`).  Two
+    fields of the grid give R = N and M >= 3N/2 + 1, which is at most 2N
+    since N is a power of two."""
     if factors > 2:
         return 2 * n
-    m = 3 * n // 2 + 1
+    m = reach + min(reach, n // 2) + 1
     while not _five_smooth(m):
         m += 1
     return m
@@ -520,24 +539,63 @@ def _five_smooth(m: int) -> bool:
     return m == 1
 
 
-class _PadPlan(NamedTuple):
-    """Where each coefficient of a grid's half-cube goes in the half-cube of
-    its refinement to M points per axis (M > 3N/2, odd or even), as flat
-    indices, and the passes of the pruned M transforms.
+class Band(NamedTuple):
+    """Delta_lo f + ... + Delta_hi f: the modes of `field` whose
+    Littlewood-Paley level (`HalfCube.levels`) lies in lo..hi, as a factor
+    of `dealiased_sums`.  A pad places these modes straight from the
+    field's coefficients, so the band is never built as a field of its
+    own, and its reach sizes the product grid."""
 
-    image : the M index of each N mode, in flat order: its image with every
-        Nyquist component at -N/2, except on the plane of last-axis Nyquist
-        modes, whose only image in the M half-cube has them all at +N/2
-        (the -N/2 one is the conjugate of a mirrored slot).
+    field: Field
+    lo: int
+    hi: int
+
+
+@functools.cache
+def _band_reach(grid: Grid, lo: int, hi: int) -> int:
+    """The largest |k_a| over the axes a and the modes of levels lo..hi:
+    the modes of the band lie in the cube |k_a| <= reach."""
+    levels = half_cube(grid).levels
+    index = np.indices(levels.shape)
+    reach = np.minimum(index, grid.n - index).max(axis=0)
+    return int(reach[(lo <= levels) & (levels <= hi)].max(initial=0))
+
+
+def _field(factor) -> Field:
+    """The field of a factor of `dealiased_sums`: itself or its Band's."""
+    return factor.field if isinstance(factor, Band) else factor
+
+
+def _reach(factor) -> int:
+    """The reach of a factor: N/2 for a field, that of its band for a Band."""
+    if isinstance(factor, Band):
+        return _band_reach(factor.field.grid, factor.lo, factor.hi)
+    return factor.grid.n // 2
+
+
+class _PadPlan(NamedTuple):
+    """Where the modes |k_a| <= K of a grid's half-cube go in the half-cube
+    of M points per axis (M >= 2K + 1, odd or even), as flat indices, and
+    the passes of the pruned M transforms.  K is the reach of the band
+    that a pad places or a truncation keeps; only K = N/2 holds Nyquist
+    modes, so only then are they split.
+
+    source : the N modes placed, in flat order: a slice of all of them for
+        K = N/2, else their flat indices.
+    levels : the Littlewood-Paley level of each source mode.
+    image : the M index of each source mode: its image with every Nyquist
+        component at -N/2, except on the plane of last-axis Nyquist modes,
+        whose only image in the M half-cube has them all at +N/2 (the -N/2
+        one is the conjugate of a mirrored slot).
     halved : the images of the modes with a Nyquist component, which get
         half of the coefficient.
-    paired, twin : the N modes with a Nyquist component off that plane, and
-        their second image, every Nyquist component at +N/2.
-    edge, mirror : the N modes on that plane, and the N mode -k of each.
+    paired, twin : the source modes with a Nyquist component off that
+        plane, and their second image, every Nyquist component at +N/2.
+    edge, mirror : the source modes on that plane, and the mode -k of each.
     passes : the complex passes of a pruned inverse M transform, in order,
         as (axis, index of the view to transform): one per leading axis,
-        first to last, over the nonzero columns and only the nonzero rows of
-        the leading axes not yet transformed.  Those rows form two blocks per
+        first to last, over the columns 0..K and only the rows -K..K of the
+        leading axes not yet transformed.  Those rows form two blocks per
         axis, so a pass takes one view per combination of blocks.  A pruned
         forward transform runs the same passes in reverse.
     """
@@ -545,6 +603,8 @@ class _PadPlan(NamedTuple):
     grid_shape: tuple[int, ...]  # the N grid
     shape: tuple[int, ...]  # the M grid
     half_shape: tuple[int, ...]  # its half-cube
+    source: slice | np.ndarray
+    levels: np.ndarray
     image: np.ndarray
     halved: np.ndarray
     paired: np.ndarray
@@ -555,14 +615,20 @@ class _PadPlan(NamedTuple):
 
 
 @functools.cache
-def _pad_plan(grid: Grid, m: int) -> _PadPlan:
+def _pad_plan(grid: Grid, m: int, reach: int) -> _PadPlan:
     n, dim = grid.n, grid.dim
     h = n // 2
+    if not 0 <= reach <= h or m < 2 * reach + 1:
+        raise ValueError(f"no plan for reach {reach} on {m} points from N = {n}")
     shape = half_cube(grid).shape
     big = (m,) * (dim - 1) + (m // 2 + 1,)  # the M half-cube
     index = np.indices(shape).reshape(dim, -1)
+    source = slice(None)
+    if reach < h:
+        source = np.flatnonzero(np.minimum(index, n - index).max(axis=0) <= reach)
+    index = index[:, source]
     lead, col = index[:-1], index[-1]
-    # the M rows of frequencies -N/2 .. N/2, with row N/2 at -N/2 or +N/2
+    # the M rows of frequencies -K .. K, with row N/2 at -N/2 or +N/2
     minus = np.where(lead < h, lead, lead + (m - n))
     plus = np.where(lead <= h, lead, lead + (m - n))
     edge = col == h
@@ -570,72 +636,89 @@ def _pad_plan(grid: Grid, m: int) -> _PadPlan:
     image = np.ravel_multi_index((*np.where(edge, plus, minus), col), big)
     paired = nyquist & ~edge
     twin = np.ravel_multi_index((*plus, col), big)[paired]
+    # on that plane (K = N/2) the source modes are all the modes, in flat order
     mirror = np.ravel_multi_index((*(-lead % n), col), shape)[edge]
-    rows = (slice(0, h + 1), slice(m - h, m))
+    # rows 0..K and -K..-1; the lone mode 0 (K = 0) has one block
+    rows = (slice(0, reach + 1), slice(m - reach, m)) if reach else (slice(0, 1),)
     passes = tuple(
-        (axis, (slice(None),) * (axis + 1) + block + (slice(0, h + 1),))
+        (axis, (slice(None),) * (axis + 1) + block + (slice(0, reach + 1),))
         for axis in range(dim - 1)
         for block in itertools.product(rows, repeat=dim - 2 - axis)
     )
-    return _PadPlan(grid.shape, (m,) * dim, big, image, image[nyquist],
+    levels = half_cube(grid).levels.reshape(-1)[source]
+    return _PadPlan(grid.shape, (m,) * dim, big, source, levels, image, image[nyquist],
                     np.flatnonzero(paired), twin, np.flatnonzero(edge), mirror, passes)
 
 
-# the free buffers of the product grids of the N grid used last, one list
-# per shape ("Workspace" in the module docstring), and that N grid's shape
-_FREE: dict[tuple[int, ...], list[np.ndarray]] = {}
+# the free buffers of the product grids of the N grid used last, in
+# increasing size ("Workspace" in the module docstring), and that N grid's
+# shape
+_FREE: list[np.ndarray] = []
 _FREE_GRID = None
 
 
 def _take(plan: _PadPlan, view: str) -> np.ndarray:
-    """A free M buffer, as the M half-cube ("half") or the real M values
-    ("real"), its content undefined; a new one only if none is free, so
-    that a free list never holds more buffers than were in use at once.
-    The buffers of the product grids of another N grid are dropped."""
+    """The smallest free buffer that holds an M half-cube, as that
+    half-cube ("half") or as the real M values ("real"), its content
+    undefined.  Only when no free buffer holds it is one allocated, and
+    then the largest free one, too small, is dropped, so that the list
+    never holds more buffers than were in use at once.  The buffers of the
+    product grids of another N grid are dropped."""
     global _FREE_GRID
     if plan.grid_shape != _FREE_GRID:
         _FREE.clear()
         _FREE_GRID = plan.grid_shape
-    free = _FREE.setdefault(plan.shape, [])
-    buf = free.pop() if free else np.empty(math.prod(plan.half_shape), complex)
+    size = math.prod(plan.half_shape)
+    for i, buf in enumerate(_FREE):
+        if buf.size >= size:
+            del _FREE[i]
+            break
+    else:
+        if _FREE:
+            _FREE.pop()
+        buf = np.empty(size, complex)
     if view == "half":
-        return buf.reshape(plan.half_shape)
+        return buf[:size].reshape(plan.half_shape)
     return buf.view(np.float64)[: math.prod(plan.shape)].reshape(plan.shape)
 
 
-def _give(plan: _PadPlan, a: np.ndarray) -> None:
+def _give(a: np.ndarray) -> None:
     """Hand back the buffer that a, a view from `_take`, lies in.  Nothing
     may read a afterwards."""
-    _FREE[plan.shape].append(a.base)
+    bisect.insort(_FREE, a.base, key=operator.attrgetter("size"))
 
 
-def _padded_values(f: Field, plan: _PadPlan) -> np.ndarray:
-    """Values of f on the M grid: its coefficients zero-padded, with each
+def _padded_values(factor, plan: _PadPlan) -> np.ndarray:
+    """Values on the M grid of a field, or of a Band of one: the modes of
+    `plan.source` (those of the band, for a Band) zero-padded, with each
     Nyquist coefficient split evenly between its two images.  The complex
     passes of the inverse transform skip the zero rows (`plan.passes`) and
     work in place; the real pass over the last axis ends it.  The values
     lie in an M buffer, which the caller hands back (`_give`)."""
+    coeffs = _field(factor).half.reshape(-1)[plan.source]
+    if isinstance(factor, Band):
+        coeffs = np.where((factor.lo <= plan.levels) & (plan.levels <= factor.hi), coeffs, 0)
     out = _take(plan, "half")
     flat = out.reshape(-1)
     flat.fill(0)
-    flat[plan.image] = f.half.reshape(-1)
+    flat[plan.image] = coeffs
     flat[plan.halved] = 0.5 * flat[plan.halved]
     flat[plan.twin] = flat[plan.image[plan.paired]]
     for axis, index in plan.passes:
         rows = out[index]
         _fft("ifft", rows, axis, out=rows)
     vals = _fft("irfft", out, -1, out=_take(plan, "real"))
-    _give(plan, out)
+    _give(out)
     return vals
 
 
 def _truncated_field(grid: Grid, vals: np.ndarray, plan: _PadPlan) -> Field:
-    """The field on `grid` whose coefficients are those of the M values
-    restricted to N, with each Nyquist coefficient the mean of its two
-    images.  After the real pass over the last axis, the complex passes of
-    `plan.passes` run in reverse and in place, computing only the rows that
-    are kept.  The spectrum lies in an M buffer, from which the field's
-    coefficients are gathered."""
+    """The field on `grid` whose coefficients are those of the M values at
+    the modes of `plan.source`, and zero elsewhere, with each Nyquist
+    coefficient the mean of its two images.  After the real pass over the
+    last axis, the complex passes of `plan.passes` run in reverse and in
+    place, computing only the rows that are kept.  The spectrum lies in an
+    M buffer, from which the field's coefficients are gathered."""
     big = _fft("rfft", vals, -1, out=_take(plan, "half"))
     for axis, index in reversed(plan.passes):
         rows = big[index]
@@ -644,16 +727,23 @@ def _truncated_field(grid: Grid, vals: np.ndarray, plan: _PadPlan) -> Field:
     out = flat[plan.image]
     out[plan.paired] = 0.5 * (out[plan.paired] + flat[plan.twin])
     out[plan.edge] = 0.5 * (out[plan.edge] + np.conj(out[plan.mirror]))
-    _give(plan, big)
-    return Field.from_half(grid, out.reshape(half_cube(grid).shape))
+    _give(big)
+    shape = half_cube(grid).shape
+    if isinstance(plan.source, slice):
+        return Field.from_half(grid, out.reshape(shape))
+    half = np.zeros(shape, complex)
+    half.reshape(-1)[plan.source] = out
+    return Field.from_half(grid, half)
 
 
 def dealiased_sums(*sums) -> list[Field]:
     """[sum_i prod_{f in terms[i]} f for terms in sums], each product
     dealiased by zero padding to M points per axis ("Dealiasing"): M = 2N
     when some term has three factors, else the smallest alias-free M for
-    two.  Each sum is added up on the M grid and truncated back once, and
-    each distinct factor is padded once across all the sums."""
+    the reaches of the terms.  A factor is a field or a Band of one.  Each
+    sum is added up on the M grid and truncated back once, to the reach of
+    its largest term or N/2, and each distinct factor is padded once across
+    all the sums."""
     sums = [list(terms) for terms in sums]
     if not sums:
         raise ValueError("no sums to form")
@@ -668,42 +758,54 @@ def dealiased_sums(*sums) -> list[Field]:
     # one round; each sum still adds its terms in order
     order = [(s, i) for i in range(max(map(len, sums)))
              for s, terms in enumerate(sums) if i < len(terms)]
-    fields = [f for s, i in order for f in sums[s][i]]
-    grid = fields[0].grid
-    if any(f.grid != grid for f in fields):
+    factors = [x for s, i in order for x in sums[s][i]]
+    grid = _field(factors[0]).grid
+    if any(_field(x).grid != grid for x in factors):
         raise ValueError("fields live on different grids")
-    plan = _pad_plan(grid, _product_size(grid.n, max(len(t) for terms in sums for t in terms)))
-    # a factor's M buffer goes back after its last use
-    uses = Counter(map(id, fields))
+    # the reach of each distinct factor, and of each sum: that of its
+    # largest term, a sum of factor reaches
+    reach = {x: _reach(x) for x in factors}
+    sum_reach = [max(sum(reach[x] for x in t) for t in terms) for terms in sums]
+    m = _product_size(grid.n, max(sum_reach), max(len(t) for terms in sums for t in terms))
+    # the plans of the pads, and of each sum's truncation to its reach
+    pads = {r: _pad_plan(grid, m, r) for r in set(reach.values())}
+    plans = [_pad_plan(grid, m, min(r, grid.n // 2)) for r in sum_reach]
+    # a factor's M buffer goes back after its last use, or holds the
+    # product of that use
+    uses = Counter(factors)
     padded, totals, out = {}, {}, [None] * len(sums)
     for s, i in order:
-        factors = sums[s][i]
+        term = sums[s][i]
         vals = []
-        for f in factors:
-            if id(f) not in padded:
-                padded[id(f)] = _padded_values(f, plan)
-            vals.append(padded[id(f)])
-            uses[id(f)] -= 1
-        prod = _take(plan, "real")
-        if len(vals) == 1:
-            np.copyto(prod, vals[0])
-        else:
+        for x in term:
+            if x not in padded:
+                padded[x] = _padded_values(x, pads[reach[x]])
+            vals.append(padded[x])
+            uses[x] -= 1
+        spent = [x for x in dict.fromkeys(term) if not uses[x]]
+        # a spent factor that only the first multiplication reads takes
+        # the product into its own buffer: the same bits, one buffer fewer
+        into = next((x for x in spent if x not in term[2:]), None)
+        prod = _take(plans[s], "real") if into is None else padded.pop(into)
+        if len(vals) > 1:
             np.multiply(vals[0], vals[1], out=prod)
+        elif prod is not vals[0]:
+            np.copyto(prod, vals[0])
         for v in vals[2:]:
             np.multiply(prod, v, out=prod)
         # only now, once the product no longer reads them
-        for key in dict.fromkeys(map(id, factors)):
-            if not uses[key]:
-                _give(plan, padded.pop(key))
+        for x in spent:
+            if x is not into:
+                _give(padded.pop(x))
         if i:
             totals[s] += prod
-            _give(plan, prod)
+            _give(prod)
         else:
             totals[s] = prod
         if i + 1 == len(sums[s]):
             total = totals.pop(s)
-            out[s] = _truncated_field(grid, total, plan)
-            _give(plan, total)
+            out[s] = _truncated_field(grid, total, plans[s])
+            _give(total)
     return out
 
 

@@ -235,17 +235,21 @@ def _signed(idx, n):
     return tuple(i - n if i >= n // 2 else i for i in idx)
 
 
-def padded_half_cube(half: np.ndarray, n: int, m: int | None = None) -> np.ndarray:
+def padded_half_cube(half: np.ndarray, n: int, m: int | None = None,
+                     reach: int | None = None) -> np.ndarray:
     """The rfftn half-cube of m points per axis (2N by default) of the N
     half-cube `half` zero-padded, one coefficient at a time: each goes to
     its signed index, and one with a Nyquist component half to its image
     with every Nyquist component at -N/2 and half to the one with every
     Nyquist component at +N/2.  The -N/2 image of a last-axis Nyquist
     coefficient lies in the half of the cube that the half-cube leaves
-    out."""
+    out.  With a reach K, only the modes with every |k_a| <= K are
+    placed."""
     m, h = m or 2 * n, n // 2
     out = np.zeros((m,) * (half.ndim - 1) + (m // 2 + 1,), dtype=complex)
     for idx in np.ndindex(half.shape):
+        if reach is not None and max(map(abs, _signed(idx, n))) > reach:
+            continue
         minus = tuple(k % m for k in _signed(idx, n))
         if h not in idx:
             out[minus] = half[idx]
@@ -256,12 +260,14 @@ def padded_half_cube(half: np.ndarray, n: int, m: int | None = None) -> np.ndarr
     return out
 
 
-def truncated_half_cube(big: np.ndarray, n: int, m: int | None = None) -> np.ndarray:
+def truncated_half_cube(big: np.ndarray, n: int, m: int | None = None,
+                        reach: int | None = None) -> np.ndarray:
     """The N half-cube read from the rfftn half-cube `big` of m points per
     axis (2N by default), one coefficient at a time: each from its signed
     index, and one with a Nyquist component as the mean of its images with
     every Nyquist component at -N/2 and at +N/2.  An image outside the
-    stored half is the conjugate of its mirror image."""
+    stored half is the conjugate of its mirror image.  With a reach K, the
+    modes with some |k_a| > K are zero."""
     m, h = m or 2 * n, n // 2
 
     def read(k):
@@ -272,7 +278,9 @@ def truncated_half_cube(big: np.ndarray, n: int, m: int | None = None) -> np.nda
     out = np.empty((n,) * (big.ndim - 1) + (h + 1,), dtype=complex)
     for idx in np.ndindex(out.shape):
         k = _signed(idx, n)
-        if h not in idx:
+        if reach is not None and max(map(abs, k)) > reach:
+            out[idx] = 0.0
+        elif h not in idx:
             out[idx] = read(k)
         else:
             plus = tuple(h if i == h else ki for i, ki in zip(idx, k))

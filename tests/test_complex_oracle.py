@@ -22,6 +22,7 @@ from phi4torus.spectral import (
     duhamel_step,
     grad_dot,
     gradient,
+    half_cube,
 )
 from phi4torus.trees import TreeEvolver
 
@@ -88,8 +89,21 @@ class TestOperations:
         assert_close(grad_dot(a, b).values, full_grad_dot(a.values, b.values, grid.period))
 
     def test_resonant(self, grid):
+        # each level runs on its own grid, so beside white noise: fields
+        # whose only nonzero modes have a Nyquist component, and fields
+        # that live on one level, alone and against a full field
         a, b = random_fields(grid, 2, 5)
-        assert_close(resonants((a, b))[0].values, full_resonant(a.values, b.values, grid.period))
+        table = half_cube(grid)
+        index = np.indices(table.shape)
+        nyquist = (index == grid.n // 2).any(axis=0)
+        only = [Field.from_half(grid, f.half * nyquist) for f in (a, b)]
+        cases = [(a, b), tuple(only), (only[0], b), (a, only[1])]
+        for j in np.unique(table.levels):
+            block = [Field.from_half(grid, f.half * (table.levels == j)) for f in (a, b)]
+            cases += [tuple(block), (block[0], b), (a, block[1])]
+        for x, y in cases:
+            assert_close(resonants((x, y))[0].values,
+                         full_resonant(x.values, y.values, grid.period))
 
     def test_duhamel_step(self, grid):
         u, f = random_fields(grid, 2, 6)

@@ -434,6 +434,36 @@ class TestWeightedNorm:
         with pytest.raises(ValueError):
             weighted_norm([0.0], fields[:1], alpha, beta)
 
+    def test_a_long_run_compares_fewer_pairs(self):
+        """On a u trajectory of S = 51 snapshots the Holder term compares
+        fewer than S (S - 1) / 2 pairs, and every row's weighted norm equals
+        the one from every pair, bit for bit."""
+        cfg = SimConfig(n=8, r=0.05, dt=0.01, horizon=0.5, coupling=1.0, snapshot_stride=1)
+        alpha, beta = 0.5, 0.25
+        times, weighted, rows = [], [], []
+        diagnostics = Diagnostics(alpha, beta)
+        sup_besov, sup_holder, want = 0.0, 0.0, []
+
+        def record(t, u):
+            nonlocal sup_besov, sup_holder
+            rows.append(diagnostics.row(t, u)[4])
+            w = t**alpha * u.values
+            for s, ws in zip(times, weighted):
+                diff = float(np.abs(w - ws).max())
+                sup_holder = max(sup_holder, diff / (t - s) ** (beta / 2.0))
+            if t > 0:
+                sup_besov = max(sup_besov, t**alpha * besov_norm(u, beta))
+            times.append(t)
+            weighted.append(w)
+            want.append(max(sup_besov, sup_holder))
+
+        simulate_u(cfg, record)
+        count = len(times)
+        assert count == 51
+        assert diagnostics.compared < count * (count - 1) // 2
+        assert np.isnan(rows[0])
+        assert rows[1:] == want[1:]
+
     @pytest.mark.parametrize("times", [[0.5, 0.5], [0.5, 0.25]], ids=["repeated", "earlier"])
     def test_time_not_after_the_previous_refused(self, times):
         grid = Grid(dim=1, n=8)

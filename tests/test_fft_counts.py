@@ -8,8 +8,9 @@ of its own, so every pinned count also pins them at zero.  The counts
 depend only on the code path, not on the machine.
 
 On GRID (N = 8) products with a three-factor term run on the 16^3 grid
-and the others on M = 15, the smallest alias-free size for two factors;
-the pins on Grid(3, 16) and Grid(3, 32) at the end cover the larger grids.
+and the others on M = 15, the smallest alias-free size for two factors,
+except the levels of a resonant product, on M = 5, 12, 15 and 15; the pins
+on Grid(3, 16) and Grid(3, 32) at the end cover the larger grids.
 
 A pad to a product grid fills the padded half-cube and runs ifft passes
 over its nonzero rows, then one irfft over the last axis; a truncation runs
@@ -199,15 +200,17 @@ def test_snapshot_resonants_share_blocks(counts):
     after = transform_counts()
     # R1 = I3 o X, R2 = I2 o W2 and R4 = I3 o W2 pad the blocks of I3 and
     # I2 and the near-diagonal sums of X and W2 once each, one pad per
-    # level that holds a mode, and truncate three sums; R3 = |grad I2|^2
-    # pads three gradients and truncates once.  Level 0 is empty and is
-    # never padded, so the levels are -1, 1 .. j_max.  That is 23 logical
-    # transforms, down from 27 when level 0 was padded and from 37 when R1
-    # and R4 each padded the blocks of I3, and R2 and R4 the near sums of W2.
+    # level that holds a mode, and truncate three products per level, each
+    # level on its own grid; R3 = |grad I2|^2 pads three gradients and
+    # truncates once.  Level 0 is empty and is never padded, so the levels
+    # are -1, 1 .. j_max.  That is 32 logical transforms: 23 when the
+    # levels shared one grid and one truncation per product, 27 when level
+    # 0 was padded too, and 37 when R1 and R4 each padded the blocks of
+    # I3, and R2 and R4 the near sums of W2.
     levels = held_levels(GRID)
     assert levels == 4
-    assert counts == calls(pads=4 * levels + 3, truncations=3 + 1)
-    assert after["transforms"] - before["transforms"] == 23
+    assert counts == calls(pads=4 * levels + 3, truncations=3 * levels + 1)
+    assert after["transforms"] - before["transforms"] == 32
     assert after["passes"] - before["passes"] == sum(counts.values())
 
 
@@ -227,9 +230,11 @@ def test_resonant(counts):
     resonants((a, b))
     # one pad per block of a and per near-diagonal sum of blocks of b at
     # each level that holds a mode, -1 and 1 .. j_max (level 0 is empty and
-    # is never padded), one truncation of the sum (earlier: one more pad of
-    # each for level 0; irfftn 2 * (j_max + 2) and rfftn 1 unpruned)
-    assert counts == calls(pads=2 * held_levels(GRID), truncations=1)
+    # is never padded), and one truncation per level, each on the level's
+    # own grid (earlier: one truncation of the sum of every level on M; one
+    # more pad of each for level 0; irfftn 2 * (j_max + 2) and rfftn 1
+    # unpruned)
+    assert counts == calls(pads=2 * held_levels(GRID), truncations=held_levels(GRID))
 
 
 @pytest.mark.parametrize("n, held", [(8, 4), (32, 6)])
@@ -354,12 +359,30 @@ def test_tree_step_at_n32():
     assert 3 * TWO_N_32 + 6 * M_32 + 3 * ON_GRID_32 == 2_479_092
 
 
+def pruned(m: int, k: int) -> int:
+    """The points of a pruned transform between Grid(3, N) and m points per
+    axis for the modes |k_a| <= k: m^3 real values, m (2k + 1)(k + 1) in
+    the pass over the first axis and m^2 (k + 1) in the pass over the
+    second (k = N/2 gives the formula above)."""
+    return m**3 + m * (2 * k + 1) * (k + 1) + m * m * (k + 1)
+
+
 def test_snapshot_with_resonants_at_n32():
     ev = TreeEvolver(GRID_32, 0.05, NoiseStream(0))
     ev.step(0.05)
     ev.wick_powers()
-    # six levels hold a mode: 4 * 6 + 3 pads and 3 + 1 truncations, all on M
-    # (every product on 2N: 11 398 080 points)
+    # six levels hold a mode.  At level k the blocks of I3 and I2 reach
+    # K1 = min(2^k, 16) per axis and the near sums of X and W2 reach
+    # K2 = min(2^(k+1), 16): two pads of each and three truncations to
+    # K3 = min(K1 + K2, 16), on M = 5, 15, 25, 45, 50 and 50.  R3 takes
+    # three pads and a truncation on M = 50.  46 transforms, 184 passes
+    # (31 transforms, 124 passes and 31 * M_32 = 6 062 050 points with
+    # every level on M = 50; every product on 2N: 11 398 080 points)
+    levels = [(5, 1, 1, 2), (15, 2, 4, 6), (25, 4, 8, 12), (45, 8, 16, 16),
+              (50, 16, 16, 16), (50, 16, 16, 16)]
+    points = sum(2 * pruned(m, k1) + 2 * pruned(m, k2) + 3 * pruned(m, k3)
+                 for m, k1, k2, k3 in levels) + 4 * M_32
+    assert pruned(50, 16) == M_32
     assert counted(lambda: ev.snapshot(with_resonants=True)) == {
-        "transforms": 31, "passes": 124, "points": 31 * M_32}
-    assert 31 * M_32 == 6_062_050
+        "transforms": 46, "passes": 184, "points": points}
+    assert points == 4_731_360

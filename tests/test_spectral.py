@@ -11,6 +11,7 @@ from phi4torus.paraproduct import resonants
 from phi4torus.spectral import (
     Field,
     Grid,
+    Band,
     apply_multiplier,
     _pad_plan,
     _padded_values,
@@ -421,32 +422,70 @@ class TestDealiasedProducts:
             call(a)
 
 
+@pytest.fixture
+def grids_taken(monkeypatch):
+    """The points per axis M of every product-grid buffer taken, in order."""
+    taken = []
+    take = spectral._take
+
+    def recorded(plan, view):
+        taken.append(plan.shape[0])
+        return take(plan, view)
+
+    monkeypatch.setattr(spectral, "_take", recorded)
+    return taken
+
+
 class TestProductGrid:
     """Two-factor products run on the smallest alias-free M, three-factor
-    ones on 2N."""
+    ones on 2N, and each level of a resonant product on the smallest
+    alias-free M for its bands."""
 
     def test_sizes(self):
-        sizes = {n: _product_size(n, 2) for n in (2, 4, 8, 16, 32, 64)}
+        # two fields of the grid: reach N/2 each
+        sizes = {n: _product_size(n, n, 2) for n in (2, 4, 8, 16, 32, 64)}
         assert sizes == {2: 4, 4: 8, 8: 15, 16: 25, 32: 50, 64: 100}
-        assert all(_product_size(n, 3) == 2 * n for n in sizes)
+        assert all(_product_size(n, n, 3) == 2 * n for n in sizes)
+
+    def test_each_level_on_its_own_grid(self, grids_taken):
+        # at N = 32 a level k block reaches K1 = min(2^k, 16) per axis and
+        # its near sum K2 = min(2^(k+1), 16); the product is kept to
+        # K3 = min(K1 + K2, 16), alias-free on M >= K1 + K2 + K3 + 1
+        grid = Grid(3, 32)
+        rng = np.random.default_rng(32)
+        a, b = (Field(grid, rng.normal(size=grid.shape)) for _ in range(2))
+        reaches = [(1, 1), (2, 4), (4, 8), (8, 16), (16, 16), (16, 16)]
+        want = [_product_size(32, k1 + k2, 2) for k1, k2 in reaches]
+        assert want == [5, 15, 25, 45, 50, 50]
+        for k1, k2 in reaches:
+            k3 = min(k1 + k2, 16)
+            assert _product_size(32, k1 + k2, 2) >= k1 + k2 + k3 + 1
+        resonants((a, b))
+        assert list(dict.fromkeys(grids_taken)) == [5, 15, 25, 45, 50]
+        assert grids_taken.count(50) == 2 * grids_taken.count(45)
 
     @pytest.mark.parametrize("n", [8, 16, 32])
-    def test_two_factor_products_at_m_match_the_2n_oracle(self, n):
+    def test_two_factor_products_at_m_match_the_2n_oracle(self, n, grids_taken):
         # white noise fills every mode, the Nyquist planes included
         grid = Grid(3, n)
         rng = np.random.default_rng(n)
         a, b = (Field(grid, rng.normal(size=grid.shape)) for _ in range(2))
-        cases = [
-            (lambda: dealiased_product(a, b), full_dealiased_product(a.values, b.values)),
-            (lambda: grad_dot(a, b), full_grad_dot(a.values, b.values, grid.period)),
-            (lambda: resonants((a, b))[0], full_resonant(a.values, b.values, grid.period)),
-        ]
-        m = _product_size(n, 2)
+        m = _product_size(n, n, 2)
         assert m < 2 * n
-        for call, want in cases:
-            spectral._FREE.clear()
+        cases = [
+            (lambda: dealiased_product(a, b), full_dealiased_product(a.values, b.values), {m}),
+            (lambda: grad_dot(a, b), full_grad_dot(a.values, b.values, grid.period), {m}),
+            # the top levels run on M too, the others on smaller grids
+            (lambda: resonants((a, b))[0], full_resonant(a.values, b.values, grid.period),
+             None),
+        ]
+        for call, want, grids in cases:
+            grids_taken.clear()
             got = call().values
-            assert list(spectral._FREE) == [(m,) * 3]
+            if grids is None:
+                assert max(grids_taken) == m and min(grids_taken) < m
+            else:
+                assert set(grids_taken) == grids
             assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
     def test_one_point_fewer_aliases(self):
@@ -454,20 +493,19 @@ class TestProductGrid:
         # at N = 16 takes aliases, so 25 is the smallest M that works
         grid = Grid(3, 16)
         a = Field(grid, np.random.default_rng(16).normal(size=grid.shape))
-        plan = _pad_plan(grid, 24)
+        plan = _pad_plan(grid, 24, 8)
         vals = _padded_values(a, plan)
         got = _truncated_field(grid, vals * vals, plan).values
-        spectral._give(plan, vals)
+        spectral._give(vals)
         want = full_dealiased_product(a.values, a.values)
         assert np.abs(got - want).max() > 1e-3 * np.abs(want).max()
 
-    def test_a_three_factor_term_puts_the_call_on_2n(self):
+    def test_a_three_factor_term_puts_the_call_on_2n(self, grids_taken):
         grid = Grid(3, 16)
         rng = np.random.default_rng(2)
         a, b = (Field(grid, rng.normal(size=grid.shape)) for _ in range(2))
-        spectral._FREE.clear()
         square, _ = dealiased_sums([(a, b)], [(a, a, b)])
-        assert list(spectral._FREE) == [(32,) * 3]
+        assert set(grids_taken) == {32}
         np.testing.assert_array_equal(square.half,
                                       dealiased_sums([(a, b)], [(b, b, b)])[0].half)
 
@@ -481,83 +519,157 @@ def smallest_product_sizes(n: int) -> list[int]:
 
 
 PRUNED_GRIDS = [Grid(dim, n) for dim in (1, 2, 3) for n in (2, 4, 8, 16, 32)]
-# each grid with its 2N product grid and the smaller ones of either parity
-PRUNED_CASES = [(grid, m) for grid in PRUNED_GRIDS
+# each grid with its 2N product grid and the smaller ones of either parity,
+# at reach N/2; then bands of reach K < N/2 on the smallest grids that hold
+# them, M = 2K + 1 and 2K + 2, and the lone mode 0 on one point
+PRUNED_CASES = [(grid, m, grid.n // 2) for grid in PRUNED_GRIDS
                 for m in [2 * grid.n, *smallest_product_sizes(grid.n)]]
+PRUNED_CASES += [(grid, 2 * k + extra, k) for grid in PRUNED_GRIDS if grid.n >= 4
+                 for k in sorted({1, grid.n // 4}) for extra in (1, 2)]
+PRUNED_CASES += [(Grid(3, 8), 1, 0)]
 
 
 def pruned_id(case) -> str:
-    grid, m = case
-    return f"d{grid.dim}n{grid.n}" + ("" if m == 2 * grid.n else f"m{m}")
+    grid, m, k = case
+    name = f"d{grid.dim}n{grid.n}" + ("" if m == 2 * grid.n else f"m{m}")
+    return name + ("" if k == grid.n // 2 else f"k{k}")
 
 
-@pytest.mark.parametrize("grid, m", PRUNED_CASES, ids=map(pruned_id, PRUNED_CASES))
+@pytest.mark.parametrize("grid, m, k", PRUNED_CASES, ids=map(pruned_id, PRUNED_CASES))
 class TestPrunedTransforms:
     """The pruned M transforms against full M transforms of the padded
-    half-cube, built one coefficient at a time."""
+    half-cube, built one coefficient at a time, for the modes |k_a| <= K."""
 
-    def test_pad_equals_full_inverse(self, grid, m):
+    def test_pad_equals_full_inverse(self, grid, m, k):
         f = Field(grid, np.random.default_rng(grid.n).normal(size=grid.shape))
-        full = scipy.fft.irfftn(padded_half_cube(f.half, grid.n, m),
+        full = scipy.fft.irfftn(padded_half_cube(f.half, grid.n, m, reach=k),
                                 s=(m,) * grid.dim, norm="forward")
-        got = _padded_values(f, _pad_plan(grid, m))
+        got = _padded_values(f, _pad_plan(grid, m, k))
         assert got.shape == full.shape
         assert np.abs(got - full).max() == 0.0
 
-    def test_truncation_equals_full_forward(self, grid, m):
+    def test_truncation_equals_full_forward(self, grid, m, k):
         rng = np.random.default_rng(grid.n + 1)
         vals = rng.normal(size=(m,) * grid.dim) ** 3
-        want = truncated_half_cube(scipy.fft.rfftn(vals, norm="forward"), grid.n, m)
-        got = _truncated_field(grid, vals, _pad_plan(grid, m)).half
+        want = truncated_half_cube(scipy.fft.rfftn(vals, norm="forward"), grid.n, m, reach=k)
+        got = _truncated_field(grid, vals, _pad_plan(grid, m, k)).half
         assert got.shape == want.shape
         assert np.abs(got - want).max() <= 1e-15
 
 
+def test_a_band_pads_only_its_modes():
+    # a Band factor places the modes of its levels straight from the
+    # field's coefficients: the same values as padding the band built as a
+    # field of its own
+    grid = Grid(3, 16)
+    f = Field(grid, np.random.default_rng(17).normal(size=grid.shape))
+    levels = half_cube(grid).levels
+    for lo, hi in [(-1, -1), (1, 2), (2, 4), (3, 5), (4, 4)]:
+        band = Field.from_half(grid, np.where((lo <= levels) & (levels <= hi), f.half, 0))
+        plan = _pad_plan(grid, 25, spectral._band_reach(grid, lo, hi))
+        got = _padded_values(Band(f, lo, hi), plan)
+        want = _padded_values(band, plan)
+        np.testing.assert_array_equal(got, want)
+        spectral._give(got)
+        spectral._give(want)
+    assert [spectral._band_reach(grid, j, j) for j in (-1, 1, 2, 3, 4)] == [1, 2, 4, 8, 8]
+
+
+def pool_bytes() -> int:
+    return sum(buf.nbytes for buf in spectral._FREE)
+
+
 class TestWorkspace:
-    """The 2N buffers that pads, products and truncations reuse."""
+    """The buffers that pads, products and truncations reuse: one list,
+    kept in increasing size, from which a take gets the smallest buffer
+    that holds its half-cube."""
 
     def test_results_do_not_alias_the_workspace(self):
         grid = Grid(3, 8)
         rng = np.random.default_rng(3)
         a, b = (Field(grid, rng.normal(size=grid.shape)) for _ in range(2))
-        first = [cubic(a), *dealiased_sums([(a, b)], [(b,)], [(a, a, b)])]
+        first = [cubic(a), *dealiased_sums([(a, b)], [(b,)], [(a, a, b)]), *resonants((a, b))]
         kept = [(f.half.copy(), f.values.copy()) for f in first]
         # later calls that take, overwrite and hand back the same buffers
         for _ in range(2):
-            again = [cubic(b), *dealiased_sums([(b, a)], [(a,)], [(b, b, a)])]
+            again = [cubic(b), *dealiased_sums([(b, a)], [(a,)], [(b, b, a)]),
+                     *resonants((b, a))]
             dealiased_sums([(a, b), (b,)], [(a, a, a)])
         for f, (half, values) in zip(first, kept):
             np.testing.assert_array_equal(f.half, half)
             np.testing.assert_array_equal(f.values, values)
-        pooled = spectral._FREE[_pad_plan(grid, 2 * grid.n).shape]
+        pooled = spectral._FREE
         assert pooled
+        assert [buf.size for buf in pooled] == sorted(buf.size for buf in pooled)
         for f in first + again:
             for buf in pooled:
                 assert not np.shares_memory(f.half, buf)
                 assert not np.shares_memory(f.values, buf)
         # the same call gives the same bits whatever the buffers held before
         np.testing.assert_array_equal(cubic(a).half, first[0].half)
+        np.testing.assert_array_equal(resonants((a, b))[0].half, first[-1].half)
+
+    def test_a_product_in_a_factors_buffer_keeps_its_bits(self):
+        # at its last use a factor's buffer takes the product, or is the
+        # product of a lone factor: the same bits as the product written
+        # into a fresh array
+        grid = Grid(3, 16)
+        rng = np.random.default_rng(8)
+        a, b = (Field(grid, rng.normal(size=grid.shape)) for _ in range(2))
+        for got, m, want in [(dealiased_product(a, b), 25, lambda va, vb: va * vb),
+                             (dealiased_product(a, a), 25, lambda va, vb: va * va),
+                             (dealiased_product(a), 18, lambda va, vb: va.copy())]:
+            plan = _pad_plan(grid, m, 8)
+            va, vb = _padded_values(a, plan), _padded_values(b, plan)
+            np.testing.assert_array_equal(got.half,
+                                          _truncated_field(grid, want(va, vb), plan).half)
+            spectral._give(va)
+            spectral._give(vb)
 
     def test_another_grid_releases_the_buffers_of_the_last(self):
         rng = np.random.default_rng(5)
         for n in (16, 8):
             grid = Grid(3, n)
             cubic(Field(grid, rng.normal(size=grid.shape)))
-        assert (32, 32, 32) not in spectral._FREE
-        assert spectral._FREE[(16, 16, 16)]
+        # only 2N half-cubes of the 8^3 grid are left
+        assert {buf.size for buf in spectral._FREE} == {16 * 16 * 9}
 
     def test_a_tree_step_keeps_both_product_grids_of_its_grid(self):
-        # the Wick powers run on 2N = 32 and the v_ref drift on M = 25: a
-        # step reuses the buffers of both, and another grid drops both
+        # the Wick powers run on 2N = 32 and the v_ref drift on M = 25, in
+        # the same three 2N buffers, and a step allocates none after its
+        # first; another grid drops them
         ev = TreeEvolver(Grid(3, 16), 0.05, NoiseStream(0))
         ev.step(0.05)
-        buffers = {shape: {id(b) for b in free} for shape, free in spectral._FREE.items()}
-        assert set(buffers) == {(32, 32, 32), (25, 25, 25)}
+        buffers = [id(buf) for buf in spectral._FREE]
+        assert [buf.size for buf in spectral._FREE] == [32 * 32 * 17] * 3
         ev.step(0.05)
-        assert {shape: {id(b) for b in free} for shape, free in spectral._FREE.items()} == buffers
+        assert sorted(id(buf) for buf in spectral._FREE) == sorted(buffers)
         grid = Grid(3, 8)
         cubic(Field(grid, np.ones(grid.shape)))
-        assert set(spectral._FREE) == {(16, 16, 16)}
+        assert {buf.size for buf in spectral._FREE} == {16 * 16 * 9}
+
+    def test_a_snapshot_holds_no_more_than_a_tree_step(self):
+        # after a warm-up, the resonant products of every level and
+        # |grad I2|^2 run inside the buffers of the tree step
+        ev = TreeEvolver(Grid(3, 16), 0.05, NoiseStream(0), track_vref=True)
+        ev.step(0.05)
+        ev.step(0.05)
+        after_step = pool_bytes()
+        buffers = sorted(id(buf) for buf in spectral._FREE)
+        ev.snapshot(with_resonants=True)
+        assert pool_bytes() == after_step
+        assert sorted(id(buf) for buf in spectral._FREE) == buffers
+
+    def test_a_take_that_fits_no_free_buffer_drops_one(self):
+        # growing grids: each take that no free buffer holds allocates one
+        # and drops the largest free one, so the list holds no more buffers
+        # than were in use at once
+        grid = Grid(3, 16)
+        f = Field(grid, np.random.default_rng(9).normal(size=grid.shape))
+        spectral._FREE.clear()
+        resonants((f, f))
+        assert len(spectral._FREE) <= 3
+        assert {buf.size for buf in spectral._FREE} == {25 * 25 * 13}
 
     @staticmethod
     def transient_peak(call) -> int:
