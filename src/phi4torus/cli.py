@@ -197,14 +197,18 @@ def _apply_config_file(ctx: click.Context, param: click.Parameter, path: str | N
 
 def _parse_sweep(option: str, spec: str) -> list[float]:
     """'1e-4:1e-2:8' -> 8 log-spaced values; a comma list is taken verbatim.
-    A malformed spec exits 3."""
+    A malformed spec, or one of no values, exits 3."""
     try:
         if ":" in spec:
             lo, hi, num = spec.split(":")
-            return list(np.geomspace(float(lo), float(hi), int(num)))
-        return [float(s) for s in spec.split(",")]
+            values = list(np.geomspace(float(lo), float(hi), int(num)))
+        else:
+            values = [float(s) for s in spec.split(",")]
     except ValueError as exc:
         raise InvalidConfig(f"bad {option} {spec!r}: {exc}")
+    if not values:
+        raise InvalidConfig(f"bad {option} {spec!r}: no values")
+    return values
 
 
 def _sim_config(params: dict) -> SimConfig:
@@ -394,42 +398,42 @@ def powercount(path, as_json, output_dir):
         report = gamma_range(graph)
     except GraphError as exc:
         raise InvalidConfig(str(exc))
-    if as_json:
-        payload = {
-            "gamma_max": None if report.gamma_max is None else str(report.gamma_max),
-            "admissible": report.admissible,
-            "subgraphs": [
-                {
-                    "edges": [str(e) for e in v.edges],
-                    "triples": list(v.triples),
-                    "singletons": list(v.singletons),
-                    "b1": v.b1,
-                    "a1": str(v.a1),
-                    "a2": None if v.a2 is None else str(v.a2),
-                    "codim_unmarked": str(v.codim_unmarked),
-                    "codim_marked": str(v.codim_marked),
-                    "shielded": v.shielded,
-                    "verdict": v.verdict,
-                    "gamma_upper": None if v.gamma_upper is None else str(v.gamma_upper),
-                    "case_b": v.case_b,
-                }
-                for v in report.verdicts
-            ],
-        }
-        with _run() as (outdir, manifest):
+    with _run() as (outdir, manifest):
+        if as_json:
+            payload = {
+                "gamma_max": None if report.gamma_max is None else str(report.gamma_max),
+                "admissible": report.admissible,
+                "subgraphs": [
+                    {
+                        "edges": [str(e) for e in v.edges],
+                        "triples": list(v.triples),
+                        "singletons": list(v.singletons),
+                        "b1": v.b1,
+                        "a1": str(v.a1),
+                        "a2": None if v.a2 is None else str(v.a2),
+                        "codim_unmarked": str(v.codim_unmarked),
+                        "codim_marked": str(v.codim_marked),
+                        "shielded": v.shielded,
+                        "verdict": v.verdict,
+                        "gamma_upper": None if v.gamma_upper is None else str(v.gamma_upper),
+                        "case_b": v.case_b,
+                    }
+                    for v in report.verdicts
+                ],
+            }
             manifest.write_json(outdir / f"{Path(path).stem}_verdicts.json", payload)
-        click.echo(json.dumps(payload, indent=2))
-    else:
-        for v in report.verdicts:
-            click.echo(v.describe())
-        if not report.admissible:
-            click.echo("gamma_max = none (superdivergent subgraph)")
-        elif report.gamma_max is None:
-            click.echo("gamma_max = unconstrained")
+            click.echo(json.dumps(payload, indent=2))
         else:
-            click.echo(f"gamma_max = {report.gamma_max}")
-        for v in report.case_b_subgraphs:
-            click.echo(f"case (b) at the boundary: {v.describe()}")
+            for v in report.verdicts:
+                click.echo(v.describe())
+            if not report.admissible:
+                click.echo("gamma_max = none (superdivergent subgraph)")
+            elif report.gamma_max is None:
+                click.echo("gamma_max = unconstrained")
+            else:
+                click.echo(f"gamma_max = {report.gamma_max}")
+            for v in report.case_b_subgraphs:
+                click.echo(f"case (b) at the boundary: {v.describe()}")
 
 
 # ---------------------------------------------------------------------------
@@ -490,6 +494,9 @@ def comedown(sizes, p, **params):
         summary = {k: v for k, v in report.items() if k not in ("times", "norms")}
         manifest.write_json(outdir / "comedown.json", summary)
     click.echo(json.dumps(summary, indent=2))
+    for s, blow_up in zip(initial, summary["blow_up"]):
+        if blow_up is not None:
+            click.echo(f"size {s:g}: {blow_up}", err=True)
 
 
 # ---------------------------------------------------------------------------

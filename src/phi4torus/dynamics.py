@@ -334,7 +334,9 @@ def coming_down_experiment(
     over t in [0.05, horizon], and the relative spread of ||v(t)||_{L^p}
     across runs at t = 0.5 and t = 1.  An odd or small p, or a horizon
     whose last step ends before t = 0.05, is refused (ValueError) before
-    the burn-in.
+    the burn-in.  A run that blows up stops there, and its norms after
+    that read NaN; its `blow_up` entry says when, or that its initial data
+    already exceed `cfg.blowup_threshold`, in which case it takes no step.
     """
     if p < 8 or p % 2:
         raise ValueError(f"p must be even and >= 8, got {p}")
@@ -355,6 +357,12 @@ def coming_down_experiment(
     times = [0.0]
     norms = [[lp_norm(v, p)] for v in vs]
     blew_up = [None] * len(vs)
+    for j, v in enumerate(vs):
+        try:
+            _check_blowup(v, 0.0, cfg.blowup_threshold)
+        except BlowUpError as exc:
+            blew_up[j] = (f"initial data exceed the blow-up threshold: sup|v(0)| = "
+                          f"{exc.sup:.3g} (threshold {exc.threshold:.3g})")
     for i in range(n_steps):
         z = assemble_z(ev.snapshot(with_resonants=False))
         for j, v in enumerate(vs):
@@ -363,7 +371,7 @@ def coming_down_experiment(
             try:
                 vs[j] = _stiff_substep(v, z, cfg, time=i * cfg.dt)
             except BlowUpError as exc:
-                blew_up[j] = exc
+                blew_up[j] = str(exc)
         ev.step(cfg.dt)
         t = (i + 1) * cfg.dt
         times.append(t)
@@ -379,7 +387,7 @@ def coming_down_experiment(
         "times": times,
         "initial_norms": list(initial_norms),
         "norms": [list(map(float, row)) for row in norms],
-        "blow_up": [str(e) if e else None for e in blew_up],
+        "blow_up": blew_up,
     }
     bound_window = (times_arr >= fit_from)
     envelope = np.maximum(times_arr[bound_window] ** -0.5, 1.0)

@@ -84,8 +84,9 @@ def resonants(*pairs) -> list[Field]:
     levels are added in coefficient space.  At each level every distinct
     block of a left factor and near sum of a right factor is padded once,
     straight from the factor's coefficients, across all the products, and
-    its buffer is released after its last use; a level holds at most
-    three buffers at once, as many as a tree step."""
+    its buffer is released after its last use.  A level of the three pairs
+    of a tree snapshot holds at most three buffers at once, as many as a
+    tree step."""
     if not pairs:
         raise ValueError("no sums to form")
     # each level's dealiased_sums refuses fields of different grids

@@ -109,33 +109,32 @@ of an M half-cube, viewed as that half-cube or as the real M values (its
 M^{d-1} (M//2 + 1) complex slots hold M^d floats, for odd M too), so one
 buffer serves a pad's spectrum, then a product or a sum, then a
 truncation's spectrum.  The real passes write into a buffer through
-numpy.fft's `out=`; products multiply and sums add in place, and a product
-goes into the buffer of a factor at that factor's last use, when only the
-first multiplication reads it (the same bits).  A buffer goes back after
-its last use on one free list, kept in increasing size, and a take gets
-the smallest free buffer that holds its half-cube, so the buffers of one
-grid serve every smaller one.  A truncation gathers the kept modes into a
-fresh N half-cube, so no field holds a buffer.  Only a take that no free
-buffer holds allocates one, and it drops the largest free one, so the list
-holds at most as many buffers as were in use at once: 2 for `cubic`, 3 for
-a tree step and 3 for a snapshot with resonants.  A tree step forms the
-Wick powers on 2N and the v_ref drift on M in the same three 2N buffers,
-and a snapshot's products, every level of its resonant products included,
-run in them too and allocate none: 6.5 MB at N = 32 and 51 MB at N = 64.
-The free list holds the buffers of one N grid at a time.  A product on
-another N grid drops them, so moving to another grid releases the buffers
-of the old one, and a run on one grid allocates none after its first
-products.  The free list is module state: threads must not compute
+numpy.fft's `out=`; each product is formed in a buffer of its own, and a
+sum adds its later terms into its first in place.  A truncation gathers
+the kept modes into a fresh N half-cube, so no field holds a buffer.  A
+buffer goes back after its last use onto one free list, a stack of
+buffers of one size: the largest half-cube taken on the current N grid so
+far, so a buffer serves every smaller product grid.  A take pops any free
+buffer, or allocates one of that size.  A larger half-cube empties the
+list and sets the size, and a buffer of an older size is not kept when it
+comes back, so the list holds at most as many buffers as were in use at
+once: 2 for `cubic`, 3 for a tree step and 3 for a snapshot with
+resonants.  A tree step forms the Wick powers on 2N and the v_ref drift
+on M in the same three 2N buffers, and a snapshot's products, every level
+of its resonant products included, run in them too and allocate none:
+6.5 MB at N = 32 and 51 MB at N = 64.  The free list holds the buffers of
+one N grid at a time.  A product on another N grid drops them, so moving
+to another grid releases the buffers of the old one, and a run on one
+grid allocates none once it has formed its products on its largest
+product grid.  The free list is module state: threads must not compute
 products at once.
 """
 
 from __future__ import annotations
 
-import bisect
 import functools
 import itertools
 import math
-import operator
 import struct
 from collections import Counter
 from dataclasses import dataclass
@@ -650,42 +649,36 @@ def _pad_plan(grid: Grid, m: int, reach: int) -> _PadPlan:
                     np.flatnonzero(paired), twin, np.flatnonzero(edge), mirror, passes)
 
 
-# the free buffers of the product grids of the N grid used last, in
-# increasing size ("Workspace" in the module docstring), and that N grid's
-# shape
+# the free buffers of the product grids of the N grid used last, that N
+# grid's shape, and the one size of its buffers: the largest half-cube
+# taken on that grid so far ("Workspace" in the module docstring)
 _FREE: list[np.ndarray] = []
 _FREE_GRID = None
+_FREE_SIZE = 0
 
 
 def _take(plan: _PadPlan, view: str) -> np.ndarray:
-    """The smallest free buffer that holds an M half-cube, as that
-    half-cube ("half") or as the real M values ("real"), its content
-    undefined.  Only when no free buffer holds it is one allocated, and
-    then the largest free one, too small, is dropped, so that the list
-    never holds more buffers than were in use at once.  The buffers of the
-    product grids of another N grid are dropped."""
-    global _FREE_GRID
-    if plan.grid_shape != _FREE_GRID:
-        _FREE.clear()
-        _FREE_GRID = plan.grid_shape
+    """A free buffer, or a new one, as an M half-cube ("half") or as the
+    real M values ("real"), its content undefined.  A half-cube larger
+    than the buffers of its N grid, or one of another N grid, drops the
+    free buffers and sets their size to its own."""
+    global _FREE_GRID, _FREE_SIZE
     size = math.prod(plan.half_shape)
-    for i, buf in enumerate(_FREE):
-        if buf.size >= size:
-            del _FREE[i]
-            break
-    else:
-        if _FREE:
-            _FREE.pop()
-        buf = np.empty(size, complex)
+    if plan.grid_shape != _FREE_GRID or size > _FREE_SIZE:
+        _FREE.clear()
+        _FREE_GRID, _FREE_SIZE = plan.grid_shape, size
+    buf = _FREE.pop() if _FREE else np.empty(_FREE_SIZE, complex)
     if view == "half":
         return buf[:size].reshape(plan.half_shape)
     return buf.view(np.float64)[: math.prod(plan.shape)].reshape(plan.shape)
 
 
 def _give(a: np.ndarray) -> None:
-    """Hand back the buffer that a, a view from `_take`, lies in.  Nothing
-    may read a afterwards."""
-    bisect.insort(_FREE, a.base, key=operator.attrgetter("size"))
+    """Hand back the buffer that a, a view from `_take`, lies in; it is
+    kept if it still has the size of the free buffers.  Nothing may read a
+    afterwards."""
+    if a.base.size == _FREE_SIZE:
+        _FREE.append(a.base)
 
 
 def _padded_values(factor, plan: _PadPlan) -> np.ndarray:
@@ -740,10 +733,11 @@ def dealiased_sums(*sums) -> list[Field]:
     """[sum_i prod_{f in terms[i]} f for terms in sums], each product
     dealiased by zero padding to M points per axis ("Dealiasing"): M = 2N
     when some term has three factors, else the smallest alias-free M for
-    the reaches of the terms.  A factor is a field or a Band of one.  Each
-    sum is added up on the M grid and truncated back once, to the reach of
-    its largest term or N/2, and each distinct factor is padded once across
-    all the sums."""
+    the reaches of the terms.  A factor is a field or a Band of one.  The
+    sums are formed one after another, each adding its terms in order on
+    the M grid, and truncated back once, to the reach of its largest term
+    or N/2.  Each distinct factor is padded once across all the sums, and
+    its buffer goes back after its last use ("Workspace")."""
     sums = [list(terms) for terms in sums]
     if not sums:
         raise ValueError("no sums to form")
@@ -753,12 +747,7 @@ def dealiased_sums(*sums) -> list[Field]:
         for i, factors in enumerate(terms):
             if not factors:
                 raise ValueError(f"term {i} of sum {s} has no factors")
-    # term i of every sum before term i + 1 of any, so that a factor which
-    # several sums share at the same place is padded, used and dropped in
-    # one round; each sum still adds its terms in order
-    order = [(s, i) for i in range(max(map(len, sums)))
-             for s, terms in enumerate(sums) if i < len(terms)]
-    factors = [x for s, i in order for x in sums[s][i]]
+    factors = [x for terms in sums for t in terms for x in t]
     grid = _field(factors[0]).grid
     if any(_field(x).grid != grid for x in factors):
         raise ValueError("fields live on different grids")
@@ -770,42 +759,32 @@ def dealiased_sums(*sums) -> list[Field]:
     # the plans of the pads, and of each sum's truncation to its reach
     pads = {r: _pad_plan(grid, m, r) for r in set(reach.values())}
     plans = [_pad_plan(grid, m, min(r, grid.n // 2)) for r in sum_reach]
-    # a factor's M buffer goes back after its last use, or holds the
-    # product of that use
     uses = Counter(factors)
-    padded, totals, out = {}, {}, [None] * len(sums)
-    for s, i in order:
-        term = sums[s][i]
-        vals = []
-        for x in term:
-            if x not in padded:
-                padded[x] = _padded_values(x, pads[reach[x]])
-            vals.append(padded[x])
-            uses[x] -= 1
-        spent = [x for x in dict.fromkeys(term) if not uses[x]]
-        # a spent factor that only the first multiplication reads takes
-        # the product into its own buffer: the same bits, one buffer fewer
-        into = next((x for x in spent if x not in term[2:]), None)
-        prod = _take(plans[s], "real") if into is None else padded.pop(into)
-        if len(vals) > 1:
-            np.multiply(vals[0], vals[1], out=prod)
-        elif prod is not vals[0]:
-            np.copyto(prod, vals[0])
-        for v in vals[2:]:
-            np.multiply(prod, v, out=prod)
-        # only now, once the product no longer reads them
-        for x in spent:
-            if x is not into:
-                _give(padded.pop(x))
-        if i:
-            totals[s] += prod
-            _give(prod)
-        else:
-            totals[s] = prod
-        if i + 1 == len(sums[s]):
-            total = totals.pop(s)
-            out[s] = _truncated_field(grid, total, plans[s])
-            _give(total)
+    padded, out = {}, []
+    for terms, plan in zip(sums, plans):
+        total = None
+        for term in terms:
+            for x in term:
+                if x not in padded:
+                    padded[x] = _padded_values(x, pads[reach[x]])
+            vals = [padded[x] for x in term]
+            # taken after the pads, so that it and the two buffers of a pad
+            # are never held at once
+            prod = _take(plan, "real")
+            np.multiply(vals[0], vals[1] if len(vals) > 1 else 1.0, out=prod)
+            for v in vals[2:]:
+                np.multiply(prod, v, out=prod)
+            for x in term:
+                uses[x] -= 1
+                if not uses[x]:
+                    _give(padded.pop(x))
+            if total is None:
+                total = prod
+            else:
+                total += prod
+                _give(prod)
+        out.append(_truncated_field(grid, total, plan))
+        _give(total)
     return out
 
 

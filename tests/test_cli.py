@@ -406,6 +406,22 @@ class TestOptionSets:
         assert res.exit_code == 3
         assert f"bad {option} {args[2]!r}" in res.output
 
+    @pytest.mark.parametrize("args,option", [
+        (["renorm-constants", "--r", "1e-3:1e-2:0"], "--r"),
+        (["comedown", "--n", "8", "--sizes", "3:300:0"], "--sizes"),
+        (["cumulant", "--n", "8", "--dt", "0.05", "--probes", "0.1:0.01:0", "--count", "200"],
+         "--probes"),
+        (["trees", "--sweep", "0.3:0.003:0"], "--sweep"),
+    ], ids=["renorm-constants", "comedown", "cumulant", "trees"])
+    def test_an_empty_sweep_exits_3_before_any_work(self, runner, tmp_path, args, option):
+        before = transform_counts()
+        res = runner.invoke(main, [*args, "--output-dir", str(tmp_path)])
+        assert res.exit_code == 3
+        assert f"bad {option} " in res.output
+        assert ": no values" in res.output
+        assert transform_counts() == before
+        assert not (tmp_path / "manifest.json").exists()
+
 
 # small configs of the subcommands that evolve fields
 STABLE_RUNS = [
@@ -620,14 +636,21 @@ class TestRenormConstants:
 
 
 class TestPowercount:
-    def test_table_reports_gamma_max(self, runner):
-        res = invoke(runner, ["powercount", "--file", str(GRAPHS / "g24.fg")])
+    def test_table_reports_gamma_max(self, runner, tmp_path):
+        res = invoke(runner, ["powercount", "--file", str(GRAPHS / "g24.fg"),
+                              "--output-dir", str(tmp_path)])
         assert res.exit_code == 0
         assert "gamma_max = 0" in res.output
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["status"] == "ok"
+        assert manifest["outputs"] == {}
+        assert manifest["transforms"]["transforms"] == 0
+        assert [p.name for p in tmp_path.iterdir()] == ["manifest.json"]
 
-    def test_case_b_flagged(self, runner):
+    def test_case_b_flagged(self, runner, tmp_path):
         res = invoke(runner, ["powercount",
-                              "--file", str(GRAPHS / "b_subamplitude.fg")])
+                              "--file", str(GRAPHS / "b_subamplitude.fg"),
+                              "--output-dir", str(tmp_path)])
         assert res.exit_code == 0
         assert "gamma_max = unconstrained" in res.output
         assert "case (b) at the boundary" in res.output
@@ -736,6 +759,22 @@ class TestComedown:
         assert summary["p"] == 8
         assert "spread_at_0.5" in summary
         assert summary["blow_up"] == [None, None]
+
+    def test_initial_data_past_the_threshold_are_named(self, runner, tmp_path):
+        res = invoke(runner, ["comedown", "--n", "8", "--r", "0.05", "--dt", "0.01",
+                              "--horizon", "0.2", "--sizes", "3,3e6", "--p", "8",
+                              "--output-dir", str(tmp_path)])
+        assert res.exit_code == 0
+        summary = json.loads((tmp_path / "comedown.json").read_text())
+        assert summary["blow_up"][0] is None
+        assert summary["blow_up"][1].startswith(
+            "initial data exceed the blow-up threshold: sup|v(0)| = ")
+        assert summary["blow_up"][1].endswith("(threshold 1e+06)")
+        assert res.stderr.splitlines() == [f"size 3e+06: {summary['blow_up'][1]}"]
+        _, rows = read_csv(tmp_path / "comedown.csv")
+        assert float(rows[0][2]) > 0
+        assert all(row[2] == "nan" for row in rows[1:])
+        assert json.loads((tmp_path / "manifest.json").read_text())["status"] == "ok"
 
     def test_odd_p_refused(self, runner, tmp_path):
         res = runner.invoke(main, ["comedown", *FAST_GRID, "--horizon", "0.5", "--p", "7",

@@ -580,9 +580,9 @@ def pool_bytes() -> int:
 
 
 class TestWorkspace:
-    """The buffers that pads, products and truncations reuse: one list,
-    kept in increasing size, from which a take gets the smallest buffer
-    that holds its half-cube."""
+    """The buffers that pads, products and truncations reuse: one list of
+    one size per N grid, the largest half-cube taken on it so far, from
+    which a take gets any free buffer."""
 
     def test_results_do_not_alias_the_workspace(self):
         grid = Grid(3, 8)
@@ -600,7 +600,7 @@ class TestWorkspace:
             np.testing.assert_array_equal(f.values, values)
         pooled = spectral._FREE
         assert pooled
-        assert [buf.size for buf in pooled] == sorted(buf.size for buf in pooled)
+        assert {buf.size for buf in pooled} == {spectral._FREE_SIZE}
         for f in first + again:
             for buf in pooled:
                 assert not np.shares_memory(f.half, buf)
@@ -609,10 +609,9 @@ class TestWorkspace:
         np.testing.assert_array_equal(cubic(a).half, first[0].half)
         np.testing.assert_array_equal(resonants((a, b))[0].half, first[-1].half)
 
-    def test_a_product_in_a_factors_buffer_keeps_its_bits(self):
-        # at its last use a factor's buffer takes the product, or is the
-        # product of a lone factor: the same bits as the product written
-        # into a fresh array
+    def test_a_products_bits_do_not_depend_on_its_buffer(self):
+        # a product, and the copy of a lone factor, formed in a workspace
+        # buffer has the bits of the product written into a fresh array
         grid = Grid(3, 16)
         rng = np.random.default_rng(8)
         a, b = (Field(grid, rng.normal(size=grid.shape)) for _ in range(2))
@@ -660,16 +659,27 @@ class TestWorkspace:
         assert pool_bytes() == after_step
         assert sorted(id(buf) for buf in spectral._FREE) == buffers
 
-    def test_a_take_that_fits_no_free_buffer_drops_one(self):
-        # growing grids: each take that no free buffer holds allocates one
-        # and drops the largest free one, so the list holds no more buffers
-        # than were in use at once
+    def test_growing_grids_keep_only_buffers_of_the_largest(self):
+        # after a change of N grid, the levels of a resonant product run on
+        # growing grids: each larger half-cube drops the free buffers, and
+        # a smaller buffer handed back is not kept
+        cubic(Field(Grid(3, 8), np.ones((8,) * 3)))
         grid = Grid(3, 16)
         f = Field(grid, np.random.default_rng(9).normal(size=grid.shape))
-        spectral._FREE.clear()
         resonants((f, f))
         assert len(spectral._FREE) <= 3
         assert {buf.size for buf in spectral._FREE} == {25 * 25 * 13}
+
+    def test_a_smaller_product_grid_first_leaves_no_buffer_of_its_size(self):
+        # grad_dot runs on M = 25, then a tree step on 2N = 32: the M
+        # buffers are dropped, and the step's three 2N buffers remain
+        cubic(Field(Grid(3, 8), np.ones((8,) * 3)))
+        grid = Grid(3, 16)
+        rng = np.random.default_rng(10)
+        a, b = (Field(grid, rng.normal(size=grid.shape)) for _ in range(2))
+        grad_dot(a, b)
+        TreeEvolver(grid, 0.05, NoiseStream(0)).step(0.05)
+        assert [buf.size for buf in spectral._FREE] == [32 * 32 * 17] * 3
 
     @staticmethod
     def transient_peak(call) -> int:
