@@ -120,7 +120,25 @@ class RunManifest:
 
 
 def _dump_json(path: Path, payload) -> None:
-    path.write_text(json.dumps(payload, indent=2, default=str) + "\n")
+    path.write_text(_json(payload) + "\n")
+
+
+def _json(payload) -> str:
+    """payload as indented JSON, with null for each non-finite float, so
+    that the text holds no NaN or Infinity token, which JSON lacks."""
+    return json.dumps(_finite(payload), indent=2, default=str, allow_nan=False)
+
+
+def _finite(x):
+    """x with each non-finite float in it, at any depth of dicts, lists and
+    tuples, replaced by None."""
+    if isinstance(x, float):
+        return x if math.isfinite(x) else None
+    if isinstance(x, dict):
+        return {k: _finite(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_finite(v) for v in x]
+    return x
 
 
 @contextlib.contextmanager
@@ -422,7 +440,7 @@ def powercount(path, as_json, output_dir):
                 ],
             }
             manifest.write_json(outdir / f"{Path(path).stem}_verdicts.json", payload)
-            click.echo(json.dumps(payload, indent=2))
+            click.echo(_json(payload))
         else:
             for v in report.verdicts:
                 click.echo(v.describe())
@@ -493,7 +511,7 @@ def comedown(sizes, p, **params):
         manifest.write_csv(outdir / "comedown.csv", header, rows)
         summary = {k: v for k, v in report.items() if k not in ("times", "norms")}
         manifest.write_json(outdir / "comedown.json", summary)
-    click.echo(json.dumps(summary, indent=2))
+    click.echo(_json(summary))
     for s, blow_up in zip(initial, summary["blow_up"]):
         if blow_up is not None:
             click.echo(f"size {s:g}: {blow_up}", err=True)
@@ -570,7 +588,7 @@ def sample(burn_in, stride, count, save_fields, **params):
             "stride_adequate": mixing.stride_adequate,
         }
         manifest.write_json(outdir / "sample_report.json", summary)
-    click.echo(json.dumps(summary, indent=2))
+    click.echo(_json(summary))
 
 
 if __name__ == "__main__":

@@ -76,7 +76,6 @@ __all__ = [
     "coming_down_experiment",
     "comparison_test",
     "ComparisonResult",
-    "weighted_norm",
     "rough_initial_field",
 ]
 
@@ -147,7 +146,7 @@ def _check_blowup(u: Field, t: float, threshold: float) -> None:
     bound passes is not transformed for the check."""
     if 2.0 * float(np.abs(u.half).sum()) <= threshold:
         return
-    sup = float(np.abs(u.values).max())
+    sup = lp_norm(u, np.inf)
     if not np.isfinite(sup) or sup > threshold:
         raise BlowUpError(t, sup, threshold)
 
@@ -307,7 +306,7 @@ def _stiff_substep(v: Field, z: ZCoefficients, cfg: SimConfig, time: float) -> F
     remaining = cfg.dt
     em6_max, z2_max, z1_max = z.bounds
     while remaining > 0:
-        sup = float(np.abs(v.values).max())
+        sup = lp_norm(v, np.inf)
         scale = 3.0 * em6_max * sup * sup + z2_max * sup + z1_max
         h = min(remaining, 0.5 / scale) if scale > 0.5 / remaining else remaining
         v = step_v(v, z, cfg, time=time, dt=h)
@@ -505,7 +504,7 @@ def comparison_test(times, values, lam: float, c: float) -> ComparisonResult:
 
 
 # ---------------------------------------------------------------------------
-# Weighted norms
+# Diagnostics and the weighted norm
 # ---------------------------------------------------------------------------
 
 
@@ -513,9 +512,15 @@ class Diagnostics:
     """The diagnostics of a trajectory, taken one snapshot at a time in time
     order.  row(t, u) gives (t, ||u||_L2, ||u||_L8, the B^{-0.55}_{inf,inf}
     norm of u, the weighted norm of the snapshots so far), with the Besov
-    norms of u weighed from one split into blocks.  Of each snapshot
-    t^alpha u.values and its sup m are kept, for the Holder quotients of
-    later ones.
+    norms of u weighed from one split into blocks.  The weighted norm of a
+    sampled trajectory is
+
+        max( sup_t t^alpha ||v(t)||_{C^beta},
+             sup_{s != t} || t^alpha v(t) - s^alpha v(s) ||_{Loo} / |t-s|^{beta/2} ),
+
+    both sups over the snapshots taken, the first over the positive times.
+    Of each snapshot t^alpha u.values and its sup m are kept, for the Holder
+    quotients of later ones.
 
     A pair (s, t) is compared only when (m_s + m_t) / (t - s)^{beta/2}
     exceeds the running sup of the quotients: otherwise its quotient cannot
@@ -558,24 +563,3 @@ class Diagnostics:
         norm = float("nan") if self._sup_besov is None else max(self._sup_besov, self._sup_holder)
         return (t, lp_norm(u, 2), lp_norm(u, 8), weigh_blocks(sups, -0.55), norm)
 
-
-def weighted_norm(times, fields, alpha: float, beta: float) -> float:
-    """The weighted space norm on a sampled trajectory:
-
-        max( sup_t t^alpha ||v(t)||_{C^beta},
-             sup_{s != t} || t^alpha v(t) - s^alpha v(s) ||_{Loo} / |t-s|^{beta/2} ).
-
-    Diagnostic only; both sups run over the sampled grid, and the first
-    over the positive sample times, of which there must be at least one.
-    The times must be strictly increasing.
-    """
-    times = list(times)
-    fields = list(fields)
-    if len(times) != len(fields) or not times:
-        raise ValueError("times and fields must be non-empty and matching")
-    if not any(t > 0 for t in times):
-        raise ValueError("the weighted norm needs a positive sample time")
-    acc = Diagnostics(alpha, beta)
-    for t, f in zip(times, fields):
-        norm = acc.row(t, f)[4]
-    return norm

@@ -7,23 +7,29 @@ magnitude |k|:
 
 which partition the grid's frequency set exactly (A_0 is empty), so the
 reconstruction sum_j Delta_j f = f and the block orthogonality
-Delta_j Delta_k = 0 (j != k) hold to rounding.  The spectral core gives each
-mode its level once (`HalfCube.levels`), and every restriction here is a
-band Delta_lo + ... + Delta_hi: a block is the band from j to j, a near sum
-the band from j-1 to j+1 and the low-pass S_j the band from -1 to j.
+Delta_j Delta_k = 0 (j != k) hold to rounding.  The spectral core splits
+into blocks: it gives each mode its level and lists the levels that hold a
+mode (`HalfCube.levels`, `HalfCube.held`), and every restriction here is a
+`spectral.Band` Delta_lo + ... + Delta_hi: a block is the band from j to j,
+a near sum the band from j-1 to j+1 and the low-pass S_j the band from -1
+to j.  No band is built as a field here except a block whose norm is read
+(`block_norms`, one inverse transform per block that holds a mode).
 Paraproducts follow the standard frequency sorting
 
     a < b  = sum_{j < k-1} Delta_j a Delta_k b        (low-high)
     a o b  = sum_{|j-k| <= 1} Delta_j a Delta_k b     (resonant)
     a > b  = sum_{k < j-1} Delta_j a Delta_k b        (high-low)
 
-and a<b + a o b + a>b = a b exactly.  The block products of a<b and a>b are
-dealiased on the product grid of two-factor products, consistently with the
-plain product.  Those of a o b are formed one level at a time, each on the
-smallest alias-free grid for its bands, and added in coefficient space
-(`resonants`): a level's factors reach far less than N/2 below the top
-levels, and their product grids hold about half the points of the
-two-factor grid.  The sums run over the levels that hold a mode.
+and a<b + a o b + a>b = a b exactly.  Every block product is a product of
+bands, padded straight from its factors' coefficients.  The products of a<b
+(and of a>b) form one sum, on the smallest alias-free grid for its widest
+term, S_{j_max - 2} a Delta_{j_max} b, no larger than the grid of two
+fields, since the low-pass reaches less than N/2.  Those of a o b are
+formed one level at a time, each on the smallest alias-free grid for its
+bands, and added in coefficient space (`resonants`): a level's factors
+reach far less than N/2 below the top levels, and their product grids hold
+about half the points of the two-factor grid.  The sums run over the
+levels that hold a mode.
 """
 
 from __future__ import annotations
@@ -47,28 +53,16 @@ __all__ = [
 ]
 
 
-def _held_levels(grid: Grid) -> list[int]:
-    """The levels that hold a mode of the grid, in increasing order."""
-    counts = np.bincount(half_cube(grid).levels.ravel() + 1)
-    return [int(j) for j in np.flatnonzero(counts) - 1]
-
-
-def _band(f: Field, lo: int, hi: int) -> Field:
-    """Delta_lo f + ... + Delta_hi f (sharp restriction to levels lo..hi)."""
-    levels = half_cube(f.grid).levels
-    return Field.from_half(f.grid, f.half * ((lo <= levels) & (levels <= hi)))
-
-
 def product_decomposition(a: Field, b: Field) -> tuple[Field, Field, Field]:
     """(a<b, a o b, a>b) with dealiased block products, where
         a<b = sum_k (S_{k-2} a) (Delta_k b),   S_j = Delta_{-1} + ... + Delta_j,
     so the cost is O(j_max) products."""
     if a.grid != b.grid:
         raise ValueError("fields live on different grids")
-    high = [k for k in _held_levels(a.grid) if k > 0]
+    high = [k for k in half_cube(a.grid).held if k > 0]
 
     def para(x, y):  # x < y
-        terms = [(_band(x, -1, k - 2), _band(y, k, k)) for k in high]
+        terms = [(Band(x, -1, k - 2), Band(y, k, k)) for k in high]
         return dealiased_sums(terms)[0] if terms else Field.zeros(x.grid)
 
     return para(a, b), resonants((a, b))[0], para(b, a)
@@ -92,7 +86,7 @@ def resonants(*pairs) -> list[Field]:
     # each level's dealiased_sums refuses fields of different grids
     grid = pairs[0][0].grid
     totals = [np.zeros(half_cube(grid).shape, complex) for _ in pairs]
-    for k in _held_levels(grid):
+    for k in half_cube(grid).held:
         level = dealiased_sums(*[[(Band(a, k, k), Band(b, k - 1, k + 1))] for a, b in pairs])
         for total, f in zip(totals, level):
             total += f.half
@@ -104,8 +98,8 @@ def block_norms(f: Field, p: float = np.inf) -> list[float]:
     every Besov norm of f with this p weighs, up to the largest level j_max
     that holds a mode (0 if none does).  A level that holds no mode (level 0
     always) gives 0.0 without building its block."""
-    held = _held_levels(f.grid)
-    return [lp_norm(_band(f, j, j), p) if j in held else 0.0
+    held = half_cube(f.grid).held
+    return [lp_norm(Band(f, j, j).as_field(), p) if j in held else 0.0
             for j in range(-1, max(held[-1], 0) + 1)]
 
 
@@ -145,7 +139,7 @@ def regularity_window(grid: Grid, n_samples: int, j_min: int) -> list[int]:
     # j_complete: the largest level whose annulus lies inside the axis
     # Nyquist ball, so that the frequency cube's corners do not truncate it
     j_hi = math.floor(math.log2((grid.n / 2) * 2.0 * np.pi / grid.period))
-    levels = [j for j in _held_levels(grid) if j_min <= j <= j_hi]
+    levels = [j for j in half_cube(grid).held if j_min <= j <= j_hi]
     if len(levels) < 4:
         raise ValueError(
             f"only {len(levels)} usable levels on this grid; need at least 4"

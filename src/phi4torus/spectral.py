@@ -1,5 +1,6 @@
-"""Torus grids, real scalar fields, Fourier multipliers of P = 1 - Delta and
-L^p norms.  This is the only module that calls an FFT.
+"""Torus grids, real scalar fields, Fourier multipliers of P = 1 - Delta,
+Littlewood-Paley bands and L^p norms.  This is the only module that calls
+an FFT.
 
 The flat torus T^d_L = (R / L Z)^d is discretized with N points per axis.
 Frequencies are the centered integer cube scaled by 2*pi/L, so that with the
@@ -21,9 +22,11 @@ helper runs and counts them all (`transform_counts`).  Physical values are
 computed on first read: a field built from coefficients (a product, a
 Duhamel step, a block, a gradient, a noise increment) runs its inverse
 transform only when some caller reads its values, and keeps the result.
-A sum or difference of two fields works on their coefficients, and a field
-with a scalar (+, -, *) on what the field holds, so a field built from
-others is not transformed again.
+Field arithmetic, a sum or difference of two fields and a field with a
+scalar (+, -, *), works on coefficients alone (an operand that holds only
+values is transformed forward first) and gives a field that holds only
+coefficients, so a field built from others is not transformed again until
+its values are read.
 
 Transforms.  Every transform is a chain of one-axis numpy.fft calls
 (`_fft`), one per axis: a real pass over the last axis, between real
@@ -45,6 +48,16 @@ embedding does, and the half-cube code follows it to rounding:
     image lies outside the half-cube and is read as the conjugate of the
     mirrored +N/2 slot;
   * the derivative of a Nyquist mode along its own axis is zero.
+
+Bands.  The half-cube tables of a grid (`half_cube`) give each mode its
+Littlewood-Paley level, -1 for |k| <= 1 and j for max(2^{j-1}, 1) < |k| <=
+2^j, and its reach, the largest |k_a| over the axes; they list the levels
+that hold a mode (level 0 never does).  A `Band` is the modes of a field
+whose level lies in lo..hi: a block Delta_j is the band j..j.  Which modes
+a band holds, and how far they reach, is computed once per grid and band.
+A band enters a product as a factor of `dealiased_sums`, padded straight
+from its field's coefficients, and is built as a field of its own only for
+a reader of its values (`Band.as_field`), as a block norm is.
 
 Semigroup cache.  Every linear step solves (d/dt + P) exactly through
 e^{-tP}.  `semigroup(grid, t)` builds e^{-t lam} and the Duhamel weight
@@ -231,6 +244,9 @@ class HalfCube:
         its own axis vanishes on a real grid).
     levels : the Littlewood-Paley level of each mode: -1 where |k| <= 1 and
         j where max(2^{j-1}, 1) < |k| <= 2^j, so that level 0 holds no mode.
+    held : the levels that hold a mode, in increasing order.
+    reach : the largest |k_a| over the axes a of each mode, so that the
+        modes of reach <= K fill the cube |k_a| <= K.
     """
 
     shape: tuple[int, ...]
@@ -238,6 +254,8 @@ class HalfCube:
     eigenvalues: np.ndarray
     ik: tuple[np.ndarray, ...]
     levels: np.ndarray
+    held: tuple[int, ...]
+    reach: np.ndarray
 
 
 @functools.cache
@@ -262,9 +280,12 @@ def half_cube(grid: Grid) -> HalfCube:
     top = math.ceil(math.log2(max(kmag.max(), 1.0))) + 1
     edges = np.maximum(2.0 ** np.arange(-1, top + 1), 1.0)
     levels = np.searchsorted(edges, kmag) - 1
-    for arr in (*ik, ksq, lam, levels):
+    held = tuple(int(j) - 1 for j in np.flatnonzero(np.bincount(levels.ravel() + 1)))
+    index = np.indices(shape)
+    reach = np.minimum(index, n - index).max(axis=0)
+    for arr in (*ik, ksq, lam, levels, reach):
         arr.setflags(write=False)
-    return HalfCube(shape, ksq, lam, tuple(ik), levels)
+    return HalfCube(shape, ksq, lam, tuple(ik), levels, held, reach)
 
 
 _COUNTS = Counter()
@@ -318,12 +339,12 @@ class Field:
     coefficients c = rfftn(values)/N^d, or both, and computes the missing
     one on first use (read-only thereafter).  A field built from
     coefficients (`from_half`) runs its inverse transform only when its
-    values are read.  + and - of two fields work on their coefficients;
-    + and - of a field and a scalar, and multiplication by a scalar, work
-    on what the field holds, values, coefficients or both.  A field times
-    a field raises TypeError: products of fields are dealiased
-    (`dealiased_product`).  So does any arithmetic of a field with an
-    array: wrap the array as a Field.
+    values are read.  +, - and unary - of fields, + and - of a field and a
+    scalar, and multiplication by a scalar all work on the coefficients,
+    and the result holds coefficients only.  A field times a field raises
+    TypeError: products of fields are dealiased (`dealiased_product`).  So
+    does any arithmetic of a field with an array: wrap the array as a
+    Field.
     """
 
     # an array operand defers to Field's own operators, so that
@@ -400,19 +421,16 @@ class Field:
 
     def _linear(self, other, op):
         """self op other for op = np.add or np.subtract, where other is a
-        Field or a scalar."""
+        Field or a scalar, on the coefficients."""
         if isinstance(other, Field):
             self._check(other)
             return Field._of(self.grid, None, op(self.half, other.half))
         if np.ndim(other) != 0:
             return NotImplemented
-        half = None
-        if self._half is not None:
-            # a scalar moves only the k = 0 coefficient
-            half = self._half.copy()
-            half.flat[0] = op(half.flat[0], other)
-        values = None if self._values is None else op(self._values, other)
-        return Field._of(self.grid, values, half)
+        # a scalar moves only the k = 0 coefficient
+        half = self.half.copy()
+        half.flat[0] = op(half.flat[0], other)
+        return Field._of(self.grid, None, half)
 
     def __add__(self, other):
         return self._linear(other, np.add)
@@ -428,20 +446,12 @@ class Field:
     def __mul__(self, other):
         if isinstance(other, Field) or np.ndim(other) != 0:
             return NotImplemented
-        return Field._of(
-            self.grid,
-            None if self._values is None else self._values * other,
-            None if self._half is None else self._half * other,
-        )
+        return Field._of(self.grid, None, self.half * other)
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        return Field._of(
-            self.grid,
-            None if self._values is None else -self._values,
-            None if self._half is None else -self._half,
-        )
+        return Field._of(self.grid, None, -self.half)
 
     def mean(self) -> float:
         """The spatial mean: the k = 0 coefficient when the field has
@@ -540,24 +550,36 @@ def _five_smooth(m: int) -> bool:
 
 class Band(NamedTuple):
     """Delta_lo f + ... + Delta_hi f: the modes of `field` whose
-    Littlewood-Paley level (`HalfCube.levels`) lies in lo..hi, as a factor
-    of `dealiased_sums`.  A pad places these modes straight from the
-    field's coefficients, so the band is never built as a field of its
-    own, and its reach sizes the product grid."""
+    Littlewood-Paley level (`HalfCube.levels`) lies in lo..hi.  As a factor
+    of `dealiased_sums` it is never built as a field of its own: a pad
+    places its modes straight from the field's coefficients, and its reach
+    sizes the product grid.  `as_field` builds it, for a reader of its
+    values."""
 
     field: Field
     lo: int
     hi: int
+
+    def as_field(self) -> Field:
+        """The band as a field, from its field's coefficients."""
+        grid = self.field.grid
+        return Field.from_half(grid, self.field.half * _in_band(grid, self.lo, self.hi))
+
+
+@functools.cache
+def _in_band(grid: Grid, lo: int, hi: int) -> np.ndarray:
+    """The modes of the grid's half-cube whose level lies in lo..hi."""
+    levels = half_cube(grid).levels
+    inside = (lo <= levels) & (levels <= hi)
+    inside.setflags(write=False)
+    return inside
 
 
 @functools.cache
 def _band_reach(grid: Grid, lo: int, hi: int) -> int:
     """The largest |k_a| over the axes a and the modes of levels lo..hi:
     the modes of the band lie in the cube |k_a| <= reach."""
-    levels = half_cube(grid).levels
-    index = np.indices(levels.shape)
-    reach = np.minimum(index, grid.n - index).max(axis=0)
-    return int(reach[(lo <= levels) & (levels <= hi)].max(initial=0))
+    return int(half_cube(grid).reach[_in_band(grid, lo, hi)].max(initial=0))
 
 
 def _field(factor) -> Field:
@@ -581,7 +603,6 @@ class _PadPlan(NamedTuple):
 
     source : the N modes placed, in flat order: a slice of all of them for
         K = N/2, else their flat indices.
-    levels : the Littlewood-Paley level of each source mode.
     image : the M index of each source mode: its image with every Nyquist
         component at -N/2, except on the plane of last-axis Nyquist modes,
         whose only image in the M half-cube has them all at +N/2 (the -N/2
@@ -603,7 +624,6 @@ class _PadPlan(NamedTuple):
     shape: tuple[int, ...]  # the M grid
     half_shape: tuple[int, ...]  # its half-cube
     source: slice | np.ndarray
-    levels: np.ndarray
     image: np.ndarray
     halved: np.ndarray
     paired: np.ndarray
@@ -619,12 +639,13 @@ def _pad_plan(grid: Grid, m: int, reach: int) -> _PadPlan:
     h = n // 2
     if not 0 <= reach <= h or m < 2 * reach + 1:
         raise ValueError(f"no plan for reach {reach} on {m} points from N = {n}")
-    shape = half_cube(grid).shape
+    table = half_cube(grid)
+    shape = table.shape
     big = (m,) * (dim - 1) + (m // 2 + 1,)  # the M half-cube
     index = np.indices(shape).reshape(dim, -1)
     source = slice(None)
     if reach < h:
-        source = np.flatnonzero(np.minimum(index, n - index).max(axis=0) <= reach)
+        source = np.flatnonzero(table.reach.reshape(-1) <= reach)
     index = index[:, source]
     lead, col = index[:-1], index[-1]
     # the M rows of frequencies -K .. K, with row N/2 at -N/2 or +N/2
@@ -644,8 +665,7 @@ def _pad_plan(grid: Grid, m: int, reach: int) -> _PadPlan:
         for axis in range(dim - 1)
         for block in itertools.product(rows, repeat=dim - 2 - axis)
     )
-    levels = half_cube(grid).levels.reshape(-1)[source]
-    return _PadPlan(grid.shape, (m,) * dim, big, source, levels, image, image[nyquist],
+    return _PadPlan(grid.shape, (m,) * dim, big, source, image, image[nyquist],
                     np.flatnonzero(paired), twin, np.flatnonzero(edge), mirror, passes)
 
 
@@ -690,7 +710,8 @@ def _padded_values(factor, plan: _PadPlan) -> np.ndarray:
     lie in an M buffer, which the caller hands back (`_give`)."""
     coeffs = _field(factor).half.reshape(-1)[plan.source]
     if isinstance(factor, Band):
-        coeffs = np.where((factor.lo <= plan.levels) & (plan.levels <= factor.hi), coeffs, 0)
+        inside = _in_band(factor.field.grid, factor.lo, factor.hi)
+        coeffs = np.where(inside.reshape(-1)[plan.source], coeffs, 0)
     out = _take(plan, "half")
     flat = out.reshape(-1)
     flat.fill(0)

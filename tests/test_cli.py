@@ -765,7 +765,11 @@ class TestComedown:
                               "--horizon", "0.2", "--sizes", "3,3e6", "--p", "8",
                               "--output-dir", str(tmp_path)])
         assert res.exit_code == 0
-        summary = json.loads((tmp_path / "comedown.json").read_text())
+        text = (tmp_path / "comedown.json").read_text()
+        # the second run has no norm in the fit window, and JSON has no NaN
+        assert "NaN" not in text and "NaN" not in res.stdout
+        summary = json.loads(text)
+        assert summary["fitted_C"][0] > 0 and summary["fitted_C"][1] is None
         assert summary["blow_up"][0] is None
         assert summary["blow_up"][1].startswith(
             "initial data exceed the blow-up threshold: sup|v(0)| = ")

