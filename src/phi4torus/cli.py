@@ -498,18 +498,16 @@ def regularity(component, samples, burn_in, j_min, **params):
               help="initial Besov sizes, comma list or 'lo:hi:num'")
 @click.option("--p", default=8, help="even L^p exponent >= 8")
 def comedown(sizes, p, **params):
-    """Coming-down-from-infinity experiment for the v-equation (lambda = 1)."""
+    """Coming-down-from-infinity experiment for the v-equation (lambda = 1).
+
+    Each step's row of comedown.csv is written as the step is taken."""
     initial = _parse_sweep("--sizes", sizes)
     cfg = _sim_config(params)
     with _run() as (outdir, manifest):
-        report = coming_down_experiment(cfg, initial, p=p)
         header = ["t"] + [f"Lp_size_{s:g}" for s in initial]
-        rows = [
-            [t] + [report["norms"][j][i] for j in range(len(initial))]
-            for i, t in enumerate(report["times"])
-        ]
-        manifest.write_csv(outdir / "comedown.csv", header, rows)
-        summary = {k: v for k, v in report.items() if k not in ("times", "norms")}
+        with manifest.csv_rows(outdir / "comedown.csv", header) as rows:
+            summary = coming_down_experiment(
+                cfg, initial, lambda t, norms: rows.writerow([t, *norms]), p=p)
         manifest.write_json(outdir / "comedown.json", summary)
     click.echo(_json(summary))
     for s, blow_up in zip(initial, summary["blow_up"]):

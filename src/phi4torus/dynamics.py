@@ -323,19 +323,24 @@ def _stiff_substep(v: Field, z: ZCoefficients, cfg: SimConfig, time: float) -> F
 def coming_down_experiment(
     cfg: SimConfig,
     initial_norms: list[float],
+    record,
     p: int = 8,
 ) -> dict:
     """Evolve the v-equation from initial data of widely different sizes on
     one shared noise realization and fit the coming-down bound
     ||v(t)||_{L^p} <= C max(t^{-1/2}, 1).
 
-    Returns a report with per-run norm tables, the fitted C for each run
-    over t in [0.05, horizon], and the relative spread of ||v(t)||_{L^p}
-    across runs at t = 0.5 and t = 1.  An odd or small p, or a horizon
-    whose last step ends before t = 0.05, is refused (ValueError) before
-    the burn-in.  A run that blows up stops there, and its norms after
-    that read NaN; its `blow_up` entry says when, or that its initial data
-    already exceed `cfg.blowup_threshold`, in which case it takes no step.
+    Passes the L^p norms of every run at t = 0 and after each step to
+    record(t, norms), as it takes them, and keeps no table of them.
+    Returns a summary: the fitted C for each run over t in [0.05, horizon]
+    (NaN for a run with no finite norm there), and the norms and their
+    relative spread across runs at the step nearest t = 0.5 and t = 1.  An
+    odd or small p, or a horizon whose last step ends before t = 0.05, is
+    refused (ValueError) before the burn-in.  A run that blows up stops
+    there, and its norms after that read NaN; its `blow_up` entry says
+    when, or that its initial data already exceed `cfg.blowup_threshold`,
+    in which case it takes no step.  The trees step only when a later step
+    reads them.
     """
     if p < 8 or p % 2:
         raise ValueError(f"p must be even and >= 8, got {p}")
@@ -353,8 +358,21 @@ def coming_down_experiment(
     base_norm = besov_norm(base, -0.55)
     vs = [(s / base_norm) * base for s in initial_norms]
 
-    times = [0.0]
-    norms = [[lp_norm(v, p)] for v in vs]
+    fitted_c = np.full(len(vs), np.nan)
+    # per reference time, the distance to the nearest step so far and the
+    # norms there; the first of equally near steps is kept
+    nearest = {t_ref: (math.inf, None) for t_ref in (0.5, 1.0) if t_ref <= cfg.horizon}
+
+    def hand_on(t, norms):
+        record(t, norms)
+        if t >= fit_from:
+            # numpy's power, whose last bit can differ from math's
+            envelope = np.maximum(np.asarray(t) ** -0.5, 1.0)
+            np.fmax(fitted_c, np.array(norms) / envelope, out=fitted_c)
+        for t_ref, (distance, _) in nearest.items():
+            if abs(t - t_ref) < distance:
+                nearest[t_ref] = (abs(t - t_ref), norms)
+
     blew_up = [None] * len(vs)
     for j, v in enumerate(vs):
         try:
@@ -362,6 +380,7 @@ def coming_down_experiment(
         except BlowUpError as exc:
             blew_up[j] = (f"initial data exceed the blow-up threshold: sup|v(0)| = "
                           f"{exc.sup:.3g} (threshold {exc.threshold:.3g})")
+    hand_on(0.0, [lp_norm(v, p) for v in vs])
     for i in range(n_steps):
         z = assemble_z(ev.snapshot(with_resonants=False))
         for j, v in enumerate(vs):
@@ -371,37 +390,21 @@ def coming_down_experiment(
                 vs[j] = _stiff_substep(v, z, cfg, time=i * cfg.dt)
             except BlowUpError as exc:
                 blew_up[j] = str(exc)
-        ev.step(cfg.dt)
-        t = (i + 1) * cfg.dt
-        times.append(t)
+        if i + 1 < n_steps:
+            ev.step(cfg.dt)
         evaluate(*(v for v, exc in zip(vs, blew_up) if exc is None))
-        for j, v in enumerate(vs):
-            norms[j].append(
-                lp_norm(v, p) if blew_up[j] is None else float("nan")
-            )
+        hand_on((i + 1) * cfg.dt,
+                [lp_norm(v, p) if exc is None else float("nan") for v, exc in zip(vs, blew_up)])
 
-    times_arr = np.array(times)
     report = {
         "p": p,
-        "times": times,
         "initial_norms": list(initial_norms),
-        "norms": [list(map(float, row)) for row in norms],
         "blow_up": blew_up,
+        "fitted_C": [float(c) for c in fitted_c],
     }
-    bound_window = (times_arr >= fit_from)
-    envelope = np.maximum(times_arr[bound_window] ** -0.5, 1.0)
-    report["fitted_C"] = [
-        float(np.nanmax(np.array(row)[bound_window] / envelope))
-        if not np.all(np.isnan(np.array(row)[bound_window]))
-        else float("nan")
-        for row in norms
-    ]
-    for t_ref in (0.5, 1.0):
-        if t_ref <= cfg.horizon:
-            idx = int(np.argmin(np.abs(times_arr - t_ref)))
-            vals = np.array([row[idx] for row in norms])
-            report[f"norms_at_{t_ref}"] = [float(v) for v in vals]
-            report[f"spread_at_{t_ref}"] = float(np.nanmax(vals) / np.nanmin(vals))
+    for t_ref, (_, norms) in nearest.items():
+        report[f"norms_at_{t_ref}"] = list(norms)
+        report[f"spread_at_{t_ref}"] = float(np.nanmax(norms) / np.nanmin(norms))
     return report
 
 

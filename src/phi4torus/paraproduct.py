@@ -59,10 +59,13 @@ def product_decomposition(a: Field, b: Field) -> tuple[Field, Field, Field]:
     so the cost is O(j_max) products."""
     if a.grid != b.grid:
         raise ValueError("fields live on different grids")
-    high = [k for k in half_cube(a.grid).held if k > 0]
+    held = half_cube(a.grid).held
+    # S_{k-2} ends at the largest held level <= k - 2, so that low-pass
+    # bands of the same modes are one factor, padded once
+    low = {k: max(j for j in held if j <= k - 2) for k in held if k > 0}
 
     def para(x, y):  # x < y
-        terms = [(Band(x, -1, k - 2), Band(y, k, k)) for k in high]
+        terms = [(Band(x, -1, top), Band(y, k, k)) for k, top in low.items()]
         return dealiased_sums(terms)[0] if terms else Field.zeros(x.grid)
 
     return para(a, b), resonants((a, b))[0], para(b, a)

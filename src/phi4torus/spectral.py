@@ -65,7 +65,7 @@ e^{-tP}.  `semigroup(grid, t)` builds e^{-t lam} and the Duhamel weight
 integrators set up their coefficients once per step size (Cox & Matthews
 2002, J. Comput. Phys. 176:430).  The cache keeps the 8 entries used last:
 a stiff substep takes a dt of its own, and a `comedown` run at N = 16,
-dt = 0.004 makes 1 943 Duhamel steps with 83 distinct dt, 81 used once.
+dt = 0.004 makes 1 940 Duhamel steps with 83 distinct dt, 81 used once.
 
 Dealiasing.  Products are formed on a product grid of M points per axis:
 each distinct factor is zero-padded once, the factors are multiplied

@@ -59,8 +59,10 @@ def compute() -> dict[str, np.ndarray]:
     for name, f in ev.snapshot(with_resonants=True).components().items():
         out[f"trees.{name}"] = f.values
 
-    report = coming_down_experiment(SimConfig(n=8, r=0.05, dt=0.01, horizon=0.2), [3.0, 30.0, 300.0])
-    out["comedown.norms"] = np.array(report["norms"])
+    rows = []
+    report = coming_down_experiment(SimConfig(n=8, r=0.05, dt=0.01, horizon=0.2), [3.0, 30.0, 300.0],
+                                    lambda t, norms: rows.append(norms))
+    out["comedown.norms"] = np.array(rows).T
     out["comedown.fitted_C"] = np.array(report["fitted_C"])
 
     moments = []

@@ -297,16 +297,18 @@ class TestComingDown:
         cfg = SimConfig(
             n=16, r=0.05, dt=1e-3, horizon=2.0, coupling=1.0, seed=7,
         )
-        report = coming_down_experiment(cfg, [3.0, 30.0, 300.0], p=8)
+        rows = []
+        report = coming_down_experiment(cfg, [3.0, 30.0, 300.0],
+                                        lambda t, norms: rows.append((t, norms)), p=8)
         assert report["blow_up"] == [None, None, None]
         assert report["spread_at_1.0"] <= 2.0
         cs = report["fitted_C"]
         assert all(math.isfinite(c) and 0.0 < c < 2.0 for c in cs)
         # the fitted envelope actually dominates the trajectories on [0.05, 2]
-        times = np.asarray(report["times"])
+        times = np.array([t for t, _ in rows])
         window = times >= 0.05
         envelope = np.maximum(times[window] ** -0.5, 1.0)
-        for c, norms in zip(cs, report["norms"]):
+        for c, norms in zip(cs, np.array([norms for _, norms in rows]).T):
             assert np.all(np.asarray(norms)[window] <= c * envelope + 1e-9)
 
     def test_comparison_algorithm_on_analytic_orbit(self):

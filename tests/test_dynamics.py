@@ -1,10 +1,13 @@
+import csv
 import math
 import weakref
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 from scipy.integrate import solve_ivp
 
+from phi4torus.cli import main
 from phi4torus.dynamics import (
     BlowUpError,
     Diagnostics,
@@ -304,7 +307,7 @@ class TestSemigroupCache:
         the cache holds, and the cache stays at its bound."""
         cfg = SimConfig(n=8, r=0.05, dt=0.01, horizon=0.2, coupling=1.0)
         before = semigroup.cache_info()
-        coming_down_experiment(cfg, [3.0, 300.0])
+        coming_down_experiment(cfg, [3.0, 300.0], lambda t, norms: None)
         after = semigroup.cache_info()
         assert after.misses - before.misses > 2 * after.maxsize
         assert after.currsize <= after.maxsize == 8
@@ -316,9 +319,9 @@ class TestComingDownRefusals:
     def test_p_must_be_even_and_large(self):
         cfg = make_cfg()
         with pytest.raises(ValueError):
-            coming_down_experiment(cfg, [1.0, 10.0], p=4)
+            coming_down_experiment(cfg, [1.0, 10.0], lambda t, norms: None, p=4)
         with pytest.raises(ValueError):
-            coming_down_experiment(cfg, [1.0, 10.0], p=9)
+            coming_down_experiment(cfg, [1.0, 10.0], lambda t, norms: None, p=9)
 
     @pytest.mark.parametrize("horizon", [0.02, 0.044])
     def test_horizon_before_the_fit_window_refused_before_burn_in(self, horizon):
@@ -327,13 +330,55 @@ class TestComingDownRefusals:
         cfg = make_cfg(horizon=horizon)
         before = transform_counts()
         with pytest.raises(ValueError, match="before the fit window"):
-            coming_down_experiment(cfg, [1.0, 10.0])
+            coming_down_experiment(cfg, [1.0, 10.0], lambda t, norms: None)
         assert transform_counts() == before
 
     def test_horizon_reaching_the_fit_window_runs(self):
-        report = coming_down_experiment(make_cfg(horizon=0.046), [1.0, 10.0])
-        assert report["times"][-1] == pytest.approx(0.05)
+        times = []
+        report = coming_down_experiment(make_cfg(horizon=0.046), [1.0, 10.0],
+                                        lambda t, norms: times.append(t))
+        assert times[-1] == pytest.approx(0.05)
         assert not any(math.isnan(c) for c in report["fitted_C"])
+
+
+class TestComingDownRecord:
+    def test_each_step_is_handed_on_and_the_trees_step_only_when_read(
+            self, monkeypatch, tmp_path):
+        """record gets the norms at t = 0 and after each of the n_steps
+        steps, in order, and they are the rows of comedown.csv.  After the
+        burn-in the trees take n_steps - 1 steps: the last step reads the
+        trees of its start, and no later step reads those of its end."""
+        tree_steps = []
+        step, burn_in = TreeEvolver.step, TreeEvolver.burn_in
+
+        def counted_step(self, dt, noise=None):
+            tree_steps.append(dt)
+            step(self, dt, noise)
+
+        def burn_in_uncounted(self, duration, dt):
+            burn_in(self, duration, dt)
+            tree_steps.clear()
+
+        monkeypatch.setattr(TreeEvolver, "step", counted_step)
+        monkeypatch.setattr(TreeEvolver, "burn_in", burn_in_uncounted)
+        n_steps = 6
+        rows = []
+        coming_down_experiment(make_cfg(horizon=n_steps * 0.01), [1.0, 10.0],
+                               lambda t, norms: rows.append([t, *norms]))
+        assert len(rows) == n_steps + 1
+        times = [row[0] for row in rows]
+        assert times[0] == 0.0
+        assert all(s < t for s, t in zip(times, times[1:]))
+        assert tree_steps == [0.01] * (n_steps - 1)
+
+        res = CliRunner().invoke(main, ["comedown", "--n", "8", "--r", "0.05", "--dt", "0.01",
+                                        "--horizon", "0.06", "--sizes", "1,10",
+                                        "--output-dir", str(tmp_path)], catch_exceptions=False)
+        assert res.exit_code == 0
+        with open(tmp_path / "comedown.csv", newline="") as fh:
+            table = list(csv.reader(fh))
+        assert table[0] == ["t", "Lp_size_1", "Lp_size_10"]
+        assert table[1:] == [[str(x) for x in row] for row in rows]
 
 
 class TestComparisonTest:

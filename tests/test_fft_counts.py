@@ -398,21 +398,24 @@ def test_product_decomposition(counts):
     counts.clear()
     got = counted(lambda: product_decomposition(a, b))
     # a<b and a>b each form one sum of S_{k-2} x Delta_k y over the levels
-    # k = 1 .. j_max that hold a mode: a pad of each band and one
+    # k = 1 .. j_max that hold a mode: a pad of each distinct band and one
     # truncation, on the grid of the widest term, S_1 x (reach 2) times
-    # Delta_3 y (reach 4): M = 12.  The low-pass bands reach 1, 1 and 2, the
+    # Delta_3 y (reach 4): M = 12.  Level 0 holds no mode, so S_{-1} and
+    # S_0 are one band, padded once: the low-pass bands reach 1 and 2, the
     # blocks 2, 4 and 4.  a o b is formed level by level as in
-    # test_resonant, on M = 5, 12, 15 and 15 (earlier: every band of a<b
-    # and a>b built as a field and padded whole on M = 15, 14 * PRUNED_M =
-    # 72 450 points for the two)
+    # test_resonant, on M = 5, 12, 15 and 15 (earlier: S_0 padded apart
+    # from S_{-1}, 26 transforms, 104 passes and 75 691 points; every band
+    # of a<b and a>b built as a field and padded whole on M = 15, 14 *
+    # PRUNED_M = 72 450 points for the two)
     levels = held_levels(GRID)
     high = levels - 1
-    assert counts == calls(pads=2 * 2 * high + 2 * levels, truncations=2 + levels)
-    para = 2 * (2 * pruned(12, 1) + 2 * pruned(12, 2) + 2 * pruned(12, 4) + pruned(12, 4))
+    assert counts == calls(pads=2 * (2 * high - 1) + 2 * levels, truncations=2 + levels)
+    para = 2 * (pruned(12, 1) + 2 * pruned(12, 2) + 2 * pruned(12, 4) + pruned(12, 4))
     resonant = sum(pruned(m, k1) + pruned(m, k2) + pruned(m, k3)
                    for m, k1, k2, k3 in [(5, 1, 1, 2), (12, 2, 4, 4), (15, 4, 4, 4),
                                          (15, 4, 4, 4)])
-    assert got == {"transforms": 4 * high + 3 * levels + 2,
+    assert got == {"transforms": 4 * high + 3 * levels,
                    "passes": sum(counts.values()), "points": para + resonant}
-    assert para == 35_640 and resonant == 40_051
+    assert got == {"transforms": 24, "passes": 96, "points": 71_515}
+    assert para == 31_464 and resonant == 40_051 and pruned(12, 1) == 2_088
     assert 14 * PRUNED_M == 72_450
