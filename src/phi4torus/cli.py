@@ -418,27 +418,9 @@ def powercount(path, as_json, output_dir):
         raise InvalidConfig(str(exc))
     with _run() as (outdir, manifest):
         if as_json:
-            payload = {
-                "gamma_max": None if report.gamma_max is None else str(report.gamma_max),
-                "admissible": report.admissible,
-                "subgraphs": [
-                    {
-                        "edges": [str(e) for e in v.edges],
-                        "triples": list(v.triples),
-                        "singletons": list(v.singletons),
-                        "b1": v.b1,
-                        "a1": str(v.a1),
-                        "a2": None if v.a2 is None else str(v.a2),
-                        "codim_unmarked": str(v.codim_unmarked),
-                        "codim_marked": str(v.codim_marked),
-                        "shielded": v.shielded,
-                        "verdict": v.verdict,
-                        "gamma_upper": None if v.gamma_upper is None else str(v.gamma_upper),
-                        "case_b": v.case_b,
-                    }
-                    for v in report.verdicts
-                ],
-            }
+            # the verdicts' own fields, Fractions, Affines and Edges as str
+            payload = {"gamma_max": report.gamma_max, "admissible": report.admissible,
+                       "subgraphs": [vars(v) for v in report.verdicts]}
             manifest.write_json(outdir / f"{Path(path).stem}_verdicts.json", payload)
             click.echo(_json(payload))
         else:

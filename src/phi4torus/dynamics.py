@@ -54,9 +54,9 @@ from .spectral import (
     Field,
     Grid,
     cubic,
+    dealiased_sums,
     duhamel_step,
     evaluate,
-    grad_dot,
     gradient,
     lp_norm,
 )
@@ -238,8 +238,8 @@ def assemble_z(trees: EnhancedNoise) -> ZCoefficients:
     the module docstring."""
     if trees.v_ref is None:
         raise ValueError("Z-assembly needs v_ref; rebuild trees with track_vref")
-    grad_sq = grad_dot(trees.I2, trees.I2)
     grad_i2 = gradient(trees.I2)
+    grad_sq = dealiased_sums(zip(grad_i2, grad_i2))[0]
     grad_vref = gradient(trees.v_ref)
     evaluate(trees.X, trees.I2, trees.I3, trees.v_ref, grad_sq, *grad_i2, *grad_vref)
     X = trees.X.values

@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .dynamics import SimConfig, step_u
-from .spectral import Field, evaluate, semigroup
+from .spectral import Field, apply_multiplier, evaluate
 
 __all__ = [
     "birkhoff_sample",
@@ -100,7 +100,7 @@ def probe_moments(u: Field, r_probes) -> np.ndarray:
     for r_probe in r_probes:
         if not r_probe > 0:
             raise ValueError(f"r_probe must be positive, got {r_probe}")
-    ws = [Field.from_half(u.grid, u.half * semigroup(u.grid, rp).decay) for rp in r_probes]
+    ws = [apply_multiplier(u, lambda lam: np.exp(-rp * lam)) for rp in r_probes]
     evaluate(*ws)
     squares = [w.values * w.values for w in ws]
     return np.array([(w2.mean(), (w2 * w2).mean()) for w2 in squares])

@@ -88,12 +88,11 @@ def resonants(*pairs) -> list[Field]:
         raise ValueError("no sums to form")
     # each level's dealiased_sums refuses fields of different grids
     grid = pairs[0][0].grid
-    totals = [np.zeros(half_cube(grid).shape, complex) for _ in pairs]
+    totals = [Field.zeros(grid) for _ in pairs]
     for k in half_cube(grid).held:
         level = dealiased_sums(*[[(Band(a, k, k), Band(b, k - 1, k + 1))] for a, b in pairs])
-        for total, f in zip(totals, level):
-            total += f.half
-    return [Field.from_half(grid, total) for total in totals]
+        totals = [total + f for total, f in zip(totals, level)]
+    return totals
 
 
 def block_norms(f: Field, p: float = np.inf) -> list[float]:

@@ -36,7 +36,7 @@ admissible range gamma < gamma_max is solved exactly, never fitted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 
@@ -117,65 +117,36 @@ class Edge:
 
 @dataclass(frozen=True)
 class FeynmanGraph:
+    """Singleton vertices, resonance triples and the kernel edges between
+    their points, validated on construction.  No two vertices, triples or
+    triple members share a name.  `points` maps each point name (a vertex or
+    a triple member) to its triple, None for a singleton."""
+
     vertices: tuple[Vertex, ...]  # singletons only
     triples: tuple[Triple, ...]
     edges: tuple[Edge, ...]
+    points: dict[str, Triple | None] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.validate()
-
-    # -- structure helpers --------------------------------------------------
-    def singleton_names(self) -> set[str]:
-        return {v.name for v in self.vertices}
-
-    def triple_of(self, name: str) -> Triple | None:
-        for t in self.triples:
-            if name in t.members:
-                return t
-        return None
-
-    def all_names(self) -> set[str]:
-        names = self.singleton_names()
-        for t in self.triples:
-            names.update(t.members)
-        return names
-
-    def supernode(self, name: str) -> str:
-        """Contract triples: a triple member maps to the triple's name."""
-        t = self.triple_of(name)
-        return t.name if t else name
-
-    @property
-    def n_triples(self) -> int:
-        return len(self.triples)
-
-    @property
-    def b1(self) -> int:
-        return len(self.edges) - len(self.vertices) - self.n_triples + 1
-
-    # -- validation ---------------------------------------------------------
-    def validate(self):
-        names = self.all_names()
-        seen: dict[str, str] = {}
-        for v in self.vertices:
-            if v.name in seen:
-                raise GraphError(f"vertex {v.name!r} declared twice")
-            seen[v.name] = "vertex"
-        for t in self.triples:
-            for m in (t.name,) + t.members:
-                if m in seen and not (m == t.name and seen[m] == "triple"):
-                    raise GraphError(
-                        f"name {m!r} in triple {t.name!r} clashes with an "
-                        f"existing {seen[m]}"
-                    )
-            for m in t.members:
-                seen[m] = "triple"
-            seen[t.name] = "triple"
+        seen: set[str] = set()
+        for name in [v.name for v in self.vertices] + [
+            n for t in self.triples for n in (t.name,) + t.members
+        ]:
+            if name in seen:
+                raise GraphError(
+                    f"name {name!r} declared twice; vertices, triples and "
+                    f"triple members each need a name of their own"
+                )
+            seen.add(name)
+        points = {v.name: None for v in self.vertices}
+        points.update((m, t) for t in self.triples for m in t.members)
+        object.__setattr__(self, "points", points)
+        pinned = {v.name for v in self.vertices if v.pinned}
         pairs: set[frozenset] = set()
         n_q = 0
         for i, e in enumerate(self.edges):
             for end in (e.a, e.b):
-                if end not in names:
+                if end not in points:
                     raise GraphError(
                         f"edge {e} references undeclared vertex {end!r}", edge=i
                     )
@@ -184,8 +155,8 @@ class FeynmanGraph:
             if e.pair in pairs:
                 raise GraphError(f"parallel edge between {e.a!r} and {e.b!r}", edge=i)
             pairs.add(e.pair)
-            ta, tb = self.triple_of(e.a), self.triple_of(e.b)
-            if ta is not None and ta is tb:
+            ta = points[e.a]
+            if ta is not None and ta is points[e.b]:
                 raise GraphError(
                     f"edge {e} joins two members of triple {ta.name!r}", edge=i
                 )
@@ -194,19 +165,16 @@ class FeynmanGraph:
                 if n_q > 1:
                     raise GraphError("at most one Q edge is allowed", edge=i)
                 for end in (e.a, e.b):
-                    t = self.triple_of(end)
-                    if t is not None:
-                        if end != t.star:
-                            raise GraphError(
-                                f"Q endpoint {end!r} must be the star of "
-                                f"triple {t.name!r}, not a distinguished leg", edge=i
-                            )
-                    else:
-                        vtx = next(v for v in self.vertices if v.name == end)
-                        if not vtx.pinned:
-                            raise GraphError(
-                                f"Q endpoint {end!r} must be time-pinned", edge=i
-                            )
+                    t = points[end]
+                    if t is not None and end != t.star:
+                        raise GraphError(
+                            f"Q endpoint {end!r} must be the star of "
+                            f"triple {t.name!r}, not a distinguished leg", edge=i
+                        )
+                    if t is None and end not in pinned:
+                        raise GraphError(
+                            f"Q endpoint {end!r} must be time-pinned", edge=i
+                        )
             elif e.kind not in KERNEL_HOMOGENEITY:
                 raise GraphError(
                     f"unknown kernel kind {e.kind!r}; known: "
@@ -230,7 +198,9 @@ def parse_graph(text: str) -> FeynmanGraph:
         J = {a, b}
 
     '#' starts a comment.  Triple members are declared implicitly; 'time=t'
-    or membership of J pins a singleton to the reference time.  The edge
+    or membership of J pins a singleton to the reference time.  Every name
+    is declared once: no two vertices, triples or triple members share a
+    name, and a repeated one raises GraphError.  The edge
     flag 'time0' labels an equal-time covariance between two points at the
     reference time (two triple legs, say); it is kept on the Edge but the
     power counting does not read it.
@@ -356,31 +326,20 @@ class Affine:
 # ---------------------------------------------------------------------------
 
 
-def _closure(g: FeynmanGraph, edge_subset) -> tuple[set[str], set[str]]:
-    """(triple names, singleton names) touched by the edges, with triples
-    completed (all three members included when any is touched)."""
-    triple_names: set[str] = set()
-    singles: set[str] = set()
-    for e in edge_subset:
-        for end in (e.a, e.b):
-            t = g.triple_of(end)
-            if t:
-                triple_names.add(t.name)
-            else:
-                singles.add(end)
-    return triple_names, singles
+def _closure(g: FeynmanGraph, edge_subset):
+    """(links, triples, singleton names) of an edge subset: each edge as the
+    pair of nodes it joins, with a triple contracted to one node (the Triple
+    itself), and the triples and singletons the edges touch.  A triple is
+    included wholly when any of its members is touched."""
+    links = [tuple(g.points[end] or end for end in (e.a, e.b)) for e in edge_subset]
+    nodes = {n for link in links for n in link}
+    triples = {n for n in nodes if isinstance(n, Triple)}
+    return links, triples, nodes - triples
 
 
-def _contracted_adjacency(g: FeynmanGraph, edge_subset):
-    """Multigraph on supernodes: list of (node_a, node_b, edge)."""
-    return [(g.supernode(e.a), g.supernode(e.b), e) for e in edge_subset]
-
-
-def _connected(nodes: set[str], links) -> bool:
-    if not nodes:
-        return False
-    adj: dict[str, list[str]] = {n: [] for n in nodes}
-    for a, b, _ in links:
+def _connected(nodes: set, links) -> bool:
+    adj: dict = {n: [] for n in nodes}
+    for a, b in links:
         adj[a].append(b)
         adj[b].append(a)
     stack = [next(iter(nodes))]
@@ -393,40 +352,25 @@ def _connected(nodes: set[str], links) -> bool:
     return seen == nodes
 
 
-def _bridgeless(nodes: set[str], links) -> bool:
-    """True when no single edge removal disconnects the contracted
-    multigraph (parallel supernode edges protect each other)."""
-    for i in range(len(links)):
-        rest = links[:i] + links[i + 1:]
-        if not _connected(nodes, rest):
-            return False
-    return True
-
-
 def enumerate_relevant_subgraphs(g: FeynmanGraph) -> list[tuple[Edge, ...]]:
     """All connected, bridgeless, loop-carrying (b1 > 0) edge subsets, with
-    triples completed; brute force over edge subsets."""
-    n_vertices = len(g.all_names())
-    if n_vertices > MAX_VERTICES:
+    triples completed; brute force over edge subsets.  A subset that stays
+    connected without any one of its edges is connected and bridgeless
+    (parallel supernode edges protect each other)."""
+    if len(g.points) > MAX_VERTICES:
         raise GraphError(
-            f"graph has {n_vertices} vertices (cap {MAX_VERTICES}); "
+            f"graph has {len(g.points)} vertices (cap {MAX_VERTICES}); "
             f"enumeration would scan 2^{len(g.edges)} = {2 ** len(g.edges)} subsets"
         )
     out = []
-    edges = list(g.edges)
-    for size in range(2, len(edges) + 1):
-        for subset in combinations(edges, size):
-            tri, singles = _closure(g, subset)
-            nodes = tri | singles
-            b1 = len(subset) - len(singles) - len(tri) + 1
-            if b1 <= 0:
-                continue
-            links = _contracted_adjacency(g, subset)
-            if not _connected(nodes, links):
-                continue
-            if not _bridgeless(nodes, links):
-                continue
-            out.append(tuple(subset))
+    for size in range(2, len(g.edges) + 1):
+        for subset in combinations(g.edges, size):
+            links, triples, singles = _closure(g, subset)
+            nodes = triples | singles
+            if len(links) - len(nodes) + 1 > 0 and all(
+                _connected(nodes, links[:i] + links[i + 1:]) for i in range(len(links))
+            ):
+                out.append(subset)
     return out
 
 
@@ -467,9 +411,8 @@ class SubgraphVerdict:
 def verdict(g: FeynmanGraph, edge_subset) -> SubgraphVerdict:
     """Power-counting verdict of one subgraph, gamma symbolic."""
     subset = tuple(edge_subset)
-    tri_names, singles = _closure(g, subset)
-    triples = [t for t in g.triples if t.name in tri_names]
-    b1 = len(subset) - len(singles) - len(tri_names) + 1
+    _, triples, singles = _closure(g, subset)
+    b1 = len(subset) - len(singles) - len(triples) + 1
 
     q_edge = next((e for e in subset if e.kind == "Q"), None)
     a1 = -RESONANCE_HOMOGENEITY * len(triples)
@@ -520,7 +463,7 @@ def verdict(g: FeynmanGraph, edge_subset) -> SubgraphVerdict:
 
     return SubgraphVerdict(
         edges=subset,
-        triples=tuple(sorted(tri_names)),
+        triples=tuple(sorted(t.name for t in triples)),
         singletons=tuple(sorted(singles)),
         b1=b1,
         a1=a1,

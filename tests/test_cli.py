@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import hashlib
 import json
 import shutil
@@ -10,6 +11,7 @@ from click.testing import CliRunner
 
 from phi4torus.cli import main
 from phi4torus.dynamics import BlowUpError, step_u
+from phi4torus.powercount import SubgraphVerdict, gamma_range, parse_graph
 from phi4torus.spectral import transform_counts
 
 from oracles import GRAPHS
@@ -673,9 +675,35 @@ class TestPowercount:
 
     def test_bad_graph_exits_3(self, runner, tmp_path):
         bad = tmp_path / "bad.fg"
-        bad.write_text("vertex a\nedge L a a\n")
-        res = runner.invoke(main, ["powercount", "--file", str(bad)])
-        assert res.exit_code == 3
+        for src in ["vertex a\nedge L a a\n",
+                    "triple T = (a, a1, a2)\ntriple T = (b, b1, b2)\n"]:
+            bad.write_text(src)
+            res = runner.invoke(main, ["powercount", "--file", str(bad),
+                                       "--output-dir", str(tmp_path)])
+            assert res.exit_code == 3, src
+
+    def test_json_subgraphs_are_the_verdict_fields(self, runner, tmp_path):
+        """Each --json subgraph record holds its verdict's fields in
+        declaration order, a Fraction, an Affine or an Edge as its str."""
+        res = invoke(runner, ["powercount", "--file", str(GRAPHS / "g24.fg"),
+                              "--json", "--output-dir", str(tmp_path)])
+        assert res.exit_code == 0
+        records = json.loads((tmp_path / "g24_verdicts.json").read_text())["subgraphs"]
+        verdicts = gamma_range(parse_graph((GRAPHS / "g24.fg").read_text())).verdicts
+        names = [f.name for f in dataclasses.fields(SubgraphVerdict)]
+
+        def rendered(x):
+            if isinstance(x, tuple):
+                return [rendered(y) for y in x]
+            return x if x is None or isinstance(x, (bool, int, str)) else str(x)
+
+        assert len(records) == len(verdicts) == 4
+        for record, v in zip(records, verdicts):
+            assert list(record) == names
+            assert record == {n: rendered(getattr(v, n)) for n in names}
+        assert records[-1]["edges"] == ["L l1 z1", "L l2 z2", "G2 z1 z2",
+                                        "G2 m1 m2 time0", "Q s1 s2 mark"]
+        assert records[-1]["a2"] == "-28 - 2*gamma"
 
     def test_missing_file_exits_2(self, runner):
         res = runner.invoke(main, ["powercount", "--file", "/nonexistent.fg"])

@@ -59,6 +59,17 @@ class TestParser:
             assert err.value.line == line, src
             assert str(err.value).startswith(f"line {line}: ")
 
+    @pytest.mark.parametrize("triples", [
+        [("T", "a", "a1", "a2"), ("T", "b", "b1", "b2")],  # a triple name twice
+        [("T", "a", "a", "b")],  # a point twice in one triple
+    ])
+    def test_repeated_names_refused(self, triples):
+        src = "".join(f"triple {t} = ({s}, {l1}, {l2})\n" for t, s, l1, l2 in triples)
+        with pytest.raises(GraphError, match="declared twice"):
+            parse_graph(src)
+        with pytest.raises(GraphError, match="declared twice"):
+            FeynmanGraph(vertices=(), triples=tuple(Triple(*t) for t in triples), edges=())
+
     def test_unknown_kernel(self):
         with pytest.raises(GraphError, match="kernel"):
             parse_graph("vertex a\nvertex b\nedge XX a b\n")
@@ -91,7 +102,8 @@ class TestParser:
 
 
 class TestEnumeration:
-    @pytest.mark.parametrize("name", ["g14", "g24", "g22", "g12", "g41", "b_subamplitude"])
+    @pytest.mark.parametrize("name", ["g14", "g24", "g22", "g12", "g41", "b_subamplitude",
+                                      "g32", "g34", "g43", "g45"])
     def test_matches_independent_enumerator(self, name):
         g = load(name)
         got = {frozenset(s) for s in enumerate_relevant_subgraphs(g)}
